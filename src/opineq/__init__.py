@@ -65,7 +65,6 @@ from .linalg import (
     zero,
 )
 from .majorization import (
-    PartialSums,
     check_corollary,
     check_thm5,
     check_thm6,
@@ -121,7 +120,6 @@ __all__ = [
     "JacobiConvergenceError",
     "JointDiagonalizationError",
     "JointSpectrum",
-    "PartialSums",
     "SingularInputError",
     "SpectralMeasure",
     "SpectrumDomainError",

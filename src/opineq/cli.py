@@ -40,6 +40,10 @@ class MatrixParseError(ValueError):
         self.column = column
 
 
+class InputMismatchError(ValueError):
+    """Matrix files that parse but do not fit together, such as differing dimensions."""
+
+
 @dataclass(frozen=True)
 class ParsedMatrix:
     array: np.ndarray  # (rows, cols) complex
@@ -124,6 +128,15 @@ def load_hermitian(path: str | Path) -> HermitianMatrix:
     return HermitianMatrix(parsed.array)
 
 
+def load_hermitians(paths) -> list[HermitianMatrix]:
+    """Load Hermitian inputs that must share one dimension."""
+    members = [load_hermitian(p) for p in paths]
+    dims = [m.dim for m in members]
+    if len(set(dims)) > 1:
+        raise InputMismatchError(f"dimension mismatch: {' vs '.join(map(str, dims))}")
+    return members
+
+
 def load_vector(path: str | Path) -> np.ndarray:
     parsed = parse_matrix_file(path)
     arr = parsed.array
@@ -200,8 +213,7 @@ def _verdict_exit(v, label: str) -> int:
 
 
 def _check_loewner(args, tol) -> int:
-    a = load_hermitian(args.files[0])
-    b = load_hermitian(args.files[1])
+    a, b = load_hermitians(args.files)
     gap = eig_hermitian(b - a).lambda_min
     ok = loewner_leq(a, b, tol)
     print(f"loewner: {'pass' if ok else 'fail'} gap={gap:.6g}")
@@ -209,8 +221,7 @@ def _check_loewner(args, tol) -> int:
 
 
 def _check_wmaj(args, tol) -> int:
-    a = load_hermitian(args.files[0])
-    b = load_hermitian(args.files[1])
+    a, b = load_hermitians(args.files)
     gap = float(np.min(partial_sums(b) - partial_sums(a)))
     ok = weak_majorize(a, b, tol)
     print(f"wmaj: {'pass' if ok else 'fail'} gap={gap:.6g}")
@@ -218,8 +229,7 @@ def _check_wmaj(args, tol) -> int:
 
 
 def _check_gmean(args, tol) -> int:
-    x = load_hermitian(args.files[0])
-    y = load_hermitian(args.files[1])
+    x, y = load_hermitians(args.files)
     try:
         gm = geometric_mean(x, y, tol)
     except SpectrumDomainError as exc:
@@ -243,7 +253,7 @@ def _check_gmean(args, tol) -> int:
 
 
 def _check_jensen(args, tol) -> int:
-    members = [load_hermitian(p) for p in args.files]
+    members = load_hermitians(args.files)
     if not check_commuting(members, tol):
         print("jensen: invalid input (matrices do not commute)")
         return 2
@@ -307,6 +317,9 @@ def cmd_check(args) -> int:
         return handler(args, tol)
     except MatrixParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except InputMismatchError as exc:
+        print(f"{args.name}: invalid input ({exc})")
         return 2
 
 

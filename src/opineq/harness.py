@@ -10,14 +10,21 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import verdict
 from .abelian import AbelianTuple, Cube, CubeFunction, uniform_cube
-from .linalg import DEFAULT_TOL, HermitianMatrix, Tolerance, diagonal, eig_hermitian
+from .linalg import (
+    DEFAULT_TOL,
+    HermitianMatrix,
+    Tolerance,
+    diagonal,
+    eig_hermitian,
+    psd_margin,
+)
 from .majorization import check_corollary, check_thm5, check_thm6, kyfan_check
 from .means import (
     ExponentVector,
@@ -37,8 +44,6 @@ from .pinching import (
 )
 from .state import DiagonalState
 from .verdict import Verdict
-
-THEOREM_IDS = ("T1", "T2", "T3", "T4", "T5", "T6", "COR", "LH", "KF", "EX1", "CHAIN")
 
 SCHEMA_VERSION = 1
 
@@ -449,50 +454,7 @@ def _deser_tf(data: list, tol: Tolerance) -> TupleField:
 
 
 # ---------------------------------------------------------------------------
-# theorem checkers shared by the campaign runners and instance replay
-# ---------------------------------------------------------------------------
-
-def _check_t1(f, x, y, rho, tol) -> Verdict:
-    return verdict.combine(
-        check_phi_concave_jensen(f, x, rho, tol),
-        check_phi_monotone_chain(f, x, y, rho, tol),
-    )
-
-
-def _check_t3(f, field_, tf, xi, tol) -> Verdict:
-    return verdict.combine(
-        check_jensen_expectation(f, field_, tf, xi, tol),
-        check_mond_pecaric(f, tf.atoms[0], xi, tol),
-    )
-
-
-def _check_lh(x, y, tol) -> Verdict:
-    return verdict.combine(*(check_lowner_heinz(x, y, a, tol) for a in LH_ALPHAS))
-
-
-def _check_chain(x, y, tol) -> Verdict:
-    from .linalg import loewner_leq
-
-    for a, b in zip(x.members, y.members):
-        if not loewner_leq(a, b, tol):
-            return verdict.invalid("x <= y fails memberwise")
-    es = eig_hermitian(root_product_chain(y, tol) - root_product_chain(x, tol))
-    slack = tol.rtol * (1.0 + es.op_norm)
-    return verdict.from_gap(es.lambda_min, slack)
-
-
-def _ex1_verdict(report) -> Verdict:
-    order_gap = eig_hermitian(report.y - report.x).lambda_min
-    v = Verdict(
-        verdict.PASS if report.all_hold else verdict.FAIL,
-        order_gap,
-        {"params": [report.c, report.t, report.lam], "verdicts": report.verdicts},
-    )
-    return v
-
-
-# ---------------------------------------------------------------------------
-# campaign runners: one (verdict, payload) per instance
+# instance generators: named check arguments from one RNG stream
 # ---------------------------------------------------------------------------
 
 def _draw(rng, lohi) -> int:
@@ -513,24 +475,6 @@ def _pick_function(cfg, rng, n, cube, need: tuple[str, ...]) -> CubeFunction:
     return pool[int(rng.integers(len(pool)))]
 
 
-def _run_t1(cfg, rng):
-    dim, n = _draw(rng, cfg.dim_range), _draw(rng, cfg.arity_range)
-    cube = uniform_cube(n, 0.0, 2.0)
-    f = _pick_function(cfg, rng, n, cube, ("concave", "separately_increasing"))
-    x = _banded_abelian(rng, dim, n, 0.0, 0.6)
-    y = AbelianTuple(tuple(diagonal(rng.uniform(0.8, 2.0, dim)) for _ in range(n)))
-    rho = DiagonalState(rng.uniform(0.1, 2.0, dim))
-    v = _check_t1(f, x, y, rho, cfg.tol)
-    payload = {
-        "theorem": "T1",
-        "function": _ser_func(f),
-        "x": _ser_tuple(x),
-        "y": _ser_tuple(y),
-        "rho": rho.weights.tolist(),
-    }
-    return v, payload, f.name
-
-
 def _random_partition(rng, dim) -> tuple[int, ...]:
     blocks = []
     remaining = dim
@@ -539,24 +483,6 @@ def _random_partition(rng, dim) -> tuple[int, ...]:
         blocks.append(b)
         remaining -= b
     return tuple(blocks)
-
-
-def _run_t2(cfg, rng):
-    dim, n = _draw(rng, cfg.dim_range), _draw(rng, cfg.arity_range)
-    blocks = _random_partition(rng, dim)
-    x, y, rho = gen_centralizer_pair(dim, n, blocks, rng)
-    p = rng.uniform(0.0, 3.0, n)
-    if rng.integers(5) == 0:
-        p[int(rng.integers(n))] = float(rng.integers(0, 2))
-    v = check_trace_power_monotone(x, y, ExponentVector(tuple(p)), rho, cfg.tol)
-    payload = {
-        "theorem": "T2",
-        "x": _ser_tuple(x),
-        "y": _ser_tuple(y),
-        "p": p.tolist(),
-        "rho": rho.weights.tolist(),
-    }
-    return v, payload, None
 
 
 def _field_instance(cfg, rng, kinds=("generic",)):
@@ -571,38 +497,42 @@ def _field_instance(cfg, rng, kinds=("generic",)):
     return dim, n, cube, field_, tf
 
 
-def _run_t3(cfg, rng):
+def _gen_t1(cfg, rng, index) -> dict:
+    dim, n = _draw(rng, cfg.dim_range), _draw(rng, cfg.arity_range)
+    cube = uniform_cube(n, 0.0, 2.0)
+    f = _pick_function(cfg, rng, n, cube, ("concave", "separately_increasing"))
+    x = _banded_abelian(rng, dim, n, 0.0, 0.6)
+    y = AbelianTuple(tuple(diagonal(rng.uniform(0.8, 2.0, dim)) for _ in range(n)))
+    rho = DiagonalState(rng.uniform(0.1, 2.0, dim))
+    return {"function": f, "x": x, "y": y, "rho": rho}
+
+
+def _gen_t2(cfg, rng, index) -> dict:
+    dim, n = _draw(rng, cfg.dim_range), _draw(rng, cfg.arity_range)
+    blocks = _random_partition(rng, dim)
+    x, y, rho = gen_centralizer_pair(dim, n, blocks, rng)
+    p = rng.uniform(0.0, 3.0, n)
+    if rng.integers(5) == 0:
+        p[int(rng.integers(n))] = float(rng.integers(0, 2))
+    return {"x": x, "y": y, "p": ExponentVector(tuple(p)), "rho": rho}
+
+
+def _gen_t3(cfg, rng, index) -> dict:
     dim, n, cube, field_, tf = _field_instance(cfg, rng)
     f = _pick_function(cfg, rng, n, cube, ("convex",))
     xi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     xi /= np.linalg.norm(xi)
-    v = _check_t3(f, field_, tf, xi, cfg.tol)
-    payload = {
-        "theorem": "T3",
-        "function": _ser_func(f),
-        "field": _ser_field(field_),
-        "atoms": _ser_tf(tf),
-        "xi": _ser_c(xi),
-    }
-    return v, payload, f.name
+    return {"function": f, "field": field_, "atoms": tf, "xi": xi}
 
 
-def _run_t4(cfg, rng):
+def _gen_t4(cfg, rng, index) -> dict:
     dim, n, cube, field_, tf = _field_instance(cfg, rng)
     f = _pick_function(cfg, rng, n, cube, ("convex",))
     rho = DiagonalState(rng.uniform(0.1, 2.0, dim))
-    v = check_phi_jensen_field(f, field_, tf, rho, cfg.tol)
-    payload = {
-        "theorem": "T4",
-        "function": _ser_func(f),
-        "field": _ser_field(field_),
-        "atoms": _ser_tf(tf),
-        "rho": rho.weights.tolist(),
-    }
-    return v, payload, f.name
+    return {"function": f, "field": field_, "atoms": tf, "rho": rho}
 
 
-def _run_t5(cfg, rng):
+def _gen_t5(cfg, rng, index) -> dict:
     kind = ("one-variable", "unitary", "diagonal", "probability")[int(rng.integers(4))]
     dim = _draw(rng, cfg.dim_range)
     n = 1 if kind == "one-variable" else _draw(rng, cfg.arity_range)
@@ -621,32 +551,18 @@ def _run_t5(cfg, rng):
         field_ = gen_unital_field(dim, count, rng, "probability")
         tf = gen_tuple_field(dim, n, count, cube, rng, "common")
     f = _pick_function(cfg, rng, n, cube, ("convex",))
-    v = check_thm5(f, field_, tf, cfg.tol)
-    payload = {
-        "theorem": "T5",
-        "function": _ser_func(f),
-        "field": _ser_field(field_),
-        "atoms": _ser_tf(tf),
-    }
-    return v, payload, f.name
+    return {"function": f, "field": field_, "atoms": tf}
 
 
-def _run_t6(cfg, rng):
+def _gen_t6(cfg, rng, index) -> dict:
     dim, n = _draw(rng, cfg.dim_range), _draw(rng, cfg.arity_range)
     cube = uniform_cube(n, 0.0, 2.0)
     x, y = gen_dominated_pair(dim, n, cube, rng)
     f = _pick_function(cfg, rng, n, cube, ("convex", "separately_increasing"))
-    v = check_thm6(f, x, y, cfg.tol)
-    payload = {
-        "theorem": "T6",
-        "function": _ser_func(f),
-        "x": _ser_tuple(x),
-        "y": _ser_tuple(y),
-    }
-    return v, payload, f.name
+    return {"function": f, "x": x, "y": y}
 
 
-def _run_cor(cfg, rng):
+def _gen_cor(cfg, rng, index) -> dict:
     dim = _draw(rng, cfg.dim_range)
     general = rng.integers(2) == 0
     n = 1 if general else _draw(rng, cfg.arity_range)
@@ -660,152 +576,182 @@ def _run_cor(cfg, rng):
     if rng.integers(10) == 0:
         lam = float(rng.integers(0, 2))
     f = _pick_function(cfg, rng, n, cube, ("convex",))
-    v = check_corollary(f, x, y, lam, cfg.tol)
-    payload = {
-        "theorem": "COR",
-        "function": _ser_func(f),
-        "x": _ser_tuple(x),
-        "y": _ser_tuple(y),
-        "lam": lam,
-    }
-    return v, payload, f.name
+    return {"function": f, "x": x, "y": y, "lam": lam}
 
 
-def _run_lh(cfg, rng):
+def _gen_lh(cfg, rng, index) -> dict:
     dim = _draw(rng, cfg.dim_range)
     q = random_unitary(dim, rng)
     x = HermitianMatrix((q * rng.uniform(0.0, 1.2, dim)) @ q.conj().T)
     u = random_unitary(dim, rng)
     bump = HermitianMatrix((u * rng.uniform(0.0, 1.5, dim)) @ u.conj().T)
-    y = x + bump
-    v = _check_lh(x, y, cfg.tol)
-    payload = {"theorem": "LH", "x": _ser_c(x.entries), "y": _ser_c(y.entries)}
-    return v, payload, None
+    return {"x": x, "y": x + bump}
 
 
-def _run_kf(cfg, rng):
+def _gen_kf(cfg, rng, index) -> dict:
     dim = _draw(rng, cfg.dim_range)
     scale = float(rng.uniform(0.2, 4.0))
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     a = HermitianMatrix(scale * z)
     k = int(rng.integers(1, dim + 1))
-    frame = random_frame(dim, k, rng)
-    v = kyfan_check(a, frame, cfg.tol)
-    payload = {"theorem": "KF", "a": _ser_c(a.entries), "frame": _ser_c(frame)}
-    return v, payload, None
+    return {"a": a, "frame": random_frame(dim, k, rng)}
 
 
-def _run_ex1(cfg, rng, index=0):
+def _gen_ex1(cfg, rng, index) -> dict:
     if index == 0:
-        c, t, lam = 1.0, 1.3, 3.4
-    else:
-        c = 1.0
-        t = float(rng.uniform(1.02, 1.40))
-        lam = float((c / (t - c)) * (1.0 + rng.uniform(0.01, 0.5)))
-    report = reproduce_example1(c, t, lam, cfg.tol)
-    v = _ex1_verdict(report)
-    payload = {"theorem": "EX1", "c": c, "t": t, "lam": lam}
-    return v, payload, None
+        return {"c": 1.0, "t": 1.3, "lam": 3.4}
+    c = 1.0
+    t = float(rng.uniform(1.02, 1.40))
+    lam = float((c / (t - c)) * (1.0 + rng.uniform(0.01, 0.5)))
+    return {"c": c, "t": t, "lam": lam}
 
 
-def _run_chain(cfg, rng):
+def _gen_chain(cfg, rng, index) -> dict:
     dim, n = _draw(rng, cfg.dim_range), _draw(rng, cfg.arity_range)
     x, y = gen_dominated_pair(dim, n, uniform_cube(n, 0.0, 2.0), rng)
-    v = _check_chain(x, y, cfg.tol)
-    payload = {"theorem": "CHAIN", "x": _ser_tuple(x), "y": _ser_tuple(y)}
-    return v, payload, None
+    return {"x": x, "y": y}
 
 
-_RUNNERS: dict[str, Callable] = {
-    "T1": _run_t1,
-    "T2": _run_t2,
-    "T3": _run_t3,
-    "T4": _run_t4,
-    "T5": _run_t5,
-    "T6": _run_t6,
-    "COR": _run_cor,
-    "LH": _run_lh,
-    "KF": _run_kf,
-    "CHAIN": _run_chain,
+# ---------------------------------------------------------------------------
+# checks shared by campaigns and replay; each looks its library checks up
+# in this module's globals at call time, so patched or traced bindings apply
+# ---------------------------------------------------------------------------
+
+def _check_t1(a, tol) -> Verdict:
+    return verdict.combine(
+        check_phi_concave_jensen(a["function"], a["x"], a["rho"], tol),
+        check_phi_monotone_chain(a["function"], a["x"], a["y"], a["rho"], tol),
+    )
+
+
+def _check_t3(a, tol) -> Verdict:
+    return verdict.combine(
+        check_jensen_expectation(a["function"], a["field"], a["atoms"], a["xi"], tol),
+        check_mond_pecaric(a["function"], a["atoms"].atoms[0], a["xi"], tol),
+    )
+
+
+def _check_lh(a, tol) -> Verdict:
+    return verdict.combine(
+        *(check_lowner_heinz(a["x"], a["y"], alpha, tol) for alpha in LH_ALPHAS)
+    )
+
+
+def _check_ex1(a, tol) -> Verdict:
+    report = reproduce_example1(a["c"], a["t"], a["lam"], tol)
+    return Verdict(
+        verdict.PASS if report.all_hold else verdict.FAIL,
+        eig_hermitian(report.y - report.x).lambda_min,
+        {"params": [report.c, report.t, report.lam], "verdicts": report.verdicts},
+    )
+
+
+def _check_chain(a, tol) -> Verdict:
+    from .linalg import loewner_leq
+
+    x, y = a["x"], a["y"]
+    for xm, ym in zip(x.members, y.members):
+        if not loewner_leq(xm, ym, tol):
+            return verdict.invalid("x <= y fails memberwise")
+    diff = root_product_chain(y, tol) - root_product_chain(x, tol)
+    return verdict.from_gap(*psd_margin(eig_hermitian(diff), tol))
+
+
+# ---------------------------------------------------------------------------
+# the theorem registry: one generator, one check and one payload codec per id
+# ---------------------------------------------------------------------------
+
+# (encode, decode) pairs; every decoder takes the replay tolerance
+_FUNCTION = (_ser_func, lambda d, tol: _deser_func(d))
+_TUPLE = (_ser_tuple, _deser_tuple)
+_STATE = (lambda rho: rho.weights.tolist(), lambda d, tol: DiagonalState(np.asarray(d)))
+_MATRIX = (lambda m: _ser_c(m.entries), lambda d, tol: HermitianMatrix(_deser_c(d)))
+_ARRAY = (_ser_c, lambda d, tol: _deser_c(d))
+_FIELD = (_ser_field, _deser_field)
+_ATOMS = (_ser_tf, _deser_tf)
+_SCALAR = (lambda v: v, lambda d, tol: d)
+
+
+@dataclass(frozen=True)
+class _Theorem:
+    """How one theorem id draws, checks and serializes an instance.
+
+    ``generate(cfg, rng, index)`` returns the check's named arguments;
+    ``check(args, tol)`` gives the verdict; ``codecs`` maps each argument
+    name, which is also its payload key, to an (encode, decode) pair.
+    ``sweep`` records carry their encoded parameters and per-claim verdicts.
+    """
+
+    generate: Callable[[CampaignConfig, np.random.Generator, int], dict]
+    check: Callable[[dict, Tolerance], Verdict]
+    codecs: dict[str, tuple[Callable, Callable]]
+    sweep: bool = False
+
+    def encode(self, args: dict) -> dict:
+        return {name: enc(args[name]) for name, (enc, _) in self.codecs.items()}
+
+    def decode(self, payload: dict, tol: Tolerance) -> dict:
+        return {name: dec(payload[name], tol) for name, (_, dec) in self.codecs.items()}
+
+
+_THEOREMS: dict[str, _Theorem] = {
+    "T1": _Theorem(
+        _gen_t1, _check_t1,
+        {"function": _FUNCTION, "x": _TUPLE, "y": _TUPLE, "rho": _STATE},
+    ),
+    "T2": _Theorem(
+        _gen_t2,
+        lambda a, tol: check_trace_power_monotone(a["x"], a["y"], a["p"], a["rho"], tol),
+        {"x": _TUPLE, "y": _TUPLE,
+         "p": (lambda e: list(e.p), lambda d, tol: ExponentVector(tuple(d))), "rho": _STATE},
+    ),
+    "T3": _Theorem(
+        _gen_t3, _check_t3,
+        {"function": _FUNCTION, "field": _FIELD, "atoms": _ATOMS, "xi": _ARRAY},
+    ),
+    "T4": _Theorem(
+        _gen_t4,
+        lambda a, tol: check_phi_jensen_field(
+            a["function"], a["field"], a["atoms"], a["rho"], tol
+        ),
+        {"function": _FUNCTION, "field": _FIELD, "atoms": _ATOMS, "rho": _STATE},
+    ),
+    "T5": _Theorem(
+        _gen_t5,
+        lambda a, tol: check_thm5(a["function"], a["field"], a["atoms"], tol),
+        {"function": _FUNCTION, "field": _FIELD, "atoms": _ATOMS},
+    ),
+    "T6": _Theorem(
+        _gen_t6,
+        lambda a, tol: check_thm6(a["function"], a["x"], a["y"], tol),
+        {"function": _FUNCTION, "x": _TUPLE, "y": _TUPLE},
+    ),
+    "COR": _Theorem(
+        _gen_cor,
+        lambda a, tol: check_corollary(a["function"], a["x"], a["y"], a["lam"], tol),
+        {"function": _FUNCTION, "x": _TUPLE, "y": _TUPLE, "lam": _SCALAR},
+    ),
+    "LH": _Theorem(_gen_lh, _check_lh, {"x": _MATRIX, "y": _MATRIX}),
+    "KF": _Theorem(
+        _gen_kf,
+        lambda a, tol: kyfan_check(a["a"], a["frame"], tol),
+        {"a": _MATRIX, "frame": _ARRAY},
+    ),
+    "EX1": _Theorem(
+        _gen_ex1, _check_ex1, {"c": _SCALAR, "t": _SCALAR, "lam": _SCALAR}, sweep=True
+    ),
+    "CHAIN": _Theorem(_gen_chain, _check_chain, {"x": _TUPLE, "y": _TUPLE}),
 }
+
+THEOREM_IDS = tuple(_THEOREMS)
 
 
 def replay_instance(instance: dict, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Re-run the check for a serialized instance; deterministic, so the verdict must match."""
-    theorem = instance["theorem"]
-    if theorem == "T1":
-        return _check_t1(
-            _deser_func(instance["function"]),
-            _deser_tuple(instance["x"], tol),
-            _deser_tuple(instance["y"], tol),
-            DiagonalState(np.asarray(instance["rho"])),
-            tol,
-        )
-    if theorem == "T2":
-        return check_trace_power_monotone(
-            _deser_tuple(instance["x"], tol),
-            _deser_tuple(instance["y"], tol),
-            ExponentVector(tuple(instance["p"])),
-            DiagonalState(np.asarray(instance["rho"])),
-            tol,
-        )
-    if theorem == "T3":
-        return _check_t3(
-            _deser_func(instance["function"]),
-            _deser_field(instance["field"], tol),
-            _deser_tf(instance["atoms"], tol),
-            _deser_c(instance["xi"]),
-            tol,
-        )
-    if theorem == "T4":
-        return check_phi_jensen_field(
-            _deser_func(instance["function"]),
-            _deser_field(instance["field"], tol),
-            _deser_tf(instance["atoms"], tol),
-            DiagonalState(np.asarray(instance["rho"])),
-            tol,
-        )
-    if theorem == "T5":
-        return check_thm5(
-            _deser_func(instance["function"]),
-            _deser_field(instance["field"], tol),
-            _deser_tf(instance["atoms"], tol),
-            tol,
-        )
-    if theorem == "T6":
-        return check_thm6(
-            _deser_func(instance["function"]),
-            _deser_tuple(instance["x"], tol),
-            _deser_tuple(instance["y"], tol),
-            tol,
-        )
-    if theorem == "COR":
-        return check_corollary(
-            _deser_func(instance["function"]),
-            _deser_tuple(instance["x"], tol),
-            _deser_tuple(instance["y"], tol),
-            instance["lam"],
-            tol,
-        )
-    if theorem == "LH":
-        return _check_lh(
-            HermitianMatrix(_deser_c(instance["x"])),
-            HermitianMatrix(_deser_c(instance["y"])),
-            tol,
-        )
-    if theorem == "KF":
-        return kyfan_check(
-            HermitianMatrix(_deser_c(instance["a"])), _deser_c(instance["frame"]), tol
-        )
-    if theorem == "EX1":
-        return _ex1_verdict(
-            reproduce_example1(instance["c"], instance["t"], instance["lam"], tol)
-        )
-    if theorem == "CHAIN":
-        return _check_chain(
-            _deser_tuple(instance["x"], tol), _deser_tuple(instance["y"], tol), tol
-        )
-    raise ConfigError(f"unknown theorem {theorem!r}")
+    entry = _THEOREMS.get(instance["theorem"])
+    if entry is None:
+        raise ConfigError(f"unknown theorem {instance['theorem']!r}")
+    return entry.check(entry.decode(instance, tol), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -862,26 +808,24 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     records = []
     npass = nfail = ninvalid = nnear = 0
     min_gap = None
+    entry = _THEOREMS[cfg.theorem]
     for i in range(cfg.count):
-        rng = instance_rng(cfg.seed, i)
-        if cfg.theorem == "EX1":
-            v, payload, fname = _run_ex1(cfg, rng, index=i)
-        else:
-            v, payload, fname = _RUNNERS[cfg.theorem](cfg, rng)
+        args = entry.generate(cfg, instance_rng(cfg.seed, i), i)
+        v = entry.check(args, cfg.tol)
         rec: dict = {"index": i, "status": v.status, "gap": v.gap}
-        if fname is not None:
-            rec["function"] = fname
+        if "function" in args:
+            rec["function"] = args["function"].name
         for part in [v.detail] + list(v.detail.get("parts", [])):
             if "mu_mass" in part:
                 rec["mu_mass"] = float(part["mu_mass"])
         slack = v.detail.get("slack")
         near = v.gap is not None and slack is not None and abs(v.gap) <= 10.0 * slack
         rec["near_equality"] = bool(near)
-        if cfg.theorem == "EX1":
-            rec["params"] = {"c": payload["c"], "t": payload["t"], "lam": payload["lam"]}
-            rec["claims"] = {k: val for k, val in v.detail["verdicts"].items()}
+        if entry.sweep:
+            rec["params"] = entry.encode(args)
+            rec["claims"] = dict(v.detail["verdicts"])
         if v.status == verdict.FAIL:
-            rec["instance"] = payload
+            rec["instance"] = {"theorem": cfg.theorem, **entry.encode(args)}
             nfail += 1
         elif v.status == verdict.INVALID:
             rec["reason"] = v.detail.get("reason", "")

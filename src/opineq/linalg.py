@@ -191,10 +191,31 @@ def eig_hermitian(a: HermitianMatrix) -> EigenSystem:
     return EigenSystem(lam[order], u[:, order])
 
 
+def psd_margin(es: EigenSystem, tol: Tolerance) -> tuple[float, float]:
+    """Smallest eigenvalue and its PSD slack ``rtol * (1 + ||a||_op)``."""
+    return es.lambda_min, tol.rtol * (1.0 + es.op_norm)
+
+
+def worst_gap(lo, hi, tol: Tolerance) -> tuple[float, float]:
+    """Tightest link ``hi[k] - lo[k]`` by gap plus slack, with that link's slack.
+
+    Each link's slack is ``rtol * (1 + |lo[k]| + |hi[k]|)``; the first
+    minimum wins, and no links give ``(inf, 0.0)``.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if lo.size == 0:
+        return math.inf, 0.0
+    gaps = hi - lo
+    slacks = tol.rtol * (1.0 + np.abs(lo) + np.abs(hi))
+    k = int(np.argmin(gaps + slacks))
+    return float(gaps[k]), float(slacks[k])
+
+
 def is_psd(a: HermitianMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the smallest eigenvalue clears ``-rtol * (1 + ||a||_op)``."""
-    es = eig_hermitian(a)
-    return es.lambda_min >= -tol.rtol * (1.0 + es.op_norm)
+    lam, slack = psd_margin(eig_hermitian(a), tol)
+    return lam >= -slack
 
 
 def loewner_leq(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -234,10 +255,10 @@ def matrix_power(a: HermitianMatrix, p: float, tol: Tolerance = DEFAULT_TOL) -> 
     if p < 0:
         raise ValueError(f"exponent must be nonnegative, got {p}")
     es = eig_hermitian(a)
-    floor = -tol.rtol * (1.0 + es.op_norm)
-    if es.lambda_min < floor:
+    lam, slack = psd_margin(es, tol)
+    if lam < -slack:
         raise SpectrumDomainError(
-            f"matrix_power requires a PSD input: eigenvalue {es.lambda_min} below {floor}"
+            f"matrix_power requires a PSD input: eigenvalue {lam} below {-slack}"
         )
     clamped = np.maximum(es.eigenvalues, 0.0)
     return es.reconstruct(np.power(clamped, p))

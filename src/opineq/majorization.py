@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import verdict
@@ -15,54 +12,28 @@ from .abelian import (
     check_compatible,
     spectrum_in_cube,
 )
-from .linalg import DEFAULT_TOL, HermitianMatrix, Tolerance, eig_hermitian, loewner_leq
+from .linalg import (
+    DEFAULT_TOL,
+    HermitianMatrix,
+    Tolerance,
+    eig_hermitian,
+    loewner_leq,
+    worst_gap,
+)
 from .pinching import ColumnField, TupleField, compress, _integrated_image
 from .verdict import Verdict
 
 
-@dataclass(frozen=True)
-class PartialSums:
-    """Prefix sums of the descending eigenvalue sequence; sums[-1] is the trace."""
-
-    sums: np.ndarray
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.sums, dtype=float).reshape(-1)
-        s.setflags(write=False)
-        object.__setattr__(self, "sums", s)
-
-    @staticmethod
-    def of(a: HermitianMatrix) -> "PartialSums":
-        return PartialSums(np.cumsum(eig_hermitian(a).eigenvalues))
-
-    @property
-    def dim(self) -> int:
-        return self.sums.shape[0]
-
-
 def partial_sums(a: HermitianMatrix) -> np.ndarray:
-    return PartialSums.of(a).sums
-
-
-def _majorization_gap(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerance):
-    """Worst margin over k of sums_b[k] - sums_a[k], with its slack."""
-    sa = partial_sums(a)
-    sb = partial_sums(b)
-    gap = math.inf
-    worst_slack = 0.0
-    for k in range(sa.shape[0]):
-        slack = tol.rtol * (1.0 + abs(sa[k]) + abs(sb[k]))
-        g = sb[k] - sa[k]
-        if g + slack < gap + worst_slack:
-            gap, worst_slack = g, slack
-    return gap, worst_slack
+    """Prefix sums of the descending eigenvalues; the last one is the trace."""
+    return np.cumsum(eig_hermitian(a).eigenvalues)
 
 
 def weak_majorize(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff every top-k eigenvalue partial sum of ``a`` is at most that of ``b``."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    gap, slack = _majorization_gap(a, b, tol)
+    gap, slack = worst_gap(partial_sums(a), partial_sums(b), tol)
     return gap >= -slack
 
 
@@ -114,7 +85,7 @@ def check_thm5(
         return verdict.invalid("compressed tuple leaves the domain cube")
     lhs = apply_cube_function(f, y, tol)
     rhs = _integrated_image(f, field_, tf, tol)
-    gap, slack = _majorization_gap(lhs, rhs, tol)
+    gap, slack = worst_gap(partial_sums(lhs), partial_sums(rhs), tol)
     return verdict.from_gap(gap, slack)
 
 
@@ -154,7 +125,7 @@ def check_corollary(
     fx = apply_cube_function(f, x, tol)
     fy = apply_cube_function(f, y, tol)
     rhs = HermitianMatrix(lam * fx.entries + (1 - lam) * fy.entries)
-    gap, slack = _majorization_gap(lhs, rhs, tol)
+    gap, slack = worst_gap(partial_sums(lhs), partial_sums(rhs), tol)
     return verdict.from_gap(gap, slack, lam=lam)
 
 
@@ -179,5 +150,5 @@ def check_thm6(
         return verdict.invalid("a tuple leaves the domain cube")
     lhs = apply_cube_function(f, x, tol)
     rhs = apply_cube_function(f, y, tol)
-    gap, slack = _majorization_gap(lhs, rhs, tol)
+    gap, slack = worst_gap(partial_sums(lhs), partial_sums(rhs), tol)
     return verdict.from_gap(gap, slack)

@@ -17,6 +17,7 @@ from .linalg import (
     Tolerance,
     eig_hermitian,
     matrix_power,
+    psd_margin,
 )
 from .state import DiagonalState, state_trace
 from .verdict import Verdict
@@ -47,10 +48,9 @@ class ExponentVector:
 
 def _psd_eigensystem(x: HermitianMatrix, tol: Tolerance, what: str):
     es = eig_hermitian(x)
-    if es.lambda_min < -tol.rtol * (1.0 + es.op_norm):
-        raise SpectrumDomainError(
-            f"{what} must be positive semidefinite (min eigenvalue {es.lambda_min})"
-        )
+    lam, slack = psd_margin(es, tol)
+    if lam < -slack:
+        raise SpectrumDomainError(f"{what} must be positive semidefinite (min eigenvalue {lam})")
     return es
 
 
@@ -94,8 +94,8 @@ def geometric_mean_quadrature(
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     for name, a in (("x", x), ("y", y)):
-        es = eig_hermitian(a)
-        if es.lambda_min <= tol.rtol * (1.0 + es.op_norm):
+        lam, slack = psd_margin(eig_hermitian(a), tol)
+        if lam <= slack:
             raise SingularInputError(f"{name} is singular at tolerance; regularize first")
     x_inv = np.linalg.inv(x.entries)
     y_inv = np.linalg.inv(y.entries)
@@ -138,17 +138,15 @@ def check_lowner_heinz(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    ex = eig_hermitian(x)
-    if ex.lambda_min < -tol.rtol * (1.0 + ex.op_norm):
-        return verdict.invalid("x is not positive semidefinite", lambda_min=ex.lambda_min)
-    ed = eig_hermitian(y - x)
-    if ed.lambda_min < -tol.rtol * (1.0 + ed.op_norm):
-        return verdict.invalid("x <= y fails", lambda_min=ed.lambda_min)
+    lam, slack = psd_margin(eig_hermitian(x), tol)
+    if lam < -slack:
+        return verdict.invalid("x is not positive semidefinite", lambda_min=lam)
+    lam, slack = psd_margin(eig_hermitian(y - x), tol)
+    if lam < -slack:
+        return verdict.invalid("x <= y fails", lambda_min=lam)
     xa = matrix_power(x, alpha, tol)
     ya = matrix_power(y, alpha, tol)
-    diff = eig_hermitian(ya - xa)
-    gap = diff.lambda_min
-    slack = tol.rtol * (1.0 + diff.op_norm)
+    gap, slack = psd_margin(eig_hermitian(ya - xa), tol)
     return verdict.from_gap(gap, slack, alpha=alpha)
 
 
@@ -193,11 +191,11 @@ def check_trace_power_monotone(
     if not (check_commuting(xs, tol) and check_commuting(ys, tol)):
         return verdict.invalid("a tuple is not abelian")
     for i, (a, b) in enumerate(zip(xs, ys)):
-        ea = eig_hermitian(a)
-        if ea.lambda_min < -tol.rtol * (1.0 + ea.op_norm):
+        lam, slack = psd_margin(eig_hermitian(a), tol)
+        if lam < -slack:
             return verdict.invalid(f"x[{i}] is not PSD")
-        ed = eig_hermitian(b - a)
-        if ed.lambda_min < -tol.rtol * (1.0 + ed.op_norm):
+        lam, slack = psd_margin(eig_hermitian(b - a), tol)
+        if lam < -slack:
             return verdict.invalid(f"x[{i}] <= y[{i}] fails")
     if not (_centralizer_ok(rho, xs, tol) and _centralizer_ok(rho, ys, tol)):
         return verdict.invalid("members leave the centralizer of the state")
@@ -218,9 +216,9 @@ def check_trace_monotone_single(
     """One-variable lemma: ``phi(g(x)) <= phi(g(y))`` for increasing g and x <= y in the centralizer."""
     from .linalg import hermitian_function
 
-    ed = eig_hermitian(y - x)
-    if ed.lambda_min < -tol.rtol * (1.0 + ed.op_norm):
-        return verdict.invalid("x <= y fails", lambda_min=ed.lambda_min)
+    lam, slack = psd_margin(eig_hermitian(y - x), tol)
+    if lam < -slack:
+        return verdict.invalid("x <= y fails", lambda_min=lam)
     if not _centralizer_ok(rho, (x, y), tol):
         return verdict.invalid("x or y leaves the centralizer of the state")
     lhs = state_trace(rho, hermitian_function(x, g))

@@ -23,7 +23,15 @@ from .abelian import (
     joint_diagonalize,
     spectrum_in_cube,
 )
-from .linalg import DEFAULT_TOL, HermitianMatrix, Tolerance, diagonal, eig_hermitian
+from .linalg import (
+    DEFAULT_TOL,
+    HermitianMatrix,
+    Tolerance,
+    diagonal,
+    eig_hermitian,
+    psd_margin,
+    worst_gap,
+)
 from .state import DiagonalFunction, DiagonalState, pinch, state_trace
 from .verdict import Verdict
 
@@ -135,11 +143,6 @@ class Compression:
 
     members: tuple[HermitianMatrix, ...]
     abelian: bool
-
-    def as_abelian_tuple(self, tol: Tolerance = DEFAULT_TOL) -> AbelianTuple:
-        if not self.abelian:
-            raise ValueError("compression is not abelian")
-        return AbelianTuple(self.members, tol)
 
 
 def compress(field_: ColumnField, tf: TupleField, tol: Tolerance = DEFAULT_TOL) -> Compression:
@@ -283,15 +286,9 @@ def check_phi_jensen_field(
     comp = compress(field_, tf, tol)
     pinched = [pinch(rho, y).values for y in comp.members]
     rhs_vals = pinch(rho, _integrated_image(f, field_, tf, tol)).values
-    gap = math.inf
-    worst_slack = 0.0
-    for s in range(rho.dim):
-        lhs_s = f([p[s] for p in pinched])
-        slack_s = tol.rtol * (1.0 + abs(lhs_s) + abs(rhs_vals[s]))
-        g = rhs_vals[s] - lhs_s
-        if g - (-slack_s) < gap - (-worst_slack):
-            gap, worst_slack = g, slack_s
-    return verdict.from_gap(gap, worst_slack, indices=rho.dim)
+    lhs_vals = [f([p[s] for p in pinched]) for s in range(rho.dim)]
+    gap, slack = worst_gap(lhs_vals, rhs_vals, tol)
+    return verdict.from_gap(gap, slack, indices=rho.dim)
 
 
 def check_phi_concave_jensen(
@@ -313,16 +310,10 @@ def check_phi_concave_jensen(
     fx = apply_cube_function(f, t, tol)
     lhs_vals = pinch(rho, fx).values
     pinched = [pinch(rho, x).values for x in t.members]
-    gap = math.inf
-    worst_slack = 0.0
     live = np.flatnonzero(rho.weights > 0)
-    for s in live:
-        rhs_s = f([p[s] for p in pinched])
-        slack_s = tol.rtol * (1.0 + abs(lhs_vals[s]) + abs(rhs_s))
-        g = rhs_s - lhs_vals[s]
-        if g - (-slack_s) < gap - (-worst_slack):
-            gap, worst_slack = g, slack_s
-    return verdict.from_gap(gap, worst_slack, indices=len(live))
+    rhs_vals = [f([p[s] for p in pinched]) for s in live]
+    gap, slack = worst_gap(lhs_vals[live], rhs_vals, tol)
+    return verdict.from_gap(gap, slack, indices=len(live))
 
 
 def _is_diagonal(x: HermitianMatrix, tol: Tolerance) -> bool:
@@ -364,30 +355,21 @@ def check_phi_monotone_chain(
     px = [pinch(rho, m).values for m in x.members]
     py = [pinch(rho, m).values for m in y.members]
     live = np.flatnonzero(rho.weights > 0)
+    mid_x = np.array([f([p[s] for p in px]) for s in live])
+    mid_y = np.array([f([p[s] for p in py]) for s in live])
 
-    gap = math.inf
-    worst_slack = 0.0
-    equality_dev = 0.0
-    for s in live:
-        mid_x = f([p[s] for p in px])
-        mid_y = f([p[s] for p in py])
-        for lo, hi in ((lhs_vals[s], mid_x), (mid_x, mid_y)):
-            slack_s = tol.rtol * (1.0 + abs(lo) + abs(hi))
-            g = hi - lo
-            if g - (-slack_s) < gap - (-worst_slack):
-                gap, worst_slack = g, slack_s
-        dev = abs(mid_y - fy.entries[s, s].real)
-        equality_dev = max(equality_dev, dev / (1.0 + abs(mid_y)))
+    dev = np.abs(mid_y - fy.diagonal()[live]) / (1.0 + np.abs(mid_y))
+    equality_dev = float(np.max(dev, initial=0.0))
     if equality_dev > tol.rtol:
         return verdict.failed(-equality_dev, reason="diagonal equality link broke")
 
     phi_x = state_trace(rho, fx)
     phi_y = state_trace(rho, fy)
-    slack_phi = tol.rtol * (1.0 + abs(phi_x) + abs(phi_y))
-    g = phi_y - phi_x
-    if g - (-slack_phi) < gap - (-worst_slack):
-        gap, worst_slack = g, slack_phi
-    return verdict.from_gap(gap, worst_slack, phi_x=phi_x, phi_y=phi_y)
+    # links in (index, link) order, then the trace link
+    lo = np.append(np.column_stack([lhs_vals[live], mid_x]).ravel(), phi_x)
+    hi = np.append(np.column_stack([mid_x, mid_y]).ravel(), phi_y)
+    gap, slack = worst_gap(lo, hi, tol)
+    return verdict.from_gap(gap, slack, phi_x=phi_x, phi_y=phi_y)
 
 
 @dataclass(frozen=True)
@@ -451,13 +433,13 @@ def reproduce_example1(
     rho = DiagonalState.uniform(2)
     pinched = pinch(rho, x2)
 
-    es = eig_hermitian(y - x)
-    order_strict = es.lambda_min > tol.rtol * (1.0 + es.op_norm)
+    lam_min, slack = psd_margin(eig_hermitian(y - x), tol)
+    order_strict = lam_min > slack
 
     not_dominated: bool | None = None
     if t < c * math.sqrt(2.0):
-        ed = eig_hermitian(y2 - pinched.as_matrix())
-        not_dominated = ed.lambda_min < -tol.rtol * (1.0 + ed.op_norm)
+        lam_min, slack = psd_margin(eig_hermitian(y2 - pinched.as_matrix()), tol)
+        not_dominated = lam_min < -slack
 
     tr_x2 = state_trace(rho, x2)
     tr_y2 = state_trace(rho, y2)

@@ -132,6 +132,13 @@ class TestCheckCommand:
         y = write(tmp_path, "y.mat", HERM_Y)
         assert main(["check", "loewner", y]) == 2
 
+    @pytest.mark.parametrize("name", ["loewner", "wmaj", "gmean", "jensen"])
+    def test_dimension_mismatch_exit_2(self, tmp_path, capsys, name):
+        a = write(tmp_path, "a.mat", "dim: 2\n1 0 0 0\n0 0 1 0\n")
+        b = write(tmp_path, "b.mat", "dim: 3\n1 0 0 0 0 0\n0 0 1 0 0 0\n0 0 0 0 1 0\n")
+        assert main(["check", name, a, b]) == 2
+        assert f"{name}: invalid input (dimension mismatch" in capsys.readouterr().out
+
 
 class TestCampaignCommand:
     def test_small_campaign_pass(self, tmp_path, capsys):

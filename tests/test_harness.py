@@ -7,7 +7,9 @@ import pytest
 
 from opineq import verdict
 from opineq.abelian import check_commuting, check_compatible, spectrum_in_cube, uniform_cube
+from opineq import harness as hz
 from opineq.harness import (
+    THEOREM_IDS,
     CampaignConfig,
     CampaignReport,
     ConfigError,
@@ -221,6 +223,18 @@ class TestCampaigns:
             v = replay_instance(rec["instance"])
             assert v.passed
             assert abs(v.gap - rec["gap"]) <= 1e-12 * (1 + abs(v.gap))
+
+    @pytest.mark.parametrize("theorem", THEOREM_IDS)
+    def test_every_instance_replays_exactly(self, theorem):
+        # encode every instance, not only failures, and replay it through JSON
+        cfg = CampaignConfig(theorem, 8, dim_range=(2, 5), arity_range=(1, 3), seed=41)
+        entry = hz._THEOREMS[theorem]
+        for rec in run_campaign(cfg).verdicts:
+            i = rec["index"]
+            args = entry.generate(cfg, instance_rng(cfg.seed, i), i)
+            instance = json.loads(json.dumps({"theorem": theorem, **entry.encode(args)}))
+            v = replay_instance(instance, cfg.tol)
+            assert (v.status, v.gap) == (rec["status"], rec["gap"]), (theorem, i)
 
     def test_ex1_records_carry_parameters(self):
         rep = run_campaign(CampaignConfig("EX1", 5, seed=2))

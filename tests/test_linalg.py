@@ -19,6 +19,7 @@ from opineq.linalg import (
     is_psd,
     loewner_leq,
     matrix_power,
+    worst_gap,
     zero,
 )
 
@@ -142,6 +143,32 @@ class TestPsdAndOrder:
             if loewner_leq(a, b) and loewner_leq(b, a):
                 gap = eig_hermitian(a - b).op_norm
                 assert gap <= 2 * DEFAULT_TOL.rtol * (1 + a.norm() + b.norm())
+
+
+class TestWorstGap:
+    @staticmethod
+    def loop_reference(lo, hi, tol):
+        gap, worst_slack = math.inf, 0.0
+        for a, b in zip(lo, hi):
+            slack = tol.rtol * (1.0 + abs(a) + abs(b))
+            if b - a + slack < gap + worst_slack:
+                gap, worst_slack = b - a, slack
+        return gap, worst_slack
+
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(6)
+        for size in range(8):
+            lo, hi = rng.standard_normal(size), rng.standard_normal(size)
+            assert worst_gap(lo, hi, DEFAULT_TOL) == self.loop_reference(lo, hi, DEFAULT_TOL)
+
+    def test_first_minimum_wins(self):
+        tol = Tolerance(rtol=2.0 ** -7)
+        # both links have gap + slack = 1 + 2/128 exactly
+        assert worst_gap([0.0, 64.5], [1.0, 64.5], tol) == (1.0, 2.0 / 128)
+        assert worst_gap([64.5, 0.0], [64.5, 1.0], tol) == (0.0, 130.0 / 128)
+
+    def test_no_links(self):
+        assert worst_gap([], [], DEFAULT_TOL) == (math.inf, 0.0)
 
 
 class TestFunctionalCalculus:

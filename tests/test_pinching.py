@@ -126,7 +126,7 @@ class TestCompress:
         field = ColumnField((1.0,), (u,))
         comp = compress(field, TupleField((t,)))
         assert comp.abelian
-        comp.as_abelian_tuple()
+        AbelianTuple(comp.members)
 
     def test_nonunital_rejected(self):
         with pytest.raises(ValueError):
