@@ -39,7 +39,6 @@ from .harness import (
     gen_abelian_tuple,
     gen_centralizer_pair,
     gen_compatible_pair,
-    gen_compatible_rejection,
     gen_dominated_pair,
     gen_tuple_field,
     gen_unital_field,
@@ -148,7 +147,6 @@ __all__ = [
     "gen_abelian_tuple",
     "gen_centralizer_pair",
     "gen_compatible_pair",
-    "gen_compatible_rejection",
     "gen_dominated_pair",
     "gen_tuple_field",
     "gen_unital_field",

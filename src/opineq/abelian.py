@@ -92,14 +92,6 @@ class Cube:
     def arity(self) -> int:
         return len(self.intervals)
 
-    def inflated(self, rtol: float) -> "Cube":
-        return Cube(
-            tuple(
-                (lo - rtol * (1 + abs(lo) + abs(hi)), hi + rtol * (1 + abs(lo) + abs(hi)))
-                for lo, hi in self.intervals
-            )
-        )
-
     def clip(self, point: Sequence[float]) -> tuple[float, ...]:
         return tuple(
             min(max(float(s), lo), hi) for s, (lo, hi) in zip(point, self.intervals)
@@ -293,7 +285,7 @@ def check_compatible(x, y, tol: Tolerance = DEFAULT_TOL) -> bool:
     if not compatibility_table_ok(xs, ys, tol):
         return False
     midpoint = [0.5 * (a + b) for a, b in zip(xs, ys)]
-    relaxed = Tolerance(rtol=4 * tol.rtol, quadrature_nodes=tol.quadrature_nodes)
+    relaxed = Tolerance(rtol=4 * tol.rtol)
     if not check_commuting(midpoint, relaxed):
         raise RuntimeError(
             "compatible pair whose midpoint fails the commutation check; "

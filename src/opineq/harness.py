@@ -85,7 +85,6 @@ class CampaignConfig:
             "arity_range": list(self.arity_range),
             "seed": self.seed,
             "rtol": self.tol.rtol,
-            "quadrature_nodes": self.tol.quadrature_nodes,
             "functions": list(self.functions) if self.functions is not None else None,
         }
 
@@ -115,24 +114,20 @@ def random_frame(dim: int, k: int, rng: np.random.Generator) -> np.ndarray:
 # instance generators
 # ---------------------------------------------------------------------------
 
+def _spectral_tuple(rng, q: np.ndarray, intervals) -> AbelianTuple:
+    """Members diagonal in the basis ``q``, eigenvalues uniform per interval."""
+    dim = q.shape[0]
+    return AbelianTuple(
+        tuple(HermitianMatrix((q * rng.uniform(lo, hi, dim)) @ q.conj().T) for lo, hi in intervals)
+    )
+
+
 def gen_abelian_tuple(dim: int, n: int, cube: Cube, seed) -> AbelianTuple:
     """Commuting tuple sharing one random eigenbasis, eigenvalues uniform per interval."""
     rng = np.random.default_rng(seed)
     if cube.arity != n:
         raise ValueError("cube arity must match n")
-    q = random_unitary(dim, rng)
-    members = tuple(
-        HermitianMatrix((q * rng.uniform(lo, hi, dim)) @ q.conj().T)
-        for lo, hi in cube.intervals
-    )
-    return AbelianTuple(members)
-
-
-def _banded_abelian(rng, dim, n, lo, hi) -> AbelianTuple:
-    q = random_unitary(dim, rng)
-    return AbelianTuple(
-        tuple(HermitianMatrix((q * rng.uniform(lo, hi, dim)) @ q.conj().T) for _ in range(n))
-    )
+    return _spectral_tuple(rng, random_unitary(dim, rng), cube.intervals)
 
 
 def gen_dominated_pair(dim: int, n: int, cube: Cube, seed) -> tuple[AbelianTuple, AbelianTuple]:
@@ -151,8 +146,8 @@ def gen_dominated_pair(dim: int, n: int, cube: Cube, seed) -> tuple[AbelianTuple
         if hi_i <= lo_i:
             raise ValueError("cube needs headroom in every interval")
     for _ in range(4):
-        x = _banded_abelian(rng, dim, n, lo, lo + 0.3 * (hi - lo))
-        y = _banded_abelian(rng, dim, n, lo + 0.4 * (hi - lo), hi)
+        x = gen_abelian_tuple(dim, n, uniform_cube(n, lo, lo + 0.3 * (hi - lo)), rng)
+        y = gen_abelian_tuple(dim, n, uniform_cube(n, lo + 0.4 * (hi - lo), hi), rng)
         if all(loewner_leq(a, b) for a, b in zip(x.members, y.members)):
             return x, y
     raise GenerationError("dominated pair failed its order audit after retries")
@@ -241,15 +236,7 @@ def gen_tuple_field(
         )
     elif kind == "common":
         q = random_unitary(dim, rng)
-        atoms = tuple(
-            AbelianTuple(
-                tuple(
-                    HermitianMatrix((q * rng.uniform(lo, hi, dim)) @ q.conj().T)
-                    for lo, hi in cube.intervals
-                )
-            )
-            for _ in range(count)
-        )
+        atoms = tuple(_spectral_tuple(rng, q, cube.intervals) for _ in range(count))
     else:
         atoms = tuple(gen_abelian_tuple(dim, n, cube, rng) for _ in range(count))
     return TupleField(atoms)
@@ -259,33 +246,7 @@ def gen_compatible_pair(dim: int, n: int, cube: Cube, seed) -> tuple[AbelianTupl
     """Compatible pair by construction: both tuples diagonal in one common basis."""
     rng = np.random.default_rng(seed)
     q = random_unitary(dim, rng)
-    mk = lambda: AbelianTuple(
-        tuple(
-            HermitianMatrix((q * rng.uniform(lo, hi, dim)) @ q.conj().T)
-            for lo, hi in cube.intervals
-        )
-    )
-    return mk(), mk()
-
-
-def gen_compatible_rejection(
-    dim: int, n: int, cube: Cube, seed, max_attempts: int = 10_000
-) -> tuple[AbelianTuple, AbelianTuple]:
-    """Rejection sampling for compatible pairs with independent bases.
-
-    Compatibility is measure-zero for generic draws when n >= 2 and dim >= 2,
-    so this is expected to exhaust its attempt budget except in the trivial
-    regimes (n = 1, or dim = 1); it exists to document exactly that.
-    """
-    from .abelian import check_compatible
-
-    rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
-        x = gen_abelian_tuple(dim, n, cube, rng)
-        y = gen_abelian_tuple(dim, n, cube, rng)
-        if check_compatible(x, y):
-            return x, y
-    raise GenerationError(f"no compatible pair found in {max_attempts} attempts")
+    return _spectral_tuple(rng, q, cube.intervals), _spectral_tuple(rng, q, cube.intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -485,15 +446,12 @@ def _random_partition(rng, dim) -> tuple[int, ...]:
     return tuple(blocks)
 
 
-def _field_instance(cfg, rng, kinds=("generic",)):
+def _field_instance(cfg, rng):
     dim, n = _draw(rng, cfg.dim_range), _draw(rng, cfg.arity_range)
     count = int(rng.integers(1, 5))
     cube = uniform_cube(n, 0.05, 2.0)
-    kind = kinds[int(rng.integers(len(kinds)))]
-    field_ = gen_unital_field(dim, count if kind != "unitary" else 1, rng, kind)
-    tf_kind = {"generic": "generic", "diagonal": "diagonal", "unitary": "generic",
-               "probability": "common"}[kind]
-    tf = gen_tuple_field(dim, n, field_.count, cube, rng, tf_kind)
+    field_ = gen_unital_field(dim, count, rng)
+    tf = gen_tuple_field(dim, n, field_.count, cube, rng)
     return dim, n, cube, field_, tf
 
 
@@ -501,7 +459,7 @@ def _gen_t1(cfg, rng, index) -> dict:
     dim, n = _draw(rng, cfg.dim_range), _draw(rng, cfg.arity_range)
     cube = uniform_cube(n, 0.0, 2.0)
     f = _pick_function(cfg, rng, n, cube, ("concave", "separately_increasing"))
-    x = _banded_abelian(rng, dim, n, 0.0, 0.6)
+    x = gen_abelian_tuple(dim, n, uniform_cube(n, 0.0, 0.6), rng)
     y = AbelianTuple(tuple(diagonal(rng.uniform(0.8, 2.0, dim)) for _ in range(n)))
     rho = DiagonalState(rng.uniform(0.1, 2.0, dim))
     return {"function": f, "x": x, "y": y, "rho": rho}
@@ -568,8 +526,8 @@ def _gen_cor(cfg, rng, index) -> dict:
     n = 1 if general else _draw(rng, cfg.arity_range)
     cube = uniform_cube(n, 0.0, 2.0)
     if general:
-        x = _banded_abelian(rng, dim, 1, 0.0, 2.0)
-        y = _banded_abelian(rng, dim, 1, 0.0, 2.0)
+        x = gen_abelian_tuple(dim, 1, cube, rng)
+        y = gen_abelian_tuple(dim, 1, cube, rng)
     else:
         x, y = gen_compatible_pair(dim, n, cube, rng)
     lam = float(rng.uniform(0.0, 1.0))
@@ -641,7 +599,7 @@ def _check_ex1(a, tol) -> Verdict:
     report = reproduce_example1(a["c"], a["t"], a["lam"], tol)
     return Verdict(
         verdict.PASS if report.all_hold else verdict.FAIL,
-        eig_hermitian(report.y - report.x).lambda_min,
+        report.order_margin,
         {"params": [report.c, report.t, report.lam], "verdicts": report.verdicts},
     )
 

@@ -29,16 +29,13 @@ class SpectrumDomainError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical slack knobs: relative tolerance for order checks, node count for quadrature."""
+    """Numerical slack: the relative tolerance for order checks."""
 
     rtol: float = DEFAULT_RTOL
-    quadrature_nodes: int = DEFAULT_QUADRATURE_NODES
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.rtol < 1e-2):
             raise ValueError(f"rtol must lie in [0, 1e-2), got {self.rtol}")
-        if self.quadrature_nodes < 1:
-            raise ValueError("quadrature_nodes must be a positive integer")
 
 
 DEFAULT_TOL = Tolerance()
@@ -212,6 +209,15 @@ def worst_gap(lo, hi, tol: Tolerance) -> tuple[float, float]:
     return float(gaps[k]), float(slacks[k])
 
 
+def psd_eigensystem(a: HermitianMatrix, tol: Tolerance, what: str) -> EigenSystem:
+    """Decomposition of ``a``, which must be PSD at tolerance; ``what`` names it in the error."""
+    es = eig_hermitian(a)
+    lam, slack = psd_margin(es, tol)
+    if lam < -slack:
+        raise SpectrumDomainError(f"{what} must be positive semidefinite (min eigenvalue {lam})")
+    return es
+
+
 def is_psd(a: HermitianMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the smallest eigenvalue clears ``-rtol * (1 + ||a||_op)``."""
     lam, slack = psd_margin(eig_hermitian(a), tol)
@@ -254,11 +260,6 @@ def matrix_power(a: HermitianMatrix, p: float, tol: Tolerance = DEFAULT_TOL) -> 
     """
     if p < 0:
         raise ValueError(f"exponent must be nonnegative, got {p}")
-    es = eig_hermitian(a)
-    lam, slack = psd_margin(es, tol)
-    if lam < -slack:
-        raise SpectrumDomainError(
-            f"matrix_power requires a PSD input: eigenvalue {lam} below {-slack}"
-        )
+    es = psd_eigensystem(a, tol, "matrix_power input")
     clamped = np.maximum(es.eigenvalues, 0.0)
     return es.reconstruct(np.power(clamped, p))

@@ -55,9 +55,7 @@ def kyfan_check(a: HermitianMatrix, u: np.ndarray, tol: Tolerance = DEFAULT_TOL)
         return verdict.invalid(f"frame is not orthonormal: defect {defect}")
     lhs = float(np.real(np.trace(u.conj().T @ a.entries @ u)))
     rhs = float(partial_sums(a)[k - 1])
-    gap = rhs - lhs
-    slack = tol.rtol * (1.0 + abs(lhs) + abs(rhs))
-    return verdict.from_gap(gap, slack, k=k, lhs=lhs, rhs=rhs)
+    return verdict.from_gap(*worst_gap([lhs], [rhs], tol), k=k, lhs=lhs, rhs=rhs)
 
 
 def check_thm5(

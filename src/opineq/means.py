@@ -11,13 +11,15 @@ import numpy as np
 from . import verdict
 from .abelian import AbelianTuple, check_commuting, _members_of
 from .linalg import (
+    DEFAULT_QUADRATURE_NODES,
     DEFAULT_TOL,
     HermitianMatrix,
-    SpectrumDomainError,
     Tolerance,
     eig_hermitian,
     matrix_power,
+    psd_eigensystem,
     psd_margin,
+    worst_gap,
 )
 from .state import DiagonalState, state_trace
 from .verdict import Verdict
@@ -46,14 +48,6 @@ class ExponentVector:
         return len(self.p)
 
 
-def _psd_eigensystem(x: HermitianMatrix, tol: Tolerance, what: str):
-    es = eig_hermitian(x)
-    lam, slack = psd_margin(es, tol)
-    if lam < -slack:
-        raise SpectrumDomainError(f"{what} must be positive semidefinite (min eigenvalue {lam})")
-    return es
-
-
 def geometric_mean(
     x: HermitianMatrix, y: HermitianMatrix, tol: Tolerance = DEFAULT_TOL
 ) -> HermitianMatrix:
@@ -66,8 +60,8 @@ def geometric_mean(
     """
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    ex = _psd_eigensystem(x, tol, "first argument")
-    ey = _psd_eigensystem(y, tol, "second argument")
+    ex = psd_eigensystem(x, tol, "first argument")
+    ey = psd_eigensystem(y, tol, "second argument")
     eps = _REGULARIZATION_FACTOR * (1.0 + ex.op_norm + ey.op_norm)
     if ex.lambda_min <= eps or ey.lambda_min <= eps:
         ex = eig_hermitian(ex.reconstruct(np.maximum(ex.eigenvalues, 0.0) + eps))
@@ -99,7 +93,7 @@ def geometric_mean_quadrature(
             raise SingularInputError(f"{name} is singular at tolerance; regularize first")
     x_inv = np.linalg.inv(x.entries)
     y_inv = np.linalg.inv(y.entries)
-    nodes, weights = np.polynomial.legendre.leggauss(tol.quadrature_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(DEFAULT_QUADRATURE_NODES)
     theta = (np.pi / 4.0) * (nodes + 1.0)
     scaled = weights * (np.pi / 4.0)
     acc = np.zeros_like(x.entries)
@@ -108,6 +102,13 @@ def geometric_mean_quadrature(
         sec2 = 1.0 / math.cos(th) ** 2
         acc += wt * sec2 * np.linalg.inv(x_inv + tan2 * y_inv)
     return HermitianMatrix((2.0 / np.pi) * acc)
+
+
+def _power_product(members, exponents: Sequence[float], tol: Tolerance) -> HermitianMatrix:
+    prod = np.eye(members[0].dim, dtype=complex)
+    for x, expo in zip(members, exponents):
+        prod = prod @ matrix_power(x, expo, tol).entries
+    return HermitianMatrix(prod)
 
 
 def root_product_chain(t, tol: Tolerance = DEFAULT_TOL) -> HermitianMatrix:
@@ -120,11 +121,7 @@ def root_product_chain(t, tol: Tolerance = DEFAULT_TOL) -> HermitianMatrix:
     if not isinstance(t, AbelianTuple) and not check_commuting(members, tol):
         raise ValueError("root_product_chain requires a commuting tuple")
     n = len(members)
-    expo = 1.0 / 2.0 ** (n - 1)
-    prod = np.eye(members[0].dim, dtype=complex)
-    for x in members:
-        prod = prod @ matrix_power(x, expo, tol).entries
-    return HermitianMatrix(prod)
+    return _power_product(members, (1.0 / 2.0 ** (n - 1),) * n, tol)
 
 
 def check_lowner_heinz(
@@ -157,13 +154,6 @@ def _centralizer_ok(rho: DiagonalState, members, tol: Tolerance) -> bool:
         if np.linalg.norm(comm) > tol.rtol * (1.0 + rho_m.norm() * x.norm()):
             return False
     return True
-
-
-def _power_product(members, p: ExponentVector, tol: Tolerance) -> HermitianMatrix:
-    prod = np.eye(members[0].dim, dtype=complex)
-    for x, expo in zip(members, p.p):
-        prod = prod @ matrix_power(x, expo, tol).entries
-    return HermitianMatrix(prod)
 
 
 def check_trace_power_monotone(
@@ -199,11 +189,9 @@ def check_trace_power_monotone(
             return verdict.invalid(f"x[{i}] <= y[{i}] fails")
     if not (_centralizer_ok(rho, xs, tol) and _centralizer_ok(rho, ys, tol)):
         return verdict.invalid("members leave the centralizer of the state")
-    lhs = state_trace(rho, _power_product(xs, p, tol))
-    rhs = state_trace(rho, _power_product(ys, p, tol))
-    gap = rhs - lhs
-    slack = tol.rtol * (1.0 + abs(lhs) + abs(rhs))
-    return verdict.from_gap(gap, slack, lhs=lhs, rhs=rhs, exponents=p.p)
+    lhs = state_trace(rho, _power_product(xs, p.p, tol))
+    rhs = state_trace(rho, _power_product(ys, p.p, tol))
+    return verdict.from_gap(*worst_gap([lhs], [rhs], tol), lhs=lhs, rhs=rhs, exponents=p.p)
 
 
 def check_trace_monotone_single(
@@ -223,6 +211,4 @@ def check_trace_monotone_single(
         return verdict.invalid("x or y leaves the centralizer of the state")
     lhs = state_trace(rho, hermitian_function(x, g))
     rhs = state_trace(rho, hermitian_function(y, g))
-    gap = rhs - lhs
-    slack = tol.rtol * (1.0 + abs(lhs) + abs(rhs))
-    return verdict.from_gap(gap, slack, lhs=lhs, rhs=rhs)
+    return verdict.from_gap(*worst_gap([lhs], [rhs], tol), lhs=lhs, rhs=rhs)

@@ -229,10 +229,8 @@ def check_jensen_expectation(
     rhs = _expectation(_integrated_image(f, field_, tf, tol), xi)
     mu = build_mu_xi(field_, tf, xi, tol)
     middle = mu.integrate(f)
-    gap = rhs - lhs
-    slack = tol.rtol * (1.0 + abs(lhs) + abs(rhs))
     return verdict.from_gap(
-        gap, slack, lhs=lhs, rhs=rhs, middle=middle, mu_mass=mu.total_mass
+        *worst_gap([lhs], [rhs], tol), lhs=lhs, rhs=rhs, middle=middle, mu_mass=mu.total_mass
     )
 
 
@@ -258,9 +256,7 @@ def check_mond_pecaric(
     args = [_expectation(x, xi) for x in t.members]
     lhs = f(args)
     rhs = _expectation(apply_cube_function(f, t, tol), xi)
-    gap = rhs - lhs
-    slack = tol.rtol * (1.0 + abs(lhs) + abs(rhs))
-    return verdict.from_gap(gap, slack, lhs=lhs, rhs=rhs)
+    return verdict.from_gap(*worst_gap([lhs], [rhs], tol), lhs=lhs, rhs=rhs)
 
 
 def check_phi_jensen_field(
@@ -377,7 +373,8 @@ class ExampleReport:
     """Reproduction record for the 2x2 counterexample to pointwise pinching-monotonicity.
 
     For ``x`` the all-ones matrix scaled by c and ``y = diag(t, lam*t)``:
-      * ``order_strict``: x < y strictly in the Loewner order,
+      * ``order_strict``: x < y strictly in the Loewner order, decided from
+        ``order_margin``, the smallest eigenvalue of y - x,
       * ``pinch_square_not_dominated``: pinch(x^2) escapes below y^2
         (only asserted when t < c*sqrt(2), else None),
       * ``trace_square_identity``: tr x^2 equals 4c^2,
@@ -394,6 +391,7 @@ class ExampleReport:
     x_squared: HermitianMatrix
     y_squared: HermitianMatrix
     pinched_square: DiagonalFunction
+    order_margin: float
     order_strict: bool
     pinch_square_not_dominated: bool | None
     trace_square_identity: bool
@@ -433,8 +431,8 @@ def reproduce_example1(
     rho = DiagonalState.uniform(2)
     pinched = pinch(rho, x2)
 
-    lam_min, slack = psd_margin(eig_hermitian(y - x), tol)
-    order_strict = lam_min > slack
+    order_margin, slack = psd_margin(eig_hermitian(y - x), tol)
+    order_strict = order_margin > slack
 
     not_dominated: bool | None = None
     if t < c * math.sqrt(2.0):
@@ -455,6 +453,7 @@ def reproduce_example1(
         x_squared=x2,
         y_squared=y2,
         pinched_square=pinched,
+        order_margin=order_margin,
         order_strict=order_strict,
         pinch_square_not_dominated=not_dominated,
         trace_square_identity=identity_holds,

@@ -39,10 +39,6 @@ class Verdict:
         return self.status == INVALID
 
 
-def passed(gap: float, **detail: Any) -> Verdict:
-    return Verdict(PASS, gap, detail)
-
-
 def failed(gap: float, **detail: Any) -> Verdict:
     return Verdict(FAIL, gap, detail)
 

@@ -86,6 +86,20 @@ class TestCheckCommand:
         b = write(tmp_path, "b.mat", "dim: 2\n2 0 0 0\n0 0 2 0\n")
         assert main(["check", "wmaj", a, b]) == 1
 
+    @pytest.mark.parametrize(
+        "name, decompositions, line",
+        [("loewner", 1, "loewner: pass gap=1"), ("wmaj", 2, "wmaj: pass gap=3")],
+        ids=["loewner", "wmaj"],
+    )
+    def test_each_matrix_decomposed_once(
+        self, tmp_path, capsys, eig_calls, name, decompositions, line
+    ):
+        a = write(tmp_path, "a.mat", "dim: 3\n1 0 0 0 0 0\n0 0 1 0 0 0\n0 0 0 0 1 0\n")
+        b = write(tmp_path, "b.mat", "dim: 3\n2 0 0 0 0 0\n0 0 3 0 0 0\n0 0 0 0 4 0\n")
+        assert main(["check", name, a, b]) == 0
+        assert len(eig_calls) == decompositions
+        assert capsys.readouterr().out == line + "\n"
+
     def test_gmean_oracle(self, tmp_path, capsys):
         x = write(tmp_path, "x.mat", "dim: 2\n2.0 0.0  0.4 0.0\n0.4 0.0  1.5 0.0\n")
         y = write(tmp_path, "y.mat", "dim: 2\n1.0 0.0  0.0 -0.3\n0.0 0.3  2.0 0.0\n")

@@ -13,12 +13,10 @@ from opineq.harness import (
     CampaignConfig,
     CampaignReport,
     ConfigError,
-    GenerationError,
     function_library,
     gen_abelian_tuple,
     gen_centralizer_pair,
     gen_compatible_pair,
-    gen_compatible_rejection,
     gen_dominated_pair,
     gen_tuple_field,
     gen_unital_field,
@@ -107,13 +105,16 @@ class TestGenerators:
         x, y = gen_compatible_pair(3, 2, uniform_cube(2, 0, 2), seed=13)
         assert check_compatible(x, y)
 
-    def test_compatible_rejection_trivial_case(self):
-        x, y = gen_compatible_rejection(2, 1, uniform_cube(1, 0, 1), seed=14, max_attempts=5)
+    def test_independent_draws_compatible_only_at_one_variable(self):
+        # compatibility is measure-zero for independent bases once n >= 2
+        rng = np.random.default_rng(14)
+        x, y = (gen_abelian_tuple(2, 1, uniform_cube(1, 0, 1), rng) for _ in range(2))
         assert check_compatible(x, y)
-
-    def test_compatible_rejection_exhausts_budget(self):
-        with pytest.raises(GenerationError):
-            gen_compatible_rejection(3, 2, uniform_cube(2, 0, 1), seed=15, max_attempts=25)
+        cube = uniform_cube(2, 0, 1)
+        rng = np.random.default_rng(15)
+        for _ in range(25):
+            x, y = gen_abelian_tuple(3, 2, cube, rng), gen_abelian_tuple(3, 2, cube, rng)
+            assert not check_compatible(x, y)
 
 
 class TestFunctionLibrary:
@@ -235,6 +236,11 @@ class TestCampaigns:
             instance = json.loads(json.dumps({"theorem": theorem, **entry.encode(args)}))
             v = replay_instance(instance, cfg.tol)
             assert (v.status, v.gap) == (rec["status"], rec["gap"]), (theorem, i)
+
+    def test_ex1_decomposes_each_matrix_once(self, eig_calls):
+        # y - x and y^2 - pinch(x^2) per instance; the gap reuses order_margin
+        run_campaign(CampaignConfig("EX1", 10, seed=7))
+        assert len(eig_calls) == 20
 
     def test_ex1_records_carry_parameters(self):
         rep = run_campaign(CampaignConfig("EX1", 5, seed=2))

@@ -53,8 +53,6 @@ class TestConstruction:
     def test_tolerance_bounds(self):
         with pytest.raises(ValueError):
             Tolerance(rtol=0.5)
-        with pytest.raises(ValueError):
-            Tolerance(quadrature_nodes=0)
 
 
 class TestEig:

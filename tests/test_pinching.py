@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from opineq.abelian import AbelianTuple, CubeFunction, uniform_cube
-from opineq.linalg import HermitianMatrix, diagonal, identity
+from opineq.linalg import HermitianMatrix, diagonal, eig_hermitian, identity
 from opineq.pinching import (
     ColumnField,
     Compression,
@@ -370,6 +370,11 @@ class TestExample1:
         assert report.trace_square_identity
         assert report.trace_monotone
         assert report.all_hold
+
+    def test_order_margin_is_lambda_min(self):
+        report = reproduce_example1(1.0, 1.3, 3.4)
+        assert report.order_margin == eig_hermitian(report.y - report.x).lambda_min
+        assert report.order_margin > 0
 
     def test_large_t_skips_pointwise_claim(self):
         report = reproduce_example1(1.0, 1.5, 10.0)
