@@ -105,11 +105,14 @@ class TestGenerators:
         x, y = gen_compatible_pair(3, 2, uniform_cube(2, 0, 2), seed=13)
         assert check_compatible(x, y)
 
-    def test_independent_draws_compatible_only_at_one_variable(self):
-        # compatibility is measure-zero for independent bases once n >= 2
+    def test_compatible_rejection_trivial_case(self):
+        # independent draws of one variable are always compatible
         rng = np.random.default_rng(14)
         x, y = (gen_abelian_tuple(2, 1, uniform_cube(1, 0, 1), rng) for _ in range(2))
         assert check_compatible(x, y)
+
+    def test_compatible_rejection_exhausts_budget(self):
+        # compatibility is measure-zero for independent bases once n >= 2
         cube = uniform_cube(2, 0, 1)
         rng = np.random.default_rng(15)
         for _ in range(25):
