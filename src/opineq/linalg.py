@@ -1,7 +1,8 @@
 """Dense Hermitian linear algebra: Jacobi eigensolver, Loewner order, functional calculus.
 
 Everything here is a pure function of immutable values; matrices are frozen
-after construction and safe to share between threads.
+after construction and safe to share between threads.  A matrix keeps its
+decomposition once computed; two threads racing on it compute the same bits.
 """
 
 from __future__ import annotations
@@ -137,48 +138,76 @@ class EigenSystem:
         return HermitianMatrix((self.basis * d) @ self.basis.conj().T)
 
 
-def _offdiag_sq(w: np.ndarray) -> float:
-    off = w - np.diag(np.diag(w))
-    return float(np.sum(np.abs(off) ** 2))
+_ROUNDS: dict[int, tuple] = {}
 
 
-def eig_hermitian(a: HermitianMatrix) -> EigenSystem:
-    """Eigendecomposition by cyclic Jacobi rotations with complex phase handling.
+def _rounds(m: int) -> tuple:
+    """Round-robin (circle method) schedule for an ``m x m`` sweep, built once per ``m``.
 
-    Deterministic for a fixed input.  Sweeps stop once the off-diagonal
-    Frobenius mass drops below ``1e-14 * ||a||_F``; more than 100 sweeps
-    raises :class:`JacobiConvergenceError` (never returns silently wrong
-    output).
+    Each round is a set of disjoint pairs ``p < q``; over the ``m - 1``
+    rounds (``m`` when ``m`` is odd, with one idle index padded in) every
+    unordered pair comes up exactly once.  A round is stored as flat indices
+    into an ``m x m`` array, pair by pair: ``gather`` reads ``a_pq, a_pp,
+    a_qq``, ``scatter`` addresses ``pp, pq, qp, qq``, and ``zeros`` holds
+    the ``pq, qp`` entries each rotation annihilates.  Also returned: the
+    flat indices of all off-diagonal entries and the identity to copy from.
     """
+    sched = _ROUNDS.get(m)
+    if sched is None:
+        n = m + m % 2
+        ring = list(range(n))
+        rounds = []
+        for _ in range(n - 1):
+            pairs = [sorted((ring[i], ring[n - 1 - i])) for i in range(n // 2)]
+            pairs = [(p, q) for p, q in pairs if q < m]
+            gather = [i for p, q in pairs for i in (p * m + q, p * m + p, q * m + q)]
+            scatter = [i for p, q in pairs for i in (p * m + p, p * m + q, q * m + p, q * m + q)]
+            zeros = [(p * m + q, q * m + p) for p, q in pairs]
+            rounds.append((np.array(gather), np.array(scatter), zeros))
+            ring = [ring[0], ring[-1]] + ring[1:-1]
+        eye = _freeze(np.eye(m, dtype=complex))
+        sched = _ROUNDS[m] = (tuple(rounds), np.flatnonzero(eye == 0), eye)
+    return sched
+
+
+def _jacobi(a: HermitianMatrix) -> EigenSystem:
+    """Round-robin Jacobi kernel behind :func:`eig_hermitian`."""
     m = a.dim
     w = np.array(a.entries, dtype=complex)
-    u = np.eye(m, dtype=complex)
+    rounds, off, eye = _rounds(m)
+    u = eye.copy()
     if m > 1:
         threshold = _OFFDIAG_FACTOR * float(np.linalg.norm(w))
         skip_level = threshold / m
         for _ in range(_SWEEP_CAP):
-            if math.sqrt(_offdiag_sq(w)) <= threshold:
+            v = w.take(off)
+            if math.sqrt(np.vdot(v, v).real) <= threshold:
                 break
-            for p in range(m - 1):
-                for q in range(p + 1, m):
-                    apq = w[p, q]
+            for gather, scatter, zeros in rounds:
+                g = w.take(gather).tolist()
+                blocks, hit = [], []
+                for i, pair in enumerate(zeros):
+                    apq = g[3 * i]
                     r = abs(apq)
                     if r <= skip_level:
+                        blocks += (1.0, 0.0, 0.0, 1.0)
                         continue
+                    hit += pair
                     phase = apq / r
-                    tau = (w[q, q].real - w[p, p].real) / (2.0 * r)
+                    tau = (g[3 * i + 2].real - g[3 * i + 1].real) / (2.0 * r)
                     t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
                     c = 1.0 / math.sqrt(1.0 + t * t)
                     s = t * c
-                    # unitary rotation J: restricted (p,q) block [[c, s], [-s*conj(phase), c*conj(phase)]]
-                    sp = s * phase
-                    rot = np.array([[c, s], [-np.conj(sp), c * np.conj(phase)]])
-                    pq = (p, q)
-                    w[:, pq] = w[:, pq] @ rot
-                    w[pq, :] = rot.conj().T @ w[pq, :]
-                    w[p, q] = 0.0
-                    w[q, p] = 0.0
-                    u[:, pq] = u[:, pq] @ rot
+                    # unitary rotation J: (p,q) block [[c, s], [-s*conj(phase), c*conj(phase)]]
+                    cph = phase.conjugate()
+                    blocks += (c, s, -s * cph, c * cph)
+                if not hit:
+                    continue
+                j = eye.copy()
+                j.put(scatter, blocks)
+                w = j.conj().T @ w @ j
+                w.put(hit, 0.0)
+                u = u @ j
         else:
             raise JacobiConvergenceError(
                 f"no convergence after {_SWEEP_CAP} sweeps on a {m}x{m} matrix"
@@ -186,6 +215,25 @@ def eig_hermitian(a: HermitianMatrix) -> EigenSystem:
     lam = np.diag(w).real.copy()
     order = np.argsort(-lam, kind="stable")
     return EigenSystem(lam[order], u[:, order])
+
+
+def eig_hermitian(a: HermitianMatrix) -> EigenSystem:
+    """Eigendecomposition by round-robin Jacobi rotations with complex phase handling.
+
+    Each sweep visits every off-diagonal pair once, in rounds of disjoint
+    pairs (Brent-Luk ordering); a round's rotations are applied as one
+    block-diagonal unitary.  Sweeps stop once the off-diagonal Frobenius
+    mass drops below ``1e-14 * ||a||_F``; more than 100 sweeps raises
+    :class:`JacobiConvergenceError` (never returns silently wrong output).
+
+    Deterministic for a fixed input.  The result is kept on ``a``, so each
+    matrix object is decomposed once; its arrays are read-only.
+    """
+    es = a.__dict__.get("_eigensystem")
+    if es is None:
+        es = _jacobi(a)
+        object.__setattr__(a, "_eigensystem", es)
+    return es
 
 
 def psd_margin(es: EigenSystem, tol: Tolerance) -> tuple[float, float]:

@@ -21,3 +21,17 @@ def eig_calls(monkeypatch):
         if name.startswith("opineq") and getattr(module, "eig_hermitian", None) is original:
             monkeypatch.setattr(module, "eig_hermitian", counted)
     return calls
+
+
+@pytest.fixture
+def jacobi_runs(monkeypatch):
+    """Matrices the Jacobi kernel actually decomposed (memo misses), in run order."""
+    original = linalg._jacobi
+    runs = []
+
+    def counted(a):
+        runs.append(a)
+        return original(a)
+
+    monkeypatch.setattr(linalg, "_jacobi", counted)
+    return runs

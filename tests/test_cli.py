@@ -107,6 +107,21 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "oracle-deviation" in out
 
+    def test_gmean_oracle_decomposes_each_matrix_once(self, tmp_path, jacobi_runs):
+        # x, y and the mean's inner matrix; the quadrature's guard reuses x's and y's
+        x = write(tmp_path, "x.mat", "dim: 2\n2.0 0.0  0.4 0.0\n0.4 0.0  1.5 0.0\n")
+        y = write(tmp_path, "y.mat", "dim: 2\n1.0 0.0  0.0 -0.3\n0.0 0.3  2.0 0.0\n")
+        assert main(["check", "gmean", x, y, "--oracle"]) == 0
+        assert len(jacobi_runs) == 3
+
+    def test_jensen_decomposes_each_matrix_once(self, tmp_path, capsys, jacobi_runs):
+        a = write(tmp_path, "a.mat", "dim: 2\n0 0 1 0\n1 0 0 0\n")
+        b = write(tmp_path, "b.mat", "dim: 2\n2 0 3 0\n3 0 2 0\n")
+        assert main(["check", "jensen", a, b]) == 0
+        assert capsys.readouterr().out == "jensen: pass gap=10\n"
+        distinct = {m.entries.tobytes() for m in jacobi_runs}
+        assert len(jacobi_runs) == len(distinct) == 3
+
     def test_gmean_indefinite_input(self, tmp_path):
         x = write(tmp_path, "x.mat", "dim: 2\n-1 0 0 0\n0 0 1 0\n")
         y = write(tmp_path, "y.mat", "dim: 2\n1 0 0 0\n0 0 1 0\n")

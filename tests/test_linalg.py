@@ -1,5 +1,6 @@
 """Unit and property tests for the Hermitian core: eigensolver, order, calculus."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opineq import linalg
 from opineq.linalg import (
     DEFAULT_TOL,
     HermitianMatrix,
+    JacobiConvergenceError,
     SpectrumDomainError,
     Tolerance,
     diagonal,
@@ -78,11 +81,29 @@ class TestEig:
             assert np.all(np.diff(es.eigenvalues) <= 0)
 
     def test_deterministic(self):
-        h = random_hermitian(np.random.default_rng(11), 5)
-        a = eig_hermitian(h)
-        b = eig_hermitian(h)
+        # two objects with equal entries, so the second decomposition is not the memo
+        z = random_hermitian(np.random.default_rng(11), 5).entries
+        a = eig_hermitian(HermitianMatrix(z))
+        b = eig_hermitian(HermitianMatrix(z))
+        assert a is not b
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.basis, b.basis)
+
+    def test_memoized_per_matrix_and_read_only(self):
+        h = random_hermitian(np.random.default_rng(12), 4)
+        es = eig_hermitian(h)
+        assert eig_hermitian(h) is es
+        with pytest.raises(ValueError):
+            es.eigenvalues[0] = 0.0
+        with pytest.raises(ValueError):
+            es.basis[0, 0] = 0.0
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_SWEEP_CAP", 1)
+        h = random_hermitian(np.random.default_rng(13), 6)
+        message = "no convergence after 1 sweeps on a 6x6 matrix"
+        with pytest.raises(JacobiConvergenceError, match=message):
+            eig_hermitian(h)
 
     def test_reconstruction_thousand_instances(self):
         rng = np.random.default_rng(2024)
@@ -103,6 +124,98 @@ class TestEig:
             mine = eig_hermitian(h).eigenvalues
             ref = np.linalg.eigvalsh(h.entries)[::-1]
             assert np.allclose(mine, ref, atol=1e-11 * (1 + np.max(np.abs(ref))))
+
+
+def unitary(rng, dim):
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def with_spectrum(rng, values):
+    q = unitary(rng, len(values))
+    return HermitianMatrix((q * np.asarray(values, dtype=float)) @ q.conj().T)
+
+
+def assert_matches_eigvalsh(h):
+    """Eigenvalues against LAPACK, reconstruction and orthogonality, all to 1e-12 relative."""
+    es = eig_hermitian(h)
+    scale = h.norm()
+    ref = np.linalg.eigvalsh(h.entries)[::-1]
+    assert np.max(np.abs(es.eigenvalues - ref)) <= 1e-12 * scale
+    assert (es.reconstruct() - h).norm() <= 1e-12 * scale
+    gram = es.basis.conj().T @ es.basis
+    assert np.linalg.norm(gram - np.eye(h.dim)) <= 1e-12 * h.dim
+
+
+DIMS = range(1, 17)
+
+
+class TestRoundRobin:
+    @pytest.mark.parametrize("m", DIMS)
+    def test_rounds_are_disjoint_and_cover_every_pair_once(self, m):
+        rounds, _, _ = linalg._rounds(m)
+        seen = []
+        for _, _, zeros in rounds:
+            pairs = [divmod(pq, m) for pq, _ in zeros]
+            touched = [i for pair in pairs for i in pair]
+            assert len(set(touched)) == len(touched)
+            assert all(p < q for p, q in pairs)
+            seen += pairs
+        assert sorted(seen) == list(itertools.combinations(range(m), 2))
+        assert len(rounds) == (m - 1 if m % 2 == 0 else m)
+
+    @pytest.mark.parametrize("m", DIMS)
+    def test_random_real_and_complex(self, m):
+        rng = np.random.default_rng(100 + m)
+        for _ in range(3):
+            assert_matches_eigvalsh(HermitianMatrix(rng.standard_normal((m, m))))
+            assert_matches_eigvalsh(random_hermitian(rng, m))
+
+    @pytest.mark.parametrize("m", DIMS)
+    def test_scales(self, m):
+        rng = np.random.default_rng(200 + m)
+        for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+            assert_matches_eigvalsh(random_hermitian(rng, m, scale=scale))
+
+    @pytest.mark.parametrize("m", DIMS)
+    def test_identity_and_zero(self, m):
+        es = eig_hermitian(identity(m))
+        assert np.array_equal(es.eigenvalues, np.ones(m))
+        assert np.array_equal(es.basis, np.eye(m))
+        es = eig_hermitian(zero(m))
+        assert np.array_equal(es.eigenvalues, np.zeros(m))
+
+    @pytest.mark.parametrize("m", DIMS)
+    def test_already_diagonal_is_a_permutation(self, m):
+        values = np.random.default_rng(300 + m).standard_normal(m)
+        es = eig_hermitian(diagonal(values))
+        assert np.array_equal(es.eigenvalues, np.sort(values)[::-1])
+        assert np.array_equal(np.abs(es.basis), np.eye(m)[:, np.argsort(-values, kind="stable")])
+
+    @pytest.mark.parametrize("m", DIMS)
+    def test_rank_one(self, m):
+        rng = np.random.default_rng(400 + m)
+        v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        h = HermitianMatrix(np.outer(v, v.conj()))
+        assert_matches_eigvalsh(h)
+        assert abs(eig_hermitian(h).lambda_max - np.vdot(v, v).real) <= 1e-12 * h.norm()
+
+    @pytest.mark.parametrize("m", DIMS)
+    def test_repeated_and_clustered_blocks(self, m):
+        rng = np.random.default_rng(500 + m)
+        repeated = [2.0] * (m // 2) + [-1.0] * (m - m // 2)
+        clustered = [1.0 + 1e-10 * k for k in range(m // 2)]
+        clustered += [-3.0 + 1e-12 * k for k in range(m - m // 2)]
+        for values in (repeated, clustered):
+            assert_matches_eigvalsh(with_spectrum(rng, values))
+
+    def test_complex_phase_entries(self):
+        # unit-modulus off-diagonal entries with arbitrary phases, every dim
+        rng = np.random.default_rng(600)
+        for m in DIMS:
+            z = np.exp(2j * np.pi * rng.uniform(size=(m, m)))
+            assert_matches_eigvalsh(HermitianMatrix(np.triu(z, 1) + np.triu(z, 1).conj().T))
 
 
 class TestPsdAndOrder:
