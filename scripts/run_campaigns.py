@@ -3,6 +3,8 @@
 
 This is the batch counterpart of `opineq campaign`: same configs as the
 acceptance gate, reports dropped into --outdir, nonzero exit on any failure.
+It imports opineq from this checkout's src/, so it runs without installing
+the package: `python3 scripts/run_campaigns.py --outdir reports`.
 """
 
 import argparse
@@ -10,7 +12,9 @@ import sys
 import time
 from pathlib import Path
 
-from opineq.harness import CampaignConfig, run_campaign
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from opineq.harness import CampaignConfig, run_campaign  # noqa: E402
 
 STANDARD = [
     CampaignConfig("EX1", 50, seed=7),

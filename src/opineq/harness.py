@@ -28,8 +28,8 @@ from .linalg import (
 from .majorization import check_corollary, check_thm5, check_thm6, kyfan_check
 from .means import (
     ExponentVector,
-    check_lowner_heinz,
     check_trace_power_monotone,
+    lowner_heinz_verdicts,
     root_product_chain,
 )
 from .pinching import (
@@ -590,9 +590,7 @@ def _check_t3(a, tol) -> Verdict:
 
 
 def _check_lh(a, tol) -> Verdict:
-    return verdict.combine(
-        *(check_lowner_heinz(a["x"], a["y"], alpha, tol) for alpha in LH_ALPHAS)
-    )
+    return verdict.combine(*lowner_heinz_verdicts(a["x"], a["y"], LH_ALPHAS, tol))
 
 
 def _check_ex1(a, tol) -> Verdict:

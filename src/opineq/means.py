@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -74,6 +74,23 @@ def geometric_mean(
     return HermitianMatrix(rx @ core @ rx)
 
 
+@functools.cache
+def _quadrature_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Per-node ``tan(theta)^2`` and ``w (pi/4) sec(theta)^2`` of the rule on ``[0, pi/2]``.
+
+    Built on first use, not at import: ``leggauss`` solves a
+    ``DEFAULT_QUADRATURE_NODES``-point eigenvalue problem.  The arrays are
+    read-only because every caller shares them.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(DEFAULT_QUADRATURE_NODES)
+    theta = (np.pi / 4.0) * (nodes + 1.0)
+    tan2 = np.tan(theta) ** 2
+    coef = (weights * (np.pi / 4.0)) * (1.0 / np.cos(theta) ** 2)
+    tan2.flags.writeable = False
+    coef.flags.writeable = False
+    return tan2, coef
+
+
 def geometric_mean_quadrature(
     x: HermitianMatrix, y: HermitianMatrix, tol: Tolerance = DEFAULT_TOL
 ) -> HermitianMatrix:
@@ -81,9 +98,11 @@ def geometric_mean_quadrature(
 
     The mean equals ``(1/2pi) int_0^inf 2 (x^-1 + t y^-1)^-1 t^(-1/2) dt``;
     substituting ``t = tan(theta)^2`` turns this into a smooth integral over
-    ``[0, pi/2]``, evaluated with Gauss-Legendre nodes.  Requires strictly
-    positive definite inputs; node-by-node matrix inversion keeps this path
-    independent of the closed form.
+    ``[0, pi/2]``, evaluated with ``DEFAULT_QUADRATURE_NODES`` Gauss-Legendre
+    nodes (the rule is built once per process).  Requires strictly positive
+    definite inputs.  All nodes go through one stacked inversion of
+    ``x^-1 + t_k y^-1``, one LAPACK solve per node, so the integral stays
+    independent of the closed form and never runs the Jacobi eigensolver.
     """
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
@@ -91,17 +110,11 @@ def geometric_mean_quadrature(
         lam, slack = psd_margin(eig_hermitian(a), tol)
         if lam <= slack:
             raise SingularInputError(f"{name} is singular at tolerance; regularize first")
+    tan2, coef = _quadrature_rule()
     x_inv = np.linalg.inv(x.entries)
     y_inv = np.linalg.inv(y.entries)
-    nodes, weights = np.polynomial.legendre.leggauss(DEFAULT_QUADRATURE_NODES)
-    theta = (np.pi / 4.0) * (nodes + 1.0)
-    scaled = weights * (np.pi / 4.0)
-    acc = np.zeros_like(x.entries)
-    for th, wt in zip(theta, scaled):
-        tan2 = math.tan(th) ** 2
-        sec2 = 1.0 / math.cos(th) ** 2
-        acc += wt * sec2 * np.linalg.inv(x_inv + tan2 * y_inv)
-    return HermitianMatrix((2.0 / np.pi) * acc)
+    invs = np.linalg.inv(x_inv + tan2[:, None, None] * y_inv)
+    return HermitianMatrix((2.0 / np.pi) * np.tensordot(coef, invs, 1))
 
 
 def _power_product(members, exponents: Sequence[float], tol: Tolerance) -> HermitianMatrix:
@@ -133,18 +146,32 @@ def check_lowner_heinz(
     from a false comparison (which would indicate an implementation bug,
     not a counterexample).
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    return lowner_heinz_verdicts(x, y, (alpha,), tol)[0]
+
+
+def lowner_heinz_verdicts(
+    x: HermitianMatrix, y: HermitianMatrix, alphas: Sequence[float], tol: Tolerance = DEFAULT_TOL
+) -> tuple[Verdict, ...]:
+    """``check_lowner_heinz`` at each alpha, testing the hypotheses on the pair once.
+
+    A violated hypothesis gives the same invalid verdict at every alpha.
+    """
+    for alpha in alphas:
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     lam, slack = psd_margin(eig_hermitian(x), tol)
     if lam < -slack:
-        return verdict.invalid("x is not positive semidefinite", lambda_min=lam)
+        return (verdict.invalid("x is not positive semidefinite", lambda_min=lam),) * len(alphas)
     lam, slack = psd_margin(eig_hermitian(y - x), tol)
     if lam < -slack:
-        return verdict.invalid("x <= y fails", lambda_min=lam)
-    xa = matrix_power(x, alpha, tol)
-    ya = matrix_power(y, alpha, tol)
-    gap, slack = psd_margin(eig_hermitian(ya - xa), tol)
-    return verdict.from_gap(gap, slack, alpha=alpha)
+        return (verdict.invalid("x <= y fails", lambda_min=lam),) * len(alphas)
+    verdicts = []
+    for alpha in alphas:
+        xa = matrix_power(x, alpha, tol)
+        ya = matrix_power(y, alpha, tol)
+        gap, slack = psd_margin(eig_hermitian(ya - xa), tol)
+        verdicts.append(verdict.from_gap(gap, slack, alpha=alpha))
+    return tuple(verdicts)
 
 
 def _centralizer_ok(rho: DiagonalState, members, tol: Tolerance) -> bool:

@@ -1,6 +1,10 @@
 """CLI tests: matrix parsing with locations, exit codes, reports, and file checks."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,3 +227,15 @@ class TestCampaignCommand:
               "--arity", "1..2", "--seed", "5", "--out", str(out)])
         report = CampaignReport.from_json(out.read_text())
         assert report.summary["fail"] == 0
+
+
+class TestRunCampaignsScript:
+    def test_help_runs_from_a_plain_checkout(self, tmp_path):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_campaigns.py"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run(
+            [sys.executable, str(script), "--help"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "--outdir" in done.stdout

@@ -26,7 +26,7 @@ from opineq.harness import (
     run_campaign,
     verify_flags,
 )
-from opineq.linalg import DEFAULT_TOL, eig_hermitian, loewner_leq
+from opineq.linalg import DEFAULT_TOL, diagonal, eig_hermitian, loewner_leq
 
 
 class TestGenerators:
@@ -244,6 +244,16 @@ class TestCampaigns:
         # y - x and y^2 - pinch(x^2) per instance; the gap reuses order_margin
         run_campaign(CampaignConfig("EX1", 10, seed=7))
         assert len(eig_calls) == 20
+
+    def test_lh_tests_the_order_once_per_pair(self, jacobi_runs):
+        # x, y - x and y once, then y^alpha - x^alpha at each of the five alphas
+        rep = run_campaign(CampaignConfig("LH", 1, dim_range=(3, 3), seed=5))
+        assert rep.summary["pass"] == 1
+        assert len(jacobi_runs) == 8
+
+    def test_lh_invalid_reason_names_every_alpha(self):
+        v = hz._check_lh({"x": diagonal([2, 0]), "y": diagonal([1, 1])}, DEFAULT_TOL)
+        assert v.detail["reason"] == "; ".join(["x <= y fails"] * len(hz.LH_ALPHAS))
 
     def test_ex1_records_carry_parameters(self):
         rep = run_campaign(CampaignConfig("EX1", 5, seed=2))

@@ -1,10 +1,19 @@
 """Tests for the geometric mean, its quadrature oracle, root chains, and trace checks."""
 
+import math
+
 import numpy as np
 import pytest
 
 from opineq.abelian import AbelianTuple, CubeFunction, apply_cube_function, uniform_cube
-from opineq.linalg import HermitianMatrix, diagonal, eig_hermitian, identity, matrix_power
+from opineq.linalg import (
+    DEFAULT_QUADRATURE_NODES,
+    HermitianMatrix,
+    diagonal,
+    eig_hermitian,
+    identity,
+    matrix_power,
+)
 from opineq.means import (
     ExponentVector,
     SingularInputError,
@@ -13,6 +22,7 @@ from opineq.means import (
     check_trace_power_monotone,
     geometric_mean,
     geometric_mean_quadrature,
+    lowner_heinz_verdicts,
     root_product_chain,
 )
 from opineq.state import DiagonalState, state_trace
@@ -23,6 +33,30 @@ def random_pd(rng, dim, lo=0.3, hi=3.5):
     q, _ = np.linalg.qr(z)
     lam = rng.uniform(lo, hi, dim)
     return HermitianMatrix((q * lam) @ q.conj().T)
+
+
+def quadrature_loop(x, y):
+    """Node-by-node reference for ``geometric_mean_quadrature``: one inversion per node."""
+    x_inv = np.linalg.inv(x.entries)
+    y_inv = np.linalg.inv(y.entries)
+    nodes, weights = np.polynomial.legendre.leggauss(DEFAULT_QUADRATURE_NODES)
+    theta = (np.pi / 4.0) * (nodes + 1.0)
+    scaled = weights * (np.pi / 4.0)
+    acc = np.zeros_like(x.entries)
+    for th, wt in zip(theta, scaled):
+        tan2 = math.tan(th) ** 2
+        sec2 = 1.0 / math.cos(th) ** 2
+        acc += wt * sec2 * np.linalg.inv(x_inv + tan2 * y_inv)
+    return HermitianMatrix((2.0 / np.pi) * acc)
+
+
+def random_conditioned(rng, dim, cond, complex_entries):
+    """PD matrix with eigenvalues spread geometrically over ``[1, cond]`` in a random basis."""
+    z = rng.standard_normal((dim, dim))
+    if complex_entries:
+        z = z + 1j * rng.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(z)
+    return HermitianMatrix((q * np.geomspace(1.0, cond, dim)) @ q.conj().T)
 
 
 def random_psd_ordered_pair(rng, dim, scale=1.0):
@@ -113,6 +147,28 @@ class TestQuadratureOracle:
         with pytest.raises(SingularInputError):
             geometric_mean_quadrature(diagonal([1.0, 0.0]), identity(2))
 
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_matches_node_loop(self, dim, complex_entries):
+        # the stacked inversion sums the same terms in another order
+        rng = np.random.default_rng(100 + dim)
+        for cond in (1.0, 10.0, 1e2, 1e3):
+            x = random_conditioned(rng, dim, cond, complex_entries)
+            y = random_conditioned(rng, dim, cond, complex_entries)
+            ref = quadrature_loop(x, y)
+            gq = geometric_mean_quadrature(x, y)
+            assert (gq - ref).norm() <= 1e-13 * ref.norm(), (dim, cond)
+
+    def test_rule_built_once(self, monkeypatch):
+        x, y = identity(2), diagonal([4, 9])
+        first = geometric_mean_quadrature(x, y)
+
+        def unavailable(deg):
+            raise AssertionError("Gauss-Legendre rule rebuilt")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", unavailable)
+        assert np.array_equal(geometric_mean_quadrature(x, y).entries, first.entries)
+
 
 class TestRootProductChain:
     def test_single_member(self):
@@ -181,6 +237,8 @@ class TestLownerHeinz:
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
             check_lowner_heinz(identity(2), identity(2), 1.5)
+        with pytest.raises(ValueError):
+            lowner_heinz_verdicts(identity(2), identity(2), (0.5, -0.1))
 
 
 class TestStateTrace:
