@@ -165,7 +165,6 @@ def build_mu_xi(
     tf: TupleField,
     xi: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
-    seed: int = 0,
 ) -> SpectralMeasure:
     """Spectral measure of a unit vector through a column field of abelian tuples.
 
@@ -181,8 +180,8 @@ def build_mu_xi(
         raise ValueError("field and tuple field are misaligned")
     rows = []
     masses = []
-    for k, (w, a, t) in enumerate(zip(field_.weights, field_.matrices, tf.atoms)):
-        js = joint_diagonalize(t, tol, seed=seed + k)
+    for w, a, t in zip(field_.weights, field_.matrices, tf.atoms):
+        js = joint_diagonalize(t, tol)
         amp = js.basis.conj().T @ (a @ xi)
         rows.append(js.points)
         masses.append(w * np.abs(amp) ** 2)
@@ -194,11 +193,11 @@ def _expectation(a: HermitianMatrix, xi: np.ndarray) -> float:
 
 
 def _integrated_image(
-    f: CubeFunction, field_: ColumnField, tf: TupleField, tol: Tolerance, seed: int = 0
+    f: CubeFunction, field_: ColumnField, tf: TupleField, tol: Tolerance
 ) -> HermitianMatrix:
     acc = np.zeros((field_.dim, field_.dim), dtype=complex)
-    for k, (w, a, t) in enumerate(zip(field_.weights, field_.matrices, tf.atoms)):
-        fx = apply_cube_function(f, t, tol, seed=seed + k)
+    for w, a, t in zip(field_.weights, field_.matrices, tf.atoms):
+        fx = apply_cube_function(f, t, tol)
         acc += w * a.conj().T @ fx.entries @ a
     return HermitianMatrix(acc)
 

@@ -7,6 +7,7 @@ from opineq.abelian import (
     AbelianTuple,
     Cube,
     CubeFunction,
+    JointDiagonalizationError,
     apply_cube_function,
     check_commuting,
     check_compatible,
@@ -14,7 +15,8 @@ from opineq.abelian import (
     spectrum_in_cube,
     uniform_cube,
 )
-from opineq.linalg import HermitianMatrix, diagonal, eig_hermitian, identity
+from opineq.harness import CampaignConfig, run_campaign
+from opineq.linalg import HermitianMatrix, Tolerance, diagonal, eig_hermitian, identity
 
 X_FLIP = HermitianMatrix(np.array([[0, 1], [1, 0]], dtype=complex))
 
@@ -28,6 +30,46 @@ def random_commuting_tuple(rng, dim, n, lo=0.0, hi=2.0):
         lam = rng.uniform(lo, hi, dim)
         members.append(HermitianMatrix((q * lam) @ q.conj().T))
     return AbelianTuple(tuple(members))
+
+
+def tuple_with_spectra(rng, spectra):
+    """Tuple whose members share one random unitary eigenbasis, with the given spectra."""
+    dim = len(spectra[0])
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(z)
+    return AbelianTuple(tuple(HermitianMatrix((q * lam) @ q.conj().T) for lam in spectra))
+
+
+def split_pairs(rng, scale, gap):
+    """Dim-6 spectrum of three separated pairs, each split by ``gap`` times its norm."""
+    centers = np.repeat(np.array([1.0, 2.0, 3.0]) + rng.uniform(0.0, 0.5, 3), 2)
+    return scale * (centers + gap * np.linalg.norm(centers) * np.tile([0.0, 1.0], 3))
+
+
+def repeated_pairs(rng):
+    return np.repeat(rng.uniform(-1.0, 1.0, 3), 2)
+
+
+def assert_reconstructs(t, js):
+    for i, x in enumerate(t.members):
+        rec = (js.basis * js.points[:, i]) @ js.basis.conj().T
+        assert np.linalg.norm(rec - x.entries) <= 1e-8 * x.norm()
+
+
+RELATIVE_GAPS = (0.0, 1e-12, 1e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6)
+SCALES = (1.0, 1e4, 1e6, 1e8)
+
+# Member 0 is near-degenerate on three pairs (spectrum ``split_pairs``); the
+# other members resolve the pairs, are exactly degenerate on them, or are
+# near-degenerate too.
+MERGE_CASES = {
+    "member1_degenerate": lambda rng, s, g: [split_pairs(rng, s, g), repeated_pairs(rng)],
+    "member0_degenerate": lambda rng, s, g: [split_pairs(rng, s, 0.0), split_pairs(rng, 1.0, g)],
+    "both_near_degenerate": lambda rng, s, g: [split_pairs(rng, s, g), split_pairs(rng, 1.0, g)],
+    "three_members": lambda rng, s, g: [
+        split_pairs(rng, s, g), repeated_pairs(rng), rng.uniform(-1.0, 1.0, 6)
+    ],
+}
 
 
 class TestCommuting:
@@ -77,7 +119,7 @@ class TestJointDiagonalize:
         rng = np.random.default_rng(7)
         for _ in range(25):
             t = random_commuting_tuple(rng, int(rng.integers(2, 7)), int(rng.integers(1, 5)))
-            js = joint_diagonalize(t, seed=3)
+            js = joint_diagonalize(t)
             for i, x in enumerate(t.members):
                 rec = HermitianMatrix((js.basis * js.points[:, i]) @ js.basis.conj().T)
                 assert (rec - x).norm() <= 1e-8 * (1 + x.norm())
@@ -92,12 +134,59 @@ class TestJointDiagonalize:
             assert np.allclose(mine, ref, atol=1e-9)
 
     def test_degenerate_shared_eigenspaces(self):
-        # members share eigenspaces with repeated eigenvalues; the block
-        # refinement path and the random-combination path must both cope
+        # members share eigenspaces with repeated eigenvalues: the refinement
+        # carries the unresolved clusters of member 0 through every member
         t = AbelianTuple((diagonal([2, 2, 1]), diagonal([5, 5, 5]), diagonal([1, 1, 3])))
-        js = joint_diagonalize(t, seed=0)
+        js = joint_diagonalize(t)
         got = sorted(map(tuple, js.points.round(9)))
         assert got == [(1.0, 5.0, 3.0), (2.0, 5.0, 1.0), (2.0, 5.0, 1.0)]
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("gap", RELATIVE_GAPS)
+    def test_near_degenerate_member0_grid(self, gap, scale):
+        # gap 0 holds exactly repeated pairs, which only member 1 separates;
+        # Jacobi's eigenvector error at gaps near the cluster cap must stay
+        # below the other members' residual bound
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            t = tuple_with_spectra(rng, [split_pairs(rng, scale, gap), rng.uniform(-1.0, 1.0, 6)])
+            assert_reconstructs(t, joint_diagonalize(t))
+
+    @pytest.mark.parametrize("case", sorted(MERGE_CASES))
+    @pytest.mark.parametrize("gap", RELATIVE_GAPS)
+    def test_merged_clusters(self, case, gap):
+        rng = np.random.default_rng(18)
+        for scale in SCALES:
+            for _ in range(10):
+                t = tuple_with_spectra(rng, MERGE_CASES[case](rng, scale, gap))
+                assert_reconstructs(t, joint_diagonalize(t))
+
+    def test_equal_tuples_give_equal_bits(self):
+        rng = np.random.default_rng(14)
+        for spectra in (
+            [rng.uniform(-1.0, 1.0, 5), rng.uniform(-1.0, 1.0, 5)],
+            MERGE_CASES["three_members"](rng, 1e4, 1e-9),
+        ):
+            t = tuple_with_spectra(rng, spectra)
+            twin = AbelianTuple(tuple(HermitianMatrix(x.entries.copy()) for x in t.members))
+            a, b = joint_diagonalize(t), joint_diagonalize(twin)
+            assert np.array_equal(a.basis, b.basis)
+            assert np.array_equal(a.points, b.points)
+
+    def test_residual_guard_on_loosely_admitted_tuple(self):
+        off = np.zeros((3, 3), dtype=complex)
+        off[0, 1] = off[1, 0] = 1e-5
+        members = (diagonal([1.0, 2.0, 3.0]), HermitianMatrix(np.diag([3.0, 1.0, 2.0]) + off))
+        with pytest.raises(ValueError):
+            AbelianTuple(members)
+        t = AbelianTuple(members, tol=Tolerance(1e-3))
+        with pytest.raises(JointDiagonalizationError):
+            joint_diagonalize(t)
+
+    def test_campaign_decomposes_each_matrix_once(self, jacobi_runs):
+        run_campaign(CampaignConfig("T3", 20, dim_range=(2, 5), arity_range=(1, 3), seed=17))
+        keys = [(a.dim, a.entries.tobytes()) for a in jacobi_runs]
+        assert len(keys) == len(set(keys))
 
 
 class TestCubeFunction:
