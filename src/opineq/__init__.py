@@ -83,7 +83,6 @@ from .means import (
 )
 from .pinching import (
     ColumnField,
-    Compression,
     ExampleReport,
     SpectralMeasure,
     TupleField,
@@ -104,7 +103,6 @@ __all__ = [
     "CampaignConfig",
     "CampaignReport",
     "ColumnField",
-    "Compression",
     "ConfigError",
     "Cube",
     "CubeFunction",

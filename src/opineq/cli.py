@@ -23,10 +23,9 @@ from .harness import (
     function_library,
     run_campaign,
 )
-from .linalg import HermitianMatrix, Tolerance, eig_hermitian, psd_margin, worst_gap
-from .majorization import kyfan_check, partial_sums
+from .linalg import HermitianMatrix, SpectrumDomainError, Tolerance, eig_hermitian, psd_margin
+from .majorization import kyfan_check, wmaj_verdict
 from .means import SingularInputError, geometric_mean, geometric_mean_quadrature
-from .linalg import SpectrumDomainError
 from .pinching import check_mond_pecaric
 
 _TOKEN = re.compile(r"\S+")
@@ -90,23 +89,15 @@ def parse_matrix_text(text: str) -> ParsedMatrix:
             raise MatrixParseError(
                 f"expected {2 * cols} numbers (re im pairs), found {len(tokens)}", lineno, col
             )
-        entries = []
-        for k in range(cols):
-            re_tok, im_tok = tokens[2 * k], tokens[2 * k + 1]
+        values = []
+        for tok in tokens:
             try:
-                re_val = float(re_tok.group())
+                values.append(float(tok.group()))
             except ValueError:
                 raise MatrixParseError(
-                    f"bad decimal {re_tok.group()!r}", lineno, re_tok.start() + 1
+                    f"bad decimal {tok.group()!r}", lineno, tok.start() + 1
                 ) from None
-            try:
-                im_val = float(im_tok.group())
-            except ValueError:
-                raise MatrixParseError(
-                    f"bad decimal {im_tok.group()!r}", lineno, im_tok.start() + 1
-                ) from None
-            entries.append(complex(re_val, im_val))
-        data.append(entries)
+        data.append([complex(r, i) for r, i in zip(values[::2], values[1::2])])
     if rows is None:
         raise MatrixParseError("empty file: missing 'dim:' header", 1)
     if len(data) != rows:
@@ -220,8 +211,7 @@ def _check_loewner(args, tol) -> int:
 
 def _check_wmaj(args, tol) -> int:
     a, b = load_hermitians(args.files)
-    gap, slack = worst_gap(partial_sums(a), partial_sums(b), tol)
-    return _verdict_exit(verdict.from_gap(gap, slack), "wmaj")
+    return _verdict_exit(wmaj_verdict(a, b, tol), "wmaj")
 
 
 def _check_gmean(args, tol) -> int:

@@ -1,8 +1,7 @@
 """Instance generators, the audited function library, and seeded verification campaigns.
 
 Every campaign is deterministic given its config: per-instance RNG streams
-are split from the seed by index, so execution order (or parallel fan-out)
-cannot change a report.
+are split from the seed by index, so execution order cannot change a report.
 """
 
 from __future__ import annotations
@@ -23,13 +22,14 @@ from .linalg import (
     Tolerance,
     diagonal,
     eig_hermitian,
+    loewner_leq,
     psd_margin,
 )
 from .majorization import check_corollary, check_thm5, check_thm6, kyfan_check
 from .means import (
     ExponentVector,
+    check_lowner_heinz,
     check_trace_power_monotone,
-    lowner_heinz_verdicts,
     root_product_chain,
 )
 from .pinching import (
@@ -488,24 +488,23 @@ def _gen_t4(cfg, rng, index) -> dict:
     return {"function": f, "field": field_, "atoms": tf, "rho": rho}
 
 
+# T5 instance kinds: (field kind, atom kind, draws an arity); the first row is
+# the one-variable case, and a unitary field has exactly one atom
+_T5_KINDS = (
+    ("generic", "generic", False),
+    ("unitary", "generic", True),
+    ("diagonal", "diagonal", True),
+    ("probability", "common", True),
+)
+
+
 def _gen_t5(cfg, rng, index) -> dict:
-    kind = ("one-variable", "unitary", "diagonal", "probability")[int(rng.integers(4))]
+    field_kind, atom_kind, draws_arity = _T5_KINDS[int(rng.integers(len(_T5_KINDS)))]
     dim = _draw(rng, cfg.dim_range)
-    n = 1 if kind == "one-variable" else _draw(rng, cfg.arity_range)
+    n = _draw(rng, cfg.arity_range) if draws_arity else 1
     cube = uniform_cube(n, 0.05, 2.0)
-    count = int(rng.integers(1, 5))
-    if kind == "one-variable":
-        field_ = gen_unital_field(dim, count, rng, "generic")
-        tf = gen_tuple_field(dim, n, count, cube, rng, "generic")
-    elif kind == "unitary":
-        field_ = gen_unital_field(dim, 1, rng, "unitary")
-        tf = gen_tuple_field(dim, n, 1, cube, rng, "generic")
-    elif kind == "diagonal":
-        field_ = gen_unital_field(dim, count, rng, "diagonal")
-        tf = gen_tuple_field(dim, n, count, cube, rng, "diagonal")
-    else:
-        field_ = gen_unital_field(dim, count, rng, "probability")
-        tf = gen_tuple_field(dim, n, count, cube, rng, "common")
+    field_ = gen_unital_field(dim, int(rng.integers(1, 5)), rng, field_kind)
+    tf = gen_tuple_field(dim, n, field_.count, cube, rng, atom_kind)
     f = _pick_function(cfg, rng, n, cube, ("convex",))
     return {"function": f, "field": field_, "atoms": tf}
 
@@ -587,10 +586,6 @@ def _check_t3(a, tol) -> Verdict:
     )
 
 
-def _check_lh(a, tol) -> Verdict:
-    return verdict.combine(*lowner_heinz_verdicts(a["x"], a["y"], LH_ALPHAS, tol))
-
-
 def _check_ex1(a, tol) -> Verdict:
     report = reproduce_example1(a["c"], a["t"], a["lam"], tol)
     return Verdict(
@@ -601,8 +596,6 @@ def _check_ex1(a, tol) -> Verdict:
 
 
 def _check_chain(a, tol) -> Verdict:
-    from .linalg import loewner_leq
-
     x, y = a["x"], a["y"]
     for xm, ym in zip(x.members, y.members):
         if not loewner_leq(xm, ym, tol):
@@ -685,7 +678,11 @@ _THEOREMS: dict[str, _Theorem] = {
         lambda a, tol: check_corollary(a["function"], a["x"], a["y"], a["lam"], tol),
         {"function": _FUNCTION, "x": _TUPLE, "y": _TUPLE, "lam": _SCALAR},
     ),
-    "LH": _Theorem(_gen_lh, _check_lh, {"x": _MATRIX, "y": _MATRIX}),
+    "LH": _Theorem(
+        _gen_lh,
+        lambda a, tol: check_lowner_heinz(a["x"], a["y"], LH_ALPHAS, tol),
+        {"x": _MATRIX, "y": _MATRIX},
+    ),
     "KF": _Theorem(
         _gen_kf,
         lambda a, tol: kyfan_check(a["a"], a["frame"], tol),

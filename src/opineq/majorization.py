@@ -9,6 +9,7 @@ from .abelian import (
     AbelianTuple,
     CubeFunction,
     apply_cube_function,
+    check_commuting,
     check_compatible,
     spectrum_in_cube,
 )
@@ -20,7 +21,7 @@ from .linalg import (
     loewner_leq,
     worst_gap,
 )
-from .pinching import ColumnField, TupleField, compress, _integrated_image
+from .pinching import ColumnField, TupleField, compress
 from .verdict import Verdict
 
 
@@ -29,12 +30,21 @@ def partial_sums(a: HermitianMatrix) -> np.ndarray:
     return np.cumsum(eig_hermitian(a).eigenvalues)
 
 
-def weak_majorize(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff every top-k eigenvalue partial sum of ``a`` is at most that of ``b``."""
+def wmaj_verdict(
+    a: HermitianMatrix, b: HermitianMatrix, tol: Tolerance = DEFAULT_TOL, **detail
+) -> Verdict:
+    """Verdict on ``a`` weakly majorized by ``b``: the tightest top-k partial-sum link.
+
+    Keyword ``detail`` entries are recorded on the verdict next to the slack.
+    """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    gap, slack = worst_gap(partial_sums(a), partial_sums(b), tol)
-    return gap >= -slack
+    return verdict.from_gap(*worst_gap(partial_sums(a), partial_sums(b), tol), **detail)
+
+
+def weak_majorize(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """True iff every top-k eigenvalue partial sum of ``a`` is at most that of ``b``."""
+    return wmaj_verdict(a, b, tol).passed
 
 
 def kyfan_check(a: HermitianMatrix, u: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Verdict:
@@ -75,16 +85,15 @@ def check_thm5(
         return verdict.invalid(f"{f.name!r} is not flagged convex")
     if not tf.in_domain(f.domain, tol):
         return verdict.invalid("an atom leaves the domain cube")
-    comp = compress(field_, tf, tol)
-    if tf.n > 1 and not comp.abelian:
+    members = compress(field_, tf)
+    if tf.n > 1 and not check_commuting(members, tol):
         return verdict.invalid("compression is not abelian")
-    y = AbelianTuple(comp.members, tol)
+    y = AbelianTuple(members, tol)
     if not spectrum_in_cube(y, f.domain, tol):
         return verdict.invalid("compressed tuple leaves the domain cube")
     lhs = apply_cube_function(f, y, tol)
-    rhs = _integrated_image(f, field_, tf, tol)
-    gap, slack = worst_gap(partial_sums(lhs), partial_sums(rhs), tol)
-    return verdict.from_gap(gap, slack)
+    rhs = field_.conjugate_sum([apply_cube_function(f, t, tol) for t in tf.atoms])
+    return wmaj_verdict(lhs, rhs, tol)
 
 
 def check_corollary(
@@ -123,8 +132,7 @@ def check_corollary(
     fx = apply_cube_function(f, x, tol)
     fy = apply_cube_function(f, y, tol)
     rhs = HermitianMatrix(lam * fx.entries + (1 - lam) * fy.entries)
-    gap, slack = worst_gap(partial_sums(lhs), partial_sums(rhs), tol)
-    return verdict.from_gap(gap, slack, lam=lam)
+    return wmaj_verdict(lhs, rhs, tol, lam=lam)
 
 
 def check_thm6(
@@ -146,7 +154,4 @@ def check_thm6(
         return verdict.invalid("x <= y fails memberwise")
     if not (spectrum_in_cube(x, f.domain, tol) and spectrum_in_cube(y, f.domain, tol)):
         return verdict.invalid("a tuple leaves the domain cube")
-    lhs = apply_cube_function(f, x, tol)
-    rhs = apply_cube_function(f, y, tol)
-    gap, slack = worst_gap(partial_sums(lhs), partial_sums(rhs), tol)
-    return verdict.from_gap(gap, slack)
+    return wmaj_verdict(apply_cube_function(f, x, tol), apply_cube_function(f, y, tol), tol)

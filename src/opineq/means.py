@@ -16,6 +16,7 @@ from .linalg import (
     HermitianMatrix,
     Tolerance,
     eig_hermitian,
+    hermitian_function,
     matrix_power,
     psd_eigensystem,
     psd_margin,
@@ -138,40 +139,31 @@ def root_product_chain(t, tol: Tolerance = DEFAULT_TOL) -> HermitianMatrix:
 
 
 def check_lowner_heinz(
-    x: HermitianMatrix, y: HermitianMatrix, alpha: float, tol: Tolerance = DEFAULT_TOL
+    x: HermitianMatrix,
+    y: HermitianMatrix,
+    alphas: Sequence[float],
+    tol: Tolerance = DEFAULT_TOL,
 ) -> Verdict:
-    """Check ``x^alpha <= y^alpha`` given ``0 <= x <= y`` and ``alpha`` in [0, 1].
+    """Check ``x^alpha <= y^alpha`` at every alpha in [0, 1], given ``0 <= x <= y``.
 
-    Precondition violations yield an invalid verdict, reported distinctly
-    from a false comparison (which would indicate an implementation bug,
-    not a counterexample).
+    The hypotheses are tested once for the pair; a violated one is an invalid
+    verdict naming its reason once per alpha, reported distinctly from a false
+    comparison (which would indicate an implementation bug, not a
+    counterexample).  The alphas' verdicts are merged by ``verdict.combine``.
     """
-    return lowner_heinz_verdicts(x, y, (alpha,), tol)[0]
-
-
-def lowner_heinz_verdicts(
-    x: HermitianMatrix, y: HermitianMatrix, alphas: Sequence[float], tol: Tolerance = DEFAULT_TOL
-) -> tuple[Verdict, ...]:
-    """``check_lowner_heinz`` at each alpha, testing the hypotheses on the pair once.
-
-    A violated hypothesis gives the same invalid verdict at every alpha.
-    """
-    for alpha in alphas:
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    lam, slack = psd_margin(eig_hermitian(x), tol)
-    if lam < -slack:
-        return (verdict.invalid("x is not positive semidefinite", lambda_min=lam),) * len(alphas)
-    lam, slack = psd_margin(eig_hermitian(y - x), tol)
-    if lam < -slack:
-        return (verdict.invalid("x <= y fails", lambda_min=lam),) * len(alphas)
+    if not alphas or not all(0.0 <= alpha <= 1.0 for alpha in alphas):
+        raise ValueError(f"alphas must be a non-empty list in [0, 1], got {alphas}")
+    for reason, m in (("x is not positive semidefinite", x), ("x <= y fails", y - x)):
+        lam, slack = psd_margin(eig_hermitian(m), tol)
+        if lam < -slack:
+            return verdict.combine(*[verdict.invalid(reason)] * len(alphas))
     verdicts = []
     for alpha in alphas:
         xa = matrix_power(x, alpha, tol)
         ya = matrix_power(y, alpha, tol)
         gap, slack = psd_margin(eig_hermitian(ya - xa), tol)
         verdicts.append(verdict.from_gap(gap, slack, alpha=alpha))
-    return tuple(verdicts)
+    return verdict.combine(*verdicts)
 
 
 def _centralizer_ok(rho: DiagonalState, members, tol: Tolerance) -> bool:
@@ -229,8 +221,6 @@ def check_trace_monotone_single(
     tol: Tolerance = DEFAULT_TOL,
 ) -> Verdict:
     """One-variable lemma: ``phi(g(x)) <= phi(g(y))`` for increasing g and x <= y in the centralizer."""
-    from .linalg import hermitian_function
-
     lam, slack = psd_margin(eig_hermitian(y - x), tol)
     if lam < -slack:
         return verdict.invalid("x <= y fails", lambda_min=lam)

@@ -19,7 +19,6 @@ from .abelian import (
     Cube,
     CubeFunction,
     apply_cube_function,
-    check_commuting,
     joint_diagonalize,
     spectrum_in_cube,
 )
@@ -29,6 +28,7 @@ from .linalg import (
     Tolerance,
     diagonal,
     eig_hermitian,
+    loewner_leq,
     psd_margin,
     worst_gap,
 )
@@ -71,6 +71,13 @@ class ColumnField:
     @property
     def count(self) -> int:
         return len(self.weights)
+
+    def conjugate_sum(self, mats: Sequence[HermitianMatrix]) -> HermitianMatrix:
+        """The field's unital map ``sum_t w_t a_t* m_t a_t``, one ``m_t`` per atom."""
+        acc = np.zeros((self.dim, self.dim), dtype=complex)
+        for w, a, m in zip(self.weights, self.matrices, mats):
+            acc += w * a.conj().T @ m.entries @ a
+        return HermitianMatrix(acc)
 
 
 @dataclass(frozen=True)
@@ -133,31 +140,13 @@ class SpectralMeasure:
         return float(sum(m * g(row) for m, row in zip(self.masses, self.support)))
 
 
-@dataclass(frozen=True)
-class Compression:
-    """Result of compressing a tuple field through a column field.
-
-    The compressed members are Hermitian but need not commute; ``abelian``
-    records the verdict of the commutation check.
-    """
-
-    members: tuple[HermitianMatrix, ...]
-    abelian: bool
-
-
-def compress(field_: ColumnField, tf: TupleField, tol: Tolerance = DEFAULT_TOL) -> Compression:
-    """``y_i = sum_t w_t a_t* x_it a_t``, with the commutation flag computed."""
+def compress(field_: ColumnField, tf: TupleField) -> tuple[HermitianMatrix, ...]:
+    """``y_i = sum_t w_t a_t* x_it a_t``; the members are Hermitian but need not commute."""
     if field_.count != tf.count:
         raise ValueError(f"field has {field_.count} atoms, tuple field {tf.count}")
     if field_.dim != tf.dim:
         raise ValueError("field and tuple field dimensions differ")
-    members = []
-    for i in range(tf.n):
-        acc = np.zeros((field_.dim, field_.dim), dtype=complex)
-        for w, a, t in zip(field_.weights, field_.matrices, tf.atoms):
-            acc += w * a.conj().T @ t.members[i].entries @ a
-        members.append(HermitianMatrix(acc))
-    return Compression(tuple(members), check_commuting(members, tol))
+    return tuple(field_.conjugate_sum([t.members[i] for t in tf.atoms]) for i in range(tf.n))
 
 
 def build_mu_xi(
@@ -192,16 +181,6 @@ def _expectation(a: HermitianMatrix, xi: np.ndarray) -> float:
     return float(np.real(np.vdot(xi, a.entries @ xi)))
 
 
-def _integrated_image(
-    f: CubeFunction, field_: ColumnField, tf: TupleField, tol: Tolerance
-) -> HermitianMatrix:
-    acc = np.zeros((field_.dim, field_.dim), dtype=complex)
-    for w, a, t in zip(field_.weights, field_.matrices, tf.atoms):
-        fx = apply_cube_function(f, t, tol)
-        acc += w * a.conj().T @ fx.entries @ a
-    return HermitianMatrix(acc)
-
-
 def check_jensen_expectation(
     f: CubeFunction,
     field_: ColumnField,
@@ -222,10 +201,9 @@ def check_jensen_expectation(
     xi = np.asarray(xi, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(xi) - 1.0) > tol.rtol:
         return verdict.invalid("xi is not a unit vector")
-    comp = compress(field_, tf, tol)
-    args = [_expectation(y, xi) for y in comp.members]
-    lhs = f(args)
-    rhs = _expectation(_integrated_image(f, field_, tf, tol), xi)
+    lhs = f([_expectation(y, xi) for y in compress(field_, tf)])
+    image = field_.conjugate_sum([apply_cube_function(f, t, tol) for t in tf.atoms])
+    rhs = _expectation(image, xi)
     mu = build_mu_xi(field_, tf, xi, tol)
     middle = mu.integrate(f)
     return verdict.from_gap(
@@ -278,9 +256,9 @@ def check_phi_jensen_field(
         return verdict.invalid("state dimension mismatch")
     if np.any(rho.weights <= 0):
         return verdict.invalid("state weights must be strictly positive")
-    comp = compress(field_, tf, tol)
-    pinched = [pinch(rho, y).values for y in comp.members]
-    rhs_vals = pinch(rho, _integrated_image(f, field_, tf, tol)).values
+    pinched = [pinch(rho, y).values for y in compress(field_, tf)]
+    image = field_.conjugate_sum([apply_cube_function(f, t, tol) for t in tf.atoms])
+    rhs_vals = pinch(rho, image).values
     lhs_vals = [f([p[s] for p in pinched]) for s in range(rho.dim)]
     gap, slack = worst_gap(lhs_vals, rhs_vals, tol)
     return verdict.from_gap(gap, slack, indices=rho.dim)
@@ -331,8 +309,6 @@ def check_phi_monotone_chain(
       3. ``f(pinch(y_1)(s), ...) == f(y)(s, s)``  (y lives in the diagonal algebra),
     and finally ``phi(f(x)) <= phi(f(y))``.
     """
-    from .linalg import loewner_leq
-
     if not (f.concave and f.separately_increasing):
         return verdict.invalid(f"{f.name!r} must be concave and separately increasing")
     if x.n != y.n or x.dim != y.dim or rho.dim != x.dim:

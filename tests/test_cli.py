@@ -56,6 +56,11 @@ class TestParser:
             parse_matrix_text("dim: 2\n1.0 0.0  1.0 0.0\n1.0 0.0  oops 0.0\n")
         assert err.value.line == 3
         assert err.value.column == 10
+        with pytest.raises(MatrixParseError) as err:
+            parse_matrix_text("dim: 2\n1.0 0.0  1.0 0.0\n1.0 0.0  1.0 oops\n")
+        assert err.value.line == 3
+        assert err.value.column == 14
+        assert "bad decimal 'oops'" in str(err.value)
 
     def test_wrong_token_count(self):
         with pytest.raises(MatrixParseError) as err:

@@ -27,6 +27,7 @@ from opineq.harness import (
     verify_flags,
 )
 from opineq.linalg import DEFAULT_TOL, diagonal, eig_hermitian
+from opineq.means import check_lowner_heinz
 
 
 class TestGenerators:
@@ -256,7 +257,7 @@ class TestCampaigns:
         assert len(jacobi_runs) == 8
 
     def test_lh_invalid_reason_names_every_alpha(self):
-        v = hz._check_lh({"x": diagonal([2, 0]), "y": diagonal([1, 1])}, DEFAULT_TOL)
+        v = check_lowner_heinz(diagonal([2, 0]), diagonal([1, 1]), hz.LH_ALPHAS)
         assert v.detail["reason"] == "; ".join(["x <= y fails"] * len(hz.LH_ALPHAS))
 
     def test_ex1_records_carry_parameters(self):

@@ -16,6 +16,7 @@ from opineq.majorization import (
     kyfan_check,
     partial_sums,
     weak_majorize,
+    wmaj_verdict,
 )
 from opineq.pinching import ColumnField, TupleField
 
@@ -81,6 +82,12 @@ class TestWeakMajorize:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             weak_majorize(identity(2), identity(3))
+
+    def test_verdict_gap_is_tightest_partial_sum(self):
+        # partial sums (3, 4) against (2, 4): the top-1 link fails by 1
+        v = wmaj_verdict(diagonal([3, 1]), diagonal([2, 2]), lam=0.5)
+        assert not v.passed and v.gap == -1.0
+        assert v.detail["lam"] == 0.5 and "slack" in v.detail
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -188,6 +195,7 @@ class TestThm5:
         tf = TupleField(tuple(random_abelian(rng, 3, 2) for _ in range(2)))
         v = check_thm5(MAX2, field, tf)
         assert v.invalid
+        assert v.detail["reason"] == "compression is not abelian"
 
 
 class TestCorollary:

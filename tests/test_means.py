@@ -22,7 +22,6 @@ from opineq.means import (
     check_trace_power_monotone,
     geometric_mean,
     geometric_mean_quadrature,
-    lowner_heinz_verdicts,
     root_product_chain,
 )
 from opineq.state import DiagonalState, state_trace
@@ -213,32 +212,34 @@ class TestRootProductChain:
 
 class TestLownerHeinz:
     def test_scalar_monotone_sqrt(self):
-        v = check_lowner_heinz(diagonal([1, 2]), diagonal([2, 3]), 0.5)
+        v = check_lowner_heinz(diagonal([1, 2]), diagonal([2, 3]), (0.5,))
         assert v.passed
 
     def test_alpha_zero_trivial(self):
         rng = np.random.default_rng(9)
         x, y = random_psd_ordered_pair(rng, 3)
-        assert check_lowner_heinz(x, y, 0.0).passed
+        assert check_lowner_heinz(x, y, (0.0,)).passed
 
     def test_alpha_one_reduces_to_order(self):
         rng = np.random.default_rng(10)
         x, y = random_psd_ordered_pair(rng, 3)
-        assert check_lowner_heinz(x, y, 1.0).passed
+        assert check_lowner_heinz(x, y, (1.0,)).passed
 
     def test_invalid_when_not_ordered(self):
-        v = check_lowner_heinz(diagonal([2, 0]), diagonal([1, 1]), 0.5)
+        v = check_lowner_heinz(diagonal([2, 0]), diagonal([1, 1]), (0.5,))
         assert v.invalid
 
     def test_invalid_when_not_psd(self):
-        v = check_lowner_heinz(diagonal([-1, 0]), diagonal([1, 1]), 0.5)
+        v = check_lowner_heinz(diagonal([-1, 0]), diagonal([1, 1]), (0.5,))
         assert v.invalid
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
-            check_lowner_heinz(identity(2), identity(2), 1.5)
+            check_lowner_heinz(identity(2), identity(2), (1.5,))
         with pytest.raises(ValueError):
-            lowner_heinz_verdicts(identity(2), identity(2), (0.5, -0.1))
+            check_lowner_heinz(identity(2), identity(2), (0.5, -0.1))
+        with pytest.raises(ValueError):
+            check_lowner_heinz(identity(2), identity(2), ())
 
 
 class TestStateTrace:

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from opineq.abelian import AbelianTuple, CubeFunction, uniform_cube
+from opineq.abelian import AbelianTuple, CubeFunction, check_commuting, uniform_cube
 from opineq.linalg import HermitianMatrix, diagonal, eig_hermitian, identity
 from opineq.pinching import (
     ColumnField,
-    Compression,
     ExampleReport,
     TupleField,
     build_mu_xi,
@@ -106,27 +105,34 @@ class TestCompress:
         rng = np.random.default_rng(2)
         t = random_abelian(rng, 3, 2)
         field = ColumnField((1.0,), (np.eye(3, dtype=complex),))
-        comp = compress(field, TupleField((t,)))
-        for got, want in zip(comp.members, t.members):
+        members = compress(field, TupleField((t,)))
+        for got, want in zip(members, t.members):
             assert (got - want).norm() <= 1e-12 * (1 + want.norm())
-        assert comp.abelian
+        assert check_commuting(members)
 
     def test_two_projection_atoms(self):
         p0 = np.diag([1.0, 0.0]).astype(complex)
         p1 = np.diag([0.0, 1.0]).astype(complex)
         field = ColumnField((1.0, 1.0), (p0, p1))
         t = AbelianTuple((HermitianMatrix(np.array([[1, 1], [1, 1]], dtype=complex)),))
-        comp = compress(field, TupleField((t, t)))
-        assert np.allclose(comp.members[0].entries, np.diag([1.0, 1.0]))
+        members = compress(field, TupleField((t, t)))
+        assert np.allclose(members[0].entries, np.diag([1.0, 1.0]))
 
     def test_unitary_atom_preserves_commutation(self):
         rng = np.random.default_rng(3)
         t = random_abelian(rng, 4, 3)
         u = random_unitary(rng, 4)
         field = ColumnField((1.0,), (u,))
-        comp = compress(field, TupleField((t,)))
-        assert comp.abelian
-        AbelianTuple(comp.members)
+        members = compress(field, TupleField((t,)))
+        assert check_commuting(members)
+        AbelianTuple(members)
+
+    def test_conjugate_sum_is_the_unital_map(self):
+        rng = np.random.default_rng(7)
+        u = random_unitary(rng, 3)
+        m = random_abelian(rng, 3, 1).members[0]
+        got = ColumnField((1.0,), (u,)).conjugate_sum([m])
+        assert np.allclose(got.entries, u.conj().T @ m.entries @ u)
 
     def test_nonunital_rejected(self):
         with pytest.raises(ValueError):
@@ -172,10 +178,10 @@ class TestSpectralMeasure:
             xi = random_unit(rng, dim)
             mu = build_mu_xi(field, tf, xi)
             assert abs(mu.total_mass - 1.0) <= 1e-10
-            comp = compress(field, tf)
+            members = compress(field, tf)
             for i in range(n):
                 lhs = mu.integrate(lambda s, i=i: s[i])
-                rhs = float(np.real(np.vdot(xi, comp.members[i].entries @ xi)))
+                rhs = float(np.real(np.vdot(xi, members[i].entries @ xi)))
                 assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs))
 
     def test_non_unit_vector_rejected(self):
@@ -296,7 +302,7 @@ class TestPhiJensenField:
         xi = np.zeros(dim, dtype=complex)
         xi[0] = 1.0
         vector = check_jensen_expectation(SUMSQ2, field, tf, xi)
-        comp_members = compress(field, tf).members
+        comp_members = compress(field, tf)
         # pointwise inequality at index 0 equals the vector inequality at e_0
         lhs = SUMSQ2([m.entries[0, 0].real for m in comp_members])
         assert lhs == pytest.approx(vector.detail["lhs"], abs=1e-12)
