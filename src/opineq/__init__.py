@@ -27,6 +27,7 @@ from .abelian import (
     check_commuting,
     check_compatible,
     joint_diagonalize,
+    memberwise_leq,
     spectrum_in_cube,
     uniform_cube,
 )
@@ -54,6 +55,7 @@ from .linalg import (
     JacobiConvergenceError,
     SpectrumDomainError,
     Tolerance,
+    decompose,
     diagonal,
     eig_hermitian,
     hermitian_function,
@@ -139,6 +141,7 @@ __all__ = [
     "check_trace_monotone_single",
     "check_trace_power_monotone",
     "compress",
+    "decompose",
     "diagonal",
     "eig_hermitian",
     "function_library",
@@ -157,6 +160,7 @@ __all__ = [
     "kyfan_check",
     "loewner_leq",
     "matrix_power",
+    "memberwise_leq",
     "mislabeled_controls",
     "partial_sums",
     "pinch",

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, HermitianMatrix, Tolerance, eig_hermitian
+from .linalg import DEFAULT_TOL, HermitianMatrix, Tolerance, decompose, eig_hermitian, is_psd
 
 # Jacobi eigenvectors at relative eigenvalue gap g are accurate to about
 # eps / g, and that error shows up in the other members' off-diagonal
@@ -199,12 +199,24 @@ def spectrum_in_cube(t: AbelianTuple, cube: Cube, tol: Tolerance = DEFAULT_TOL) 
     """True iff every member's spectrum sits in its interval, inflated by the relative slack."""
     if cube.arity != t.n:
         raise ValueError(f"cube arity {cube.arity} does not match tuple arity {t.n}")
-    for x, (lo, hi) in zip(t.members, cube.intervals):
+    for es, (lo, hi) in zip(decompose(t.members), cube.intervals):
         pad = tol.rtol * (1.0 + abs(lo) + abs(hi))
-        es = eig_hermitian(x)
         if es.lambda_min < lo - pad or es.lambda_max > hi + pad:
             return False
     return True
+
+
+def memberwise_leq(x, y, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """True iff ``x_i <= y_i`` in the Loewner order for every member index i.
+
+    The members of both tuples and their differences go through the kernel
+    in one batch, so later spectral work on the members hits the memo.
+    """
+    xs = _members_of(x)
+    ys = _members_of(y)
+    diffs = [b - a for a, b in zip(xs, ys)]
+    decompose([*xs, *ys, *diffs])
+    return all(is_psd(d, tol) for d in diffs)
 
 
 def apply_cube_function(

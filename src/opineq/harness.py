@@ -15,14 +15,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import verdict
-from .abelian import AbelianTuple, Cube, CubeFunction, uniform_cube
+from .abelian import AbelianTuple, Cube, CubeFunction, memberwise_leq, uniform_cube
 from .linalg import (
     DEFAULT_TOL,
     HermitianMatrix,
     Tolerance,
     diagonal,
     eig_hermitian,
-    loewner_leq,
     psd_margin,
 )
 from .majorization import check_corollary, check_thm5, check_thm6, kyfan_check
@@ -597,9 +596,8 @@ def _check_ex1(a, tol) -> Verdict:
 
 def _check_chain(a, tol) -> Verdict:
     x, y = a["x"], a["y"]
-    for xm, ym in zip(x.members, y.members):
-        if not loewner_leq(xm, ym, tol):
-            return verdict.invalid("x <= y fails memberwise")
+    if not memberwise_leq(x, y, tol):
+        return verdict.invalid("x <= y fails memberwise")
     diff = root_product_chain(y, tol) - root_product_chain(x, tol)
     return verdict.from_gap(*psd_margin(eig_hermitian(diff), tol))
 

@@ -170,51 +170,161 @@ def _rounds(m: int) -> tuple:
     return sched
 
 
-def _jacobi(a: HermitianMatrix) -> EigenSystem:
-    """Round-robin Jacobi kernel behind :func:`eig_hermitian`."""
-    m = a.dim
-    w = np.array(a.entries, dtype=complex)
+_STACKS: dict[int, tuple] = {}
+
+
+def _stack_plan(m: int, b: int) -> tuple:
+    """The schedule of :func:`_rounds` repeated down a stack of ``b`` matrices.
+
+    Per round: the gather and scatter indices as flat indices into a
+    ``(b, m, m)`` stack, matrix after matrix, and the ``pq, qp`` pairs each
+    matrix's rotations zero; also the flat off-diagonal indices.  Built per
+    dimension for the largest batch seen so far and cut to ``b`` by
+    :func:`_fit`.
+    """
+    plan = _STACKS.get(m)
+    if plan is None or plan[0] < b:
+        rounds, off, _ = _rounds(m)
+        mm = m * m
+        starts = np.arange(0, b * mm, mm)[:, None]
+        stacked = [
+            (
+                (starts + gather).ravel(),
+                (starts + scatter).ravel(),
+                [(at + pq, at + qp) for at in range(0, b * mm, mm) for pq, qp in zeros],
+            )
+            for gather, scatter, zeros in rounds
+        ]
+        plan = _STACKS[m] = (b, stacked, (starts + off).ravel())
+    return _fit(plan[1], plan[2], b, m)
+
+
+def _fit(rounds, off, n: int, m: int) -> tuple:
+    """The share of a stacked plan that addresses its first ``n`` matrices."""
+    p = m // 2
+    fitted = [
+        (gather[: n * 3 * p], scatter[: n * 4 * p], zeros[: n * p])
+        for gather, scatter, zeros in rounds
+    ]
+    return fitted, off[: n * (m * m - m)]
+
+
+def _eigensystem(w: np.ndarray, u: np.ndarray) -> EigenSystem:
+    """The diagonal of a converged ``w``, non-increasing, with the matching columns of ``u``."""
+    lam = w.diagonal().real
+    order = (-lam).argsort(kind="stable")
+    return EigenSystem(lam[order], u[:, order])
+
+
+def _jacobi(mats: Sequence[HermitianMatrix]) -> list[EigenSystem]:
+    """Round-robin Jacobi kernel behind :func:`decompose`, run once over same-size matrices.
+
+    ``w`` and ``u`` are ``(b, m, m)`` stacks, and a round's rotations reach
+    the whole stack through stacked matmuls.  Each matrix keeps its own stop
+    threshold, rotation formulas and convergence test, and sits out every
+    round in which it has nothing to rotate, so its bits do not depend on
+    the rest of the batch.  Converged matrices leave the stack at sweep
+    boundaries.
+    """
+    b, m = len(mats), mats[0].dim
+    mm = m * m
     rounds, off, eye = _rounds(m)
-    u = eye.copy()
-    if m > 1:
-        threshold = _OFFDIAG_FACTOR * float(np.linalg.norm(w))
-        skip_level = threshold / m
-        for _ in range(_SWEEP_CAP):
-            v = w.take(off)
-            if math.sqrt(np.vdot(v, v).real) <= threshold:
-                break
-            for gather, scatter, zeros in rounds:
-                g = w.take(gather).tolist()
-                blocks, hit = [], []
-                for i, pair in enumerate(zeros):
-                    apq = g[3 * i]
-                    r = abs(apq)
-                    if r <= skip_level:
-                        blocks += (1.0, 0.0, 0.0, 1.0)
-                        continue
-                    hit += pair
-                    phase = apq / r
-                    tau = (g[3 * i + 2].real - g[3 * i + 1].real) / (2.0 * r)
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                    c = 1.0 / math.sqrt(1.0 + t * t)
-                    s = t * c
-                    # unitary rotation J: (p,q) block [[c, s], [-s*conj(phase), c*conj(phase)]]
-                    cph = phase.conjugate()
-                    blocks += (c, s, -s * cph, c * cph)
-                if not hit:
+    w = np.array([a.entries for a in mats])
+    if b == 1:
+        ident = eye[None]
+    else:
+        ident = np.empty_like(w)
+        ident[:] = eye
+    u = ident.copy()
+    if m == 1:
+        return [_eigensystem(x, v) for x, v in zip(w, u)]
+    npairs = m // 2
+    if b > 1:
+        rounds, off = _stack_plan(m, b)
+    out: list = [None] * b
+    live = list(range(b))  # the batch position of each stack entry
+    thresholds = [_OFFDIAG_FACTOR * float(np.linalg.norm(a.entries)) for a in mats]
+    skip = [threshold / m for threshold in thresholds for _ in range(npairs)]
+    for _ in range(_SWEEP_CAP):
+        v = w.take(off)
+        if len(live) == 1:  # a stack of one needs no per-matrix views
+            keep = [] if math.sqrt(np.vdot(v, v).real) <= thresholds[0] else [0]
+        else:
+            v = v.reshape(len(live), -1)
+            keep = [
+                pos
+                for pos, threshold in enumerate(thresholds)
+                if not math.sqrt(np.vdot(v[pos], v[pos]).real) <= threshold
+            ]
+        if len(keep) < len(live):
+            for pos, k in enumerate(live):
+                if pos not in keep:
+                    out[k] = _eigensystem(w[pos], u[pos])
+            if not keep:
+                return out
+            # converged matrices leave; the rest move up the stack
+            n = len(keep)
+            live = [live[pos] for pos in keep]
+            thresholds = [thresholds[pos] for pos in keep]
+            skip = [threshold / m for threshold in thresholds for _ in range(npairs)]
+            w, u, ident = w[keep], u[keep], ident[:n]
+            rounds, off = _fit(rounds, off, n, m)
+        for gather, scatter, zeros in rounds:
+            g = w.take(gather).tolist()
+            blocks, hit = [], []
+            for i, pair in enumerate(zeros):
+                apq = g[3 * i]
+                r = abs(apq)
+                if r <= skip[i]:
+                    blocks += (1.0, 0.0, 0.0, 1.0)
                     continue
-                j = eye.copy()
-                j.put(scatter, blocks)
-                w = j.conj().T @ w @ j
+                hit += pair
+                phase = apq / r
+                tau = (g[3 * i + 2].real - g[3 * i + 1].real) / (2.0 * r)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                # unitary rotation J: (p,q) block [[c, s], [-s*conj(phase), c*conj(phase)]]
+                cph = phase.conjugate()
+                blocks += (c, s, -s * cph, c * cph)
+            if not hit:
+                continue
+            j = ident.copy()
+            j.put(scatter, blocks)
+            # skipped pairs may leave a matrix with nothing to rotate
+            idle = len(hit) < 2 * len(zeros) and len({h // mm for h in hit[::2]}) < len(ident)
+            if not idle:
+                w = j.conj().transpose(0, 2, 1) @ w @ j
                 w.put(hit, 0.0)
                 u = u @ j
-        else:
-            raise JacobiConvergenceError(
-                f"no convergence after {_SWEEP_CAP} sweeps on a {m}x{m} matrix"
-            )
-    lam = np.diag(w).real.copy()
-    order = np.argsort(-lam, kind="stable")
-    return EigenSystem(lam[order], u[:, order])
+            else:  # such matrices sit the round out
+                rows = sorted({h // mm for h in hit[::2]})
+                j = j[rows]
+                w[rows] = j.conj().transpose(0, 2, 1) @ w[rows] @ j
+                w.put(hit, 0.0)
+                u[rows] = u[rows] @ j
+    raise JacobiConvergenceError(
+        f"no convergence after {_SWEEP_CAP} sweeps on a {m}x{m} matrix "
+        f"(position {live[0]} of a batch of {b})"
+    )
+
+
+def decompose(mats: Sequence[HermitianMatrix]) -> list[EigenSystem]:
+    """Eigendecompositions of ``mats``, in order, with one kernel run per dimension.
+
+    The kernel runs on the matrices not decomposed yet, each object once
+    however often it is listed, and keeps every result on its matrix as
+    :func:`eig_hermitian` does.  A matrix gets the same bits in any batch.
+    """
+    todo: dict[int, dict[int, HermitianMatrix]] = {}
+    for a in mats:
+        if "_eigensystem" not in a.__dict__:
+            todo.setdefault(a.dim, {})[id(a)] = a
+    for group in todo.values():
+        batch = list(group.values())
+        for a, es in zip(batch, _jacobi(batch)):
+            object.__setattr__(a, "_eigensystem", es)
+    return [a.__dict__["_eigensystem"] for a in mats]
 
 
 def eig_hermitian(a: HermitianMatrix) -> EigenSystem:
@@ -227,11 +337,12 @@ def eig_hermitian(a: HermitianMatrix) -> EigenSystem:
     :class:`JacobiConvergenceError` (never returns silently wrong output).
 
     Deterministic for a fixed input.  The result is kept on ``a``, so each
-    matrix object is decomposed once; its arrays are read-only.
+    matrix object is decomposed once; its arrays are read-only.  The kernel
+    is the one :func:`decompose` runs, on a batch of one, with the same bits.
     """
     es = a.__dict__.get("_eigensystem")
     if es is None:
-        es = _jacobi(a)
+        (es,) = _jacobi([a])
         object.__setattr__(a, "_eigensystem", es)
     return es
 

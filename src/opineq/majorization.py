@@ -9,16 +9,16 @@ from .abelian import (
     AbelianTuple,
     CubeFunction,
     apply_cube_function,
-    check_commuting,
     check_compatible,
+    memberwise_leq,
     spectrum_in_cube,
 )
 from .linalg import (
     DEFAULT_TOL,
     HermitianMatrix,
     Tolerance,
+    decompose,
     eig_hermitian,
-    loewner_leq,
     worst_gap,
 )
 from .pinching import ColumnField, TupleField, compress
@@ -39,6 +39,7 @@ def wmaj_verdict(
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    decompose([a, b])
     return verdict.from_gap(*worst_gap(partial_sums(a), partial_sums(b), tol), **detail)
 
 
@@ -85,10 +86,10 @@ def check_thm5(
         return verdict.invalid(f"{f.name!r} is not flagged convex")
     if not tf.in_domain(f.domain, tol):
         return verdict.invalid("an atom leaves the domain cube")
-    members = compress(field_, tf)
-    if tf.n > 1 and not check_commuting(members, tol):
+    try:
+        y = AbelianTuple(compress(field_, tf), tol)
+    except ValueError:
         return verdict.invalid("compression is not abelian")
-    y = AbelianTuple(members, tol)
     if not spectrum_in_cube(y, f.domain, tol):
         return verdict.invalid("compressed tuple leaves the domain cube")
     lhs = apply_cube_function(f, y, tol)
@@ -116,16 +117,21 @@ def check_corollary(
         return verdict.invalid(f"{f.name!r} is not flagged convex")
     if not check_compatible(x, y, tol):
         return verdict.invalid("tuples are not compatible")
+    mixed = ()
+    if 0.0 < lam < 1.0:
+        mixed = tuple(
+            HermitianMatrix(lam * a.entries + (1 - lam) * b.entries)
+            for a, b in zip(x.members, y.members)
+        )
+    decompose([*x.members, *y.members, *mixed])
     if not (spectrum_in_cube(x, f.domain, tol) and spectrum_in_cube(y, f.domain, tol)):
         return verdict.invalid("a tuple leaves the domain cube")
+    if not mixed:
+        # at lam = 1 (0) the mix is x (y) itself, and both sides are its f
+        lhs = rhs = apply_cube_function(f, x if lam else y, tol)
+        return wmaj_verdict(lhs, rhs, tol, lam=lam)
     try:
-        mix = AbelianTuple(
-            tuple(
-                HermitianMatrix(lam * a.entries + (1 - lam) * b.entries)
-                for a, b in zip(x.members, y.members)
-            ),
-            tol,
-        )
+        mix = AbelianTuple(mixed, tol)
     except ValueError:
         return verdict.invalid("convex combination fails the commutation check")
     lhs = apply_cube_function(f, mix, tol)
@@ -150,7 +156,7 @@ def check_thm6(
         return verdict.invalid(f"{f.name!r} must be convex and separately increasing")
     if x.n != y.n or x.dim != y.dim:
         return verdict.invalid("shape mismatch")
-    if not all(loewner_leq(a, b, tol) for a, b in zip(x.members, y.members)):
+    if not memberwise_leq(x, y, tol):
         return verdict.invalid("x <= y fails memberwise")
     if not (spectrum_in_cube(x, f.domain, tol) and spectrum_in_cube(y, f.domain, tol)):
         return verdict.invalid("a tuple leaves the domain cube")

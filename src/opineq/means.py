@@ -15,6 +15,7 @@ from .linalg import (
     DEFAULT_TOL,
     HermitianMatrix,
     Tolerance,
+    decompose,
     eig_hermitian,
     hermitian_function,
     matrix_power,
@@ -61,12 +62,14 @@ def geometric_mean(
     """
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
+    decompose([x, y])
     ex = psd_eigensystem(x, tol, "first argument")
     ey = psd_eigensystem(y, tol, "second argument")
     eps = _REGULARIZATION_FACTOR * (1.0 + ex.op_norm + ey.op_norm)
     if ex.lambda_min <= eps or ey.lambda_min <= eps:
-        ex = eig_hermitian(ex.reconstruct(np.maximum(ex.eigenvalues, 0.0) + eps))
-        ey = eig_hermitian(ey.reconstruct(np.maximum(ey.eigenvalues, 0.0) + eps))
+        ex, ey = decompose(
+            [es.reconstruct(np.maximum(es.eigenvalues, 0.0) + eps) for es in (ex, ey)]
+        )
     rx = ex.reconstruct(np.sqrt(ex.eigenvalues)).entries
     rx_inv = ex.reconstruct(1.0 / np.sqrt(ex.eigenvalues)).entries
     inner = HermitianMatrix(rx_inv @ ey.reconstruct().entries @ rx_inv)
@@ -153,17 +156,18 @@ def check_lowner_heinz(
     """
     if not alphas or not all(0.0 <= alpha <= 1.0 for alpha in alphas):
         raise ValueError(f"alphas must be a non-empty list in [0, 1], got {alphas}")
-    for reason, m in (("x is not positive semidefinite", x), ("x <= y fails", y - x)):
-        lam, slack = psd_margin(eig_hermitian(m), tol)
+    ex, ed, _ = decompose([x, y - x, y])
+    for reason, es in (("x is not positive semidefinite", ex), ("x <= y fails", ed)):
+        lam, slack = psd_margin(es, tol)
         if lam < -slack:
             return verdict.combine(*[verdict.invalid(reason)] * len(alphas))
-    verdicts = []
-    for alpha in alphas:
-        xa = matrix_power(x, alpha, tol)
-        ya = matrix_power(y, alpha, tol)
-        gap, slack = psd_margin(eig_hermitian(ya - xa), tol)
-        verdicts.append(verdict.from_gap(gap, slack, alpha=alpha))
-    return verdict.combine(*verdicts)
+    diffs = [matrix_power(y, alpha, tol) - matrix_power(x, alpha, tol) for alpha in alphas]
+    return verdict.combine(
+        *[
+            verdict.from_gap(*psd_margin(es, tol), alpha=alpha)
+            for alpha, es in zip(alphas, decompose(diffs))
+        ]
+    )
 
 
 def _centralizer_ok(rho: DiagonalState, members, tol: Tolerance) -> bool:
@@ -199,11 +203,13 @@ def check_trace_power_monotone(
         return verdict.invalid("dimension mismatch against the state")
     if not (check_commuting(xs, tol) and check_commuting(ys, tol)):
         return verdict.invalid("a tuple is not abelian")
-    for i, (a, b) in enumerate(zip(xs, ys)):
+    diffs = [b - a for a, b in zip(xs, ys)]
+    decompose([*xs, *ys, *diffs])
+    for i, (a, d) in enumerate(zip(xs, diffs)):
         lam, slack = psd_margin(eig_hermitian(a), tol)
         if lam < -slack:
             return verdict.invalid(f"x[{i}] is not PSD")
-        lam, slack = psd_margin(eig_hermitian(b - a), tol)
+        lam, slack = psd_margin(eig_hermitian(d), tol)
         if lam < -slack:
             return verdict.invalid(f"x[{i}] <= y[{i}] fails")
     if not (_centralizer_ok(rho, xs, tol) and _centralizer_ok(rho, ys, tol)):

@@ -20,15 +20,16 @@ from .abelian import (
     CubeFunction,
     apply_cube_function,
     joint_diagonalize,
+    memberwise_leq,
     spectrum_in_cube,
 )
 from .linalg import (
     DEFAULT_TOL,
     HermitianMatrix,
     Tolerance,
+    decompose,
     diagonal,
     eig_hermitian,
-    loewner_leq,
     psd_margin,
     worst_gap,
 )
@@ -107,6 +108,7 @@ class TupleField:
         return len(self.atoms)
 
     def in_domain(self, cube: Cube, tol: Tolerance = DEFAULT_TOL) -> bool:
+        decompose([x for t in self.atoms for x in t.members])
         return all(spectrum_in_cube(t, cube, tol) for t in self.atoms)
 
 
@@ -315,7 +317,7 @@ def check_phi_monotone_chain(
         return verdict.invalid("shape mismatch")
     if not all(_is_diagonal(m, tol) for m in y.members):
         return verdict.invalid("y members must be diagonal")
-    if not all(loewner_leq(a, b, tol) for a, b in zip(x.members, y.members)):
+    if not memberwise_leq(x, y, tol):
         return verdict.invalid("x <= y fails memberwise")
     if not (spectrum_in_cube(x, f.domain, tol) and spectrum_in_cube(y, f.domain, tol)):
         return verdict.invalid("a tuple leaves the domain cube")

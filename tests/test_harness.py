@@ -251,10 +251,11 @@ class TestCampaigns:
         assert len(eig_calls) == 20
 
     def test_lh_tests_the_order_once_per_pair(self, jacobi_runs):
-        # x, y - x and y once, then y^alpha - x^alpha at each of the five alphas
+        # x, y - x and y in one kernel call, then y^alpha - x^alpha at all five alphas in another
         rep = run_campaign(CampaignConfig("LH", 1, dim_range=(3, 3), seed=5))
         assert rep.summary["pass"] == 1
         assert len(jacobi_runs) == 8
+        assert jacobi_runs.batches == [3, 5]
 
     def test_lh_invalid_reason_names_every_alpha(self):
         v = check_lowner_heinz(diagonal([2, 0]), diagonal([1, 1]), hz.LH_ALPHAS)

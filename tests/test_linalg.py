@@ -15,6 +15,7 @@ from opineq.linalg import (
     JacobiConvergenceError,
     SpectrumDomainError,
     Tolerance,
+    decompose,
     diagonal,
     eig_hermitian,
     hermitian_function,
@@ -216,6 +217,137 @@ class TestRoundRobin:
         for m in DIMS:
             z = np.exp(2j * np.pi * rng.uniform(size=(m, m)))
             assert_matches_eigvalsh(HermitianMatrix(np.triu(z, 1) + np.triu(z, 1).conj().T))
+
+
+def reference_jacobi(a):
+    """The round-robin loop on one 2-D matrix: the bit-level reference for the stacked kernel."""
+    m = a.dim
+    w = np.array(a.entries, dtype=complex)
+    rounds, off, eye = linalg._rounds(m)
+    u = eye.copy()
+    if m > 1:
+        threshold = linalg._OFFDIAG_FACTOR * float(np.linalg.norm(w))
+        skip_level = threshold / m
+        for _ in range(linalg._SWEEP_CAP):
+            v = w.take(off)
+            if math.sqrt(np.vdot(v, v).real) <= threshold:
+                break
+            for gather, scatter, zeros in rounds:
+                g = w.take(gather).tolist()
+                blocks, hit = [], []
+                for i, pair in enumerate(zeros):
+                    apq = g[3 * i]
+                    r = abs(apq)
+                    if r <= skip_level:
+                        blocks += (1.0, 0.0, 0.0, 1.0)
+                        continue
+                    hit += pair
+                    phase = apq / r
+                    tau = (g[3 * i + 2].real - g[3 * i + 1].real) / (2.0 * r)
+                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                    c = 1.0 / math.sqrt(1.0 + t * t)
+                    s = t * c
+                    cph = phase.conjugate()
+                    blocks += (c, s, -s * cph, c * cph)
+                if not hit:
+                    continue
+                j = eye.copy()
+                j.put(scatter, blocks)
+                w = j.conj().T @ w @ j
+                w.put(hit, 0.0)
+                u = u @ j
+        else:
+            raise JacobiConvergenceError("sweep cap")
+    lam = np.diag(w).real.copy()
+    order = np.argsort(-lam, kind="stable")
+    return lam[order], u[:, order]
+
+
+KINDS = ("zero", "diagonal", "rank-one", "clustered", "complex", "block")
+
+
+def kind_matrix(kind, dim, seed):
+    """A matrix of one shape class; the classes converge after different sweep counts."""
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return zero(dim)
+    if kind == "diagonal":
+        return diagonal(rng.standard_normal(dim))
+    if kind == "rank-one":
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        return HermitianMatrix(np.outer(v, v.conj()))
+    if kind == "clustered":
+        centers = rng.standard_normal(2)
+        values = centers[np.arange(dim) % 2] + 1e-9 * rng.standard_normal(dim)
+        return with_spectrum(rng, values)
+    if kind == "block":
+        # a direct sum keeps exact zeros off the blocks through every rotation
+        z = np.zeros((dim, dim), dtype=complex)
+        k = dim // 2
+        if k:
+            z[:k, :k] = random_hermitian(rng, k).entries
+        z[k:, k:] = random_hermitian(rng, dim - k).entries
+        return HermitianMatrix(z)
+    return random_hermitian(rng, dim, scale=float(rng.uniform(0.1, 10.0)))
+
+
+batches = st.integers(1, 9).flatmap(
+    lambda dim: st.tuples(
+        st.just(dim),
+        st.lists(
+            st.tuples(st.sampled_from(KINDS), st.integers(0, 2**32 - 1)), min_size=2, max_size=6
+        ),
+    )
+)
+
+
+def same_bits(es, lam, basis):
+    return es.eigenvalues.tobytes() == lam.tobytes() and es.basis.tobytes() == basis.tobytes()
+
+
+class TestStackedKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(batches)
+    def test_batch_of_n_matches_batch_of_one_bit_for_bit(self, spec):
+        dim, items = spec
+        together = linalg._jacobi([kind_matrix(k, dim, seed) for k, seed in items])
+        for (k, seed), es in zip(items, together):
+            (alone,) = linalg._jacobi([kind_matrix(k, dim, seed)])
+            assert same_bits(es, alone.eigenvalues, alone.basis), (k, seed)
+            assert same_bits(es, *reference_jacobi(kind_matrix(k, dim, seed))), (k, seed)
+
+    @pytest.mark.parametrize("m", DIMS)
+    def test_mixed_batch_matches_reference(self, m):
+        # items leave the stack after different sweep counts, and some sit out rounds
+        batch = [kind_matrix(k, m, 700 + m) for k in KINDS]
+        for a, es in zip(batch, linalg._jacobi(batch)):
+            assert same_bits(es, *reference_jacobi(a))
+
+    def test_decompose_groups_by_dimension_and_skips_known_matrices(self, jacobi_runs):
+        rng = np.random.default_rng(31)
+        a3, b3, c3, a5 = (random_hermitian(rng, d) for d in (3, 3, 3, 5))
+        known = eig_hermitian(b3)
+        out = decompose([a3, a5, a3, b3, c3, a5])
+        # b3 was decomposed alone; then one run per dimension, duplicates dropped
+        assert jacobi_runs.batches == [1, 2, 1]
+        assert [id(a) for a in jacobi_runs] == [id(b3), id(a3), id(c3), id(a5)]
+        assert out[0] is out[2] is eig_hermitian(a3)
+        assert out[1] is out[5] is eig_hermitian(a5)
+        assert out[3] is known
+        for a, es in zip([a3, a5, a3, b3, c3, a5], out):
+            assert same_bits(es, *reference_jacobi(a))
+        again = decompose([a5, c3])
+        assert again[0] is out[1] and again[1] is out[4]
+        assert jacobi_runs.batches == [1, 2, 1]
+
+    def test_sweep_cap_names_the_matrix(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_SWEEP_CAP", 1)
+        rng = np.random.default_rng(32)
+        # the diagonal matrix converges before any sweep, the random one does not
+        batch = [diagonal([1.0, 2.0, 3.0]), random_hermitian(rng, 3), diagonal([4.0, 5.0, 6.0])]
+        message = r"no convergence after 1 sweeps on a 3x3 matrix \(position 1 of a batch of 3\)"
+        with pytest.raises(JacobiConvergenceError, match=message):
+            decompose(batch)
 
 
 class TestPsdAndOrder:

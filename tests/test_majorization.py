@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opineq import abelian, majorization
 from opineq.abelian import AbelianTuple, CubeFunction, uniform_cube
-from opineq.linalg import HermitianMatrix, diagonal, eig_hermitian, identity
+from opineq.harness import gen_compatible_pair
+from opineq.linalg import DEFAULT_TOL, HermitianMatrix, diagonal, eig_hermitian, identity
 from opineq.majorization import (
     check_corollary,
     check_thm5,
@@ -197,6 +199,29 @@ class TestThm5:
         assert v.invalid
         assert v.detail["reason"] == "compression is not abelian"
 
+    def test_commutation_tested_once(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        q = random_unitary(rng, 3)
+        atoms = tuple(
+            AbelianTuple(
+                tuple(HermitianMatrix((q * rng.uniform(0, 2, 3)) @ q.conj().T) for _ in range(2))
+            )
+            for _ in range(3)
+        )
+        field = ColumnField((0.5, 0.3, 0.2), (np.eye(3, dtype=complex),) * 3)
+        calls = []
+        original = abelian.check_commuting
+
+        def counted(members, tol=DEFAULT_TOL):
+            calls.append(members)
+            return original(members, tol)
+
+        for module in (abelian, majorization):
+            if getattr(module, "check_commuting", None) is original:
+                monkeypatch.setattr(module, "check_commuting", counted)
+        assert check_thm5(MAX2, field, TupleField(atoms)).passed
+        assert len(calls) == 1
+
 
 class TestCorollary:
     def test_endpoints_trivial(self):
@@ -232,6 +257,15 @@ class TestCorollary:
         y = random_abelian(rng, 3, 2)
         v = check_corollary(MAX2, x, y, 0.5)
         assert v.invalid
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_endpoint_decomposes_no_matrix_twice(self, jacobi_runs, lam):
+        # at lam = 1 (0) the mix is x (y) itself: no copy of it goes through the kernel
+        x, y = gen_compatible_pair(4, 2, uniform_cube(2, 0.0, 2.0), 21)
+        v = check_corollary(MAX2, x, y, lam)
+        assert v.passed and v.gap == 0.0
+        keys = [a.entries.tobytes() for a in jacobi_runs]
+        assert len(keys) == len(set(keys))
 
     def test_lambda_out_of_range(self):
         rng = np.random.default_rng(14)
