@@ -1,8 +1,10 @@
 """Command line front end: seeded campaigns and one-off checks on matrix files.
 
 Exit codes are a stable contract: 0 for a mathematical pass, 1 for a
-mathematical failure, 2 for configuration or input errors.  All randomness
-flows from --seed; omitting it selects the fixed default 0, never entropy.
+mathematical failure, 2 when no verdict is reached (configuration or input
+errors, or a numerical dead end in the eigensolver or the joint
+diagonalization).  All randomness flows from --seed; omitting it selects
+the fixed default 0, never entropy.
 """
 
 from __future__ import annotations
@@ -16,19 +18,29 @@ from pathlib import Path
 import numpy as np
 
 from . import verdict
-from .abelian import AbelianTuple, Cube, check_commuting
+from .abelian import AbelianTuple, Cube, JointDiagonalizationError
 from .harness import (
     CampaignConfig,
     ConfigError,
     function_library,
     run_campaign,
 )
-from .linalg import HermitianMatrix, SpectrumDomainError, Tolerance, eig_hermitian, psd_margin
+from .linalg import (
+    HermitianMatrix,
+    JacobiConvergenceError,
+    SpectrumDomainError,
+    Tolerance,
+    eig_hermitian,
+    psd_margin,
+)
 from .majorization import kyfan_check, wmaj_verdict
 from .means import SingularInputError, geometric_mean, geometric_mean_quadrature
 from .pinching import check_mond_pecaric
 
 _TOKEN = re.compile(r"\S+")
+
+# numerical dead ends: no verdict was reached, so they exit 2, never 1
+_NUMERICAL_ERRORS = (JacobiConvergenceError, JointDiagonalizationError)
 
 
 class MatrixParseError(ValueError):
@@ -179,6 +191,9 @@ def cmd_campaign(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except _NUMERICAL_ERRORS as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 2
     out = Path(args.out) if args.out else Path(f"report-{cfg.theorem}-seed{cfg.seed}.json")
     try:
         out.write_text(report.to_json(indent=2) + "\n")
@@ -240,10 +255,11 @@ def _check_gmean(args, tol) -> int:
 
 def _check_jensen(args, tol) -> int:
     members = load_hermitians(args.files)
-    if not check_commuting(members, tol):
+    try:
+        t = AbelianTuple(tuple(members), tol)
+    except ValueError:
         print("jensen: invalid input (matrices do not commute)")
         return 2
-    t = AbelianTuple(tuple(members), tol)
     intervals = []
     for m in members:
         es = eig_hermitian(m)
@@ -306,6 +322,9 @@ def cmd_check(args) -> int:
         return 2
     except InputMismatchError as exc:
         print(f"{args.name}: invalid input ({exc})")
+        return 2
+    except _NUMERICAL_ERRORS as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
         return 2
 
 

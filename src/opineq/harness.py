@@ -141,13 +141,11 @@ def gen_dominated_pair(dim: int, n: int, cube: Cube, seed) -> tuple[AbelianTuple
     other.  Checks that consume the pair keep their own order guard.
     """
     rng = np.random.default_rng(seed)
-    lo, hi = cube.intervals[0]
-    for lo_i, hi_i in cube.intervals:
-        if hi_i <= lo_i:
-            raise ValueError("cube needs headroom in every interval")
-    x = gen_abelian_tuple(dim, n, uniform_cube(n, lo, lo + 0.3 * (hi - lo)), rng)
-    y = gen_abelian_tuple(dim, n, uniform_cube(n, lo + 0.4 * (hi - lo), hi), rng)
-    return x, y
+    if any(hi <= lo for lo, hi in cube.intervals):
+        raise ValueError("cube needs headroom in every interval")
+    lower = Cube(tuple((lo, lo + 0.3 * (hi - lo)) for lo, hi in cube.intervals))
+    upper = Cube(tuple((lo + 0.4 * (hi - lo), hi) for lo, hi in cube.intervals))
+    return gen_abelian_tuple(dim, n, lower, rng), gen_abelian_tuple(dim, n, upper, rng)
 
 
 def gen_centralizer_pair(

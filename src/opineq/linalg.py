@@ -340,11 +340,7 @@ def eig_hermitian(a: HermitianMatrix) -> EigenSystem:
     matrix object is decomposed once; its arrays are read-only.  The kernel
     is the one :func:`decompose` runs, on a batch of one, with the same bits.
     """
-    es = a.__dict__.get("_eigensystem")
-    if es is None:
-        (es,) = _jacobi([a])
-        object.__setattr__(a, "_eigensystem", es)
-    return es
+    return decompose([a])[0]
 
 
 def psd_margin(es: EigenSystem, tol: Tolerance) -> tuple[float, float]:

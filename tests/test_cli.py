@@ -171,6 +171,17 @@ class TestCheckCommand:
         y = write(tmp_path, "y.mat", HERM_Y)
         assert main(["check", "loewner", y]) == 2
 
+    def test_numerical_dead_end_exit_2(self, tmp_path, capsys, monkeypatch):
+        from opineq import linalg
+
+        monkeypatch.setattr(linalg, "_SWEEP_CAP", 0)
+        x = write(tmp_path, "x.mat", HERM_X)
+        y = write(tmp_path, "y.mat", HERM_Y)
+        assert main(["check", "loewner", x, y]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical error: no convergence after 0 sweeps")
+
     @pytest.mark.parametrize("name", ["loewner", "wmaj", "gmean", "jensen"])
     def test_dimension_mismatch_exit_2(self, tmp_path, capsys, name):
         a = write(tmp_path, "a.mat", "dim: 2\n1 0 0 0\n0 0 1 0\n")
@@ -205,6 +216,19 @@ class TestCampaignCommand:
              "--out", str(tmp_path / "no" / "such" / "dir" / "r.json")]
         )
         assert code == 2
+
+    def test_numerical_dead_end_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a numerical dead end reaches no verdict: exit 2, never the counterexample code 1
+        from opineq import linalg
+
+        monkeypatch.setattr(linalg, "_SWEEP_CAP", 0)
+        out = tmp_path / "r.json"
+        code = main(
+            ["campaign", "--theorem", "KF", "--count", "2", "--dim", "3", "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("numerical error: no convergence")
+        assert not out.exists()
 
     def test_ex1_sweep_table(self, tmp_path, capsys):
         out = tmp_path / "ex1.json"

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from opineq import verdict
-from opineq.abelian import check_commuting, check_compatible, spectrum_in_cube, uniform_cube
+from opineq.abelian import (
+    Cube,
+    check_commuting,
+    check_compatible,
+    spectrum_in_cube,
+    uniform_cube,
+)
 from opineq import harness as hz
 from opineq.harness import (
     THEOREM_IDS,
@@ -62,6 +68,18 @@ class TestGenerators:
                 assert eig_hermitian(b - a).lambda_min >= 0.1 * (hi - lo) - 1e-12
             # cross-commutators are generically nonzero (independent bases)
             assert commutator_norm(x.members[0], y.members[0]) > 1e-6
+
+    def test_dominated_pair_per_interval_ranges(self):
+        # x fills the lower 30% and y the upper 60% of each member's own interval
+        cube = Cube(((0.0, 1.0), (10.0, 20.0), (-4.0, -2.0)))
+        for seed in range(10):
+            x, y = gen_dominated_pair(3, 3, cube, seed=seed)
+            for a, b, (lo, hi) in zip(x.members, y.members, cube.intervals):
+                slack = 1e-12 * (1.0 + abs(lo) + abs(hi))
+                cut_x, cut_y = lo + 0.3 * (hi - lo), lo + 0.4 * (hi - lo)
+                for m, (m_lo, m_hi) in ((a, (lo, cut_x)), (b, (cut_y, hi))):
+                    es = eig_hermitian(m)
+                    assert m_lo - slack <= es.lambda_min and es.lambda_max <= m_hi + slack
 
     def test_dominated_pair_precondition_audit(self):
         from opineq.means import check_trace_power_monotone
