@@ -12,7 +12,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, HermitianMatrix, Tolerance, decompose, eig_hermitian, is_psd
+from .linalg import (
+    DEFAULT_TOL,
+    HermitianMatrix,
+    Tolerance,
+    _spectral_matrix,
+    decompose,
+    eig_hermitian,
+    is_psd,
+)
 
 # Jacobi stops once the off-diagonal mass is below 1e-14 * ||x||_F, so its
 # eigenvectors at relative eigenvalue gap g are accurate to about 1e-14 / g,
@@ -220,15 +228,15 @@ def apply_cube_function(
 
     The joint eigenvalue vectors are clipped onto the cube before evaluation;
     clipping only ever moves a coordinate by the containment slack since
-    ``spectrum_in_cube`` is a precondition.
+    ``spectrum_in_cube`` is a precondition.  The result carries its
+    decomposition: the values of ``f`` in the joint eigenbasis.
     """
     if f.arity != t.n:
         raise ValueError(f"function arity {f.arity} does not match tuple arity {t.n}")
     if not spectrum_in_cube(t, f.domain, tol):
         raise CubeDomainError(f"tuple spectrum escapes the domain of {f.name!r}")
     js = joint_diagonalize(t, tol)
-    values = np.array([f(row) for row in js.points])
-    return HermitianMatrix((js.basis * values) @ js.basis.conj().T)
+    return _spectral_matrix(js.basis, np.array([f(row) for row in js.points]))
 
 
 def compatibility_table_ok(

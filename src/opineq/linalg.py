@@ -71,8 +71,12 @@ class HermitianMatrix:
         return self.entries.shape[0]
 
     def norm(self) -> float:
-        """Frobenius norm."""
-        return float(np.linalg.norm(self.entries))
+        """Frobenius norm, computed once per matrix object."""
+        n = self.__dict__.get("_norm")
+        if n is None:
+            n = float(np.linalg.norm(self.entries))
+            object.__setattr__(self, "_norm", n)
+        return n
 
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
@@ -134,8 +138,23 @@ class EigenSystem:
         return max(abs(self.lambda_max), abs(self.lambda_min))
 
     def reconstruct(self, values: np.ndarray | None = None) -> HermitianMatrix:
+        """``basis @ diag(values) @ basis*`` (the matrix itself by default), born decomposed."""
         d = self.eigenvalues if values is None else np.asarray(values, dtype=float)
-        return HermitianMatrix((self.basis * d) @ self.basis.conj().T)
+        return _spectral_matrix(self.basis, d)
+
+
+def _spectral_matrix(basis: np.ndarray, values: np.ndarray) -> HermitianMatrix:
+    """``basis @ diag(values) @ basis*`` with that decomposition as its memo.
+
+    The memo holds ``values`` in non-increasing order (stable argsort) with
+    the matching columns, so a later :func:`decompose` of the result runs no
+    kernel.  Only a basis unitary to rounding, a kernel or joint eigenbasis,
+    may seed it.
+    """
+    a = HermitianMatrix((basis * values) @ basis.conj().T)
+    order = (-values).argsort(kind="stable")
+    object.__setattr__(a, "_eigensystem", EigenSystem(values[order], basis[:, order]))
+    return a
 
 
 _ROUNDS: dict[int, tuple] = {}
@@ -243,7 +262,7 @@ def _jacobi(mats: Sequence[HermitianMatrix]) -> list[EigenSystem]:
         rounds, off = _stack_plan(m, b)
     out: list = [None] * b
     live = list(range(b))  # the batch position of each stack entry
-    thresholds = [_OFFDIAG_FACTOR * float(np.linalg.norm(a.entries)) for a in mats]
+    thresholds = [_OFFDIAG_FACTOR * a.norm() for a in mats]
     skip = [threshold / m for threshold in thresholds for _ in range(npairs)]
     for _ in range(_SWEEP_CAP):
         v = w.take(off)
@@ -390,7 +409,8 @@ def hermitian_function(a: HermitianMatrix, g: Callable[[float], float]) -> Hermi
     """Apply a real scalar function to a Hermitian matrix through its spectrum.
 
     Raises :class:`SpectrumDomainError` when ``g`` is undefined (raises or
-    returns a non-finite value) at some eigenvalue.
+    returns a non-finite value) at some eigenvalue.  The result carries its
+    decomposition: ``g`` of the eigenvalues in ``a``'s eigenbasis.
     """
     es = eig_hermitian(a)
     values = np.empty(es.dim, dtype=float)
@@ -410,11 +430,13 @@ def matrix_power(a: HermitianMatrix, p: float, tol: Tolerance = DEFAULT_TOL) -> 
 
     Within-tolerance negative eigenvalues are clamped to 0 before powering
     (the continuous extension of ``t -> t**p`` on the PSD cone); ``0**0``
-    maps to 1, so ``matrix_power(a, 0)`` is the identity even for singular
-    inputs.
+    maps to 1, so ``matrix_power(a, 0)`` is the exact identity, bit for bit,
+    even for singular inputs.  The result carries its decomposition.
     """
     if p < 0:
         raise ValueError(f"exponent must be nonnegative, got {p}")
     es = psd_eigensystem(a, tol, "matrix_power input")
+    if p == 0:
+        return _spectral_matrix(np.eye(a.dim, dtype=complex), np.ones(a.dim))
     clamped = np.maximum(es.eigenvalues, 0.0)
     return es.reconstruct(np.power(clamped, p))

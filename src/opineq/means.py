@@ -13,6 +13,7 @@ from .abelian import AbelianTuple, memberwise_leq
 from .linalg import (
     DEFAULT_QUADRATURE_NODES,
     DEFAULT_TOL,
+    EigenSystem,
     HermitianMatrix,
     Tolerance,
     decompose,
@@ -68,15 +69,23 @@ def geometric_mean(
     ey = psd_eigensystem(y, tol, "second argument")
     eps = _REGULARIZATION_FACTOR * (1.0 + ex.op_norm + ey.op_norm)
     if ex.lambda_min <= eps or ey.lambda_min <= eps:
-        ex, ey = decompose(
-            [es.reconstruct(np.maximum(es.eigenvalues, 0.0) + eps) for es in (ex, ey)]
-        )
-    rx = ex.reconstruct(np.sqrt(ex.eigenvalues)).entries
-    rx_inv = ex.reconstruct(1.0 / np.sqrt(ex.eigenvalues)).entries
-    inner = HermitianMatrix(rx_inv @ ey.reconstruct().entries @ rx_inv)
+        # lifting keeps each basis and the order of the values
+        ex, ey = (EigenSystem(np.maximum(es.eigenvalues, 0.0) + eps, es.basis) for es in (ex, ey))
+    rx = _spectral_entries(ex, np.sqrt(ex.eigenvalues))
+    rx_inv = _spectral_entries(ex, 1.0 / np.sqrt(ex.eigenvalues))
+    inner = HermitianMatrix(rx_inv @ _spectral_entries(ey, ey.eigenvalues) @ rx_inv)
     ei = eig_hermitian(inner)
-    core = ei.reconstruct(np.sqrt(np.maximum(ei.eigenvalues, 0.0))).entries
+    core = _spectral_entries(ei, np.sqrt(np.maximum(ei.eigenvalues, 0.0)))
     return HermitianMatrix(rx @ core @ rx)
+
+
+def _spectral_entries(es, values) -> np.ndarray:
+    """The entries of ``es.reconstruct(values)``, without building its decomposition memo.
+
+    The closed form reads only the entries of its factors, so they skip the
+    memo that :meth:`EigenSystem.reconstruct` attaches.
+    """
+    return HermitianMatrix((es.basis * values) @ es.basis.conj().T).entries
 
 
 @functools.cache

@@ -1,6 +1,10 @@
 """Tests for generators, the function library and its audit, and campaign plumbing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,3 +308,39 @@ class TestCampaigns:
         back = CampaignReport.from_json(rep.to_json(indent=2))
         assert back.summary == rep.summary
         assert back.verdicts == rep.verdicts
+
+
+# Summary counts of 30 instances per id, printed as JSON by a child process.
+_COUNTS_SCRIPT = """
+import json
+from opineq.harness import THEOREM_IDS, CampaignConfig, run_campaign
+counts = {}
+for theorem in THEOREM_IDS:
+    cfg = CampaignConfig(theorem, 30, dim_range=(2, 6), arity_range=(1, 3), seed=3)
+    s = run_campaign(cfg).summary
+    counts[theorem] = [s[k] for k in ("pass", "fail", "invalid", "near_equality")]
+print(json.dumps(counts))
+"""
+
+
+def test_verdict_counts_do_not_depend_on_the_blas_kernel():
+    # Kernel bits follow OpenBLAS's zgemm microkernel, so report bytes are
+    # reproducible on one BLAS build only; the verdicts must not move.  The
+    # default kernel runs against the SSE3 (Prescott) one; other BLAS
+    # libraries ignore the variable and run the same kernel twice.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    children = [
+        subprocess.Popen([sys.executable, "-c", _COUNTS_SCRIPT], env=child_env,
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for child_env in (env, {**env, "OPENBLAS_CORETYPE": "Prescott"})
+    ]
+    outputs = []
+    for child in children:
+        out, err = child.communicate(timeout=300)
+        assert child.returncode == 0, err
+        outputs.append(json.loads(out.strip().splitlines()[-1]))
+    default, prescott = outputs
+    assert set(default) == set(THEOREM_IDS)
+    assert default == prescott
