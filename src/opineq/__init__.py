@@ -77,7 +77,6 @@ from .means import (
     ExponentVector,
     SingularInputError,
     check_lowner_heinz,
-    check_trace_monotone_single,
     check_trace_power_monotone,
     geometric_mean,
     geometric_mean_quadrature,
@@ -97,7 +96,7 @@ from .pinching import (
     compress,
     reproduce_example1,
 )
-from .state import DiagonalFunction, DiagonalState, pinch, state_trace
+from .state import DiagonalState, pinch, state_trace
 from .verdict import Verdict
 
 __all__ = [
@@ -109,7 +108,6 @@ __all__ = [
     "Cube",
     "CubeFunction",
     "DEFAULT_TOL",
-    "DiagonalFunction",
     "DiagonalState",
     "EigenSystem",
     "ExampleReport",
@@ -138,7 +136,6 @@ __all__ = [
     "check_phi_monotone_chain",
     "check_thm5",
     "check_thm6",
-    "check_trace_monotone_single",
     "check_trace_power_monotone",
     "compress",
     "decompose",

@@ -239,23 +239,6 @@ def apply_cube_function(
     return _spectral_matrix(js.basis, np.array([f(row) for row in js.points]))
 
 
-def compatibility_table_ok(
-    xs: Sequence[HermitianMatrix],
-    ys: Sequence[HermitianMatrix],
-    tol: Tolerance = DEFAULT_TOL,
-) -> bool:
-    """Check [x_i, y_j] == [x_j, y_i] for all pairs, at the bilinear scale."""
-    n = len(xs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = xs[i].entries @ ys[j].entries - ys[j].entries @ xs[i].entries
-            rhs = xs[j].entries @ ys[i].entries - ys[i].entries @ xs[j].entries
-            scale = 1.0 + xs[i].norm() * ys[j].norm() + xs[j].norm() * ys[i].norm()
-            if np.linalg.norm(lhs - rhs) > tol.rtol * scale:
-                return False
-    return True
-
-
 def check_compatible(x: AbelianTuple, y: AbelianTuple, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the abelian tuples x and y form a compatible pair.
 
@@ -269,8 +252,14 @@ def check_compatible(x: AbelianTuple, y: AbelianTuple, tol: Tolerance = DEFAULT_
         raise ValueError(f"arity mismatch: {len(xs)} vs {len(ys)}")
     if x.dim != y.dim:
         raise ValueError("dimension mismatch between tuples")
-    if not compatibility_table_ok(xs, ys, tol):
-        return False
+    # [x_i, y_j] == [x_j, y_i] for all pairs, at the bilinear scale
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            lhs = xs[i].entries @ ys[j].entries - ys[j].entries @ xs[i].entries
+            rhs = xs[j].entries @ ys[i].entries - ys[i].entries @ xs[j].entries
+            scale = 1.0 + xs[i].norm() * ys[j].norm() + xs[j].norm() * ys[i].norm()
+            if np.linalg.norm(lhs - rhs) > tol.rtol * scale:
+                return False
     midpoint = [0.5 * (a + b) for a, b in zip(xs, ys)]
     relaxed = Tolerance(rtol=4 * tol.rtol)
     if not check_commuting(midpoint, relaxed):

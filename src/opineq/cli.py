@@ -10,6 +10,7 @@ the fixed default 0, never entropy.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -104,11 +105,12 @@ def parse_matrix_text(text: str) -> ParsedMatrix:
         values = []
         for tok in tokens:
             try:
-                values.append(float(tok.group()))
+                value = float(tok.group())
             except ValueError:
-                raise MatrixParseError(
-                    f"bad decimal {tok.group()!r}", lineno, tok.start() + 1
-                ) from None
+                value = math.nan
+            if not math.isfinite(value):  # float() also takes nan, inf and overflowing decimals
+                raise MatrixParseError(f"bad decimal {tok.group()!r}", lineno, tok.start() + 1)
+            values.append(value)
         data.append([complex(r, i) for r, i in zip(values[::2], values[1::2])])
     if rows is None:
         raise MatrixParseError("empty file: missing 'dim:' header", 1)

@@ -36,7 +36,6 @@ from .pinching import (
     TupleField,
     check_jensen_expectation,
     check_mond_pecaric,
-    check_phi_concave_jensen,
     check_phi_jensen_field,
     check_phi_monotone_chain,
     reproduce_example1,
@@ -569,13 +568,6 @@ def _gen_chain(cfg, rng, index) -> dict:
 # in this module's globals at call time, so patched or traced bindings apply
 # ---------------------------------------------------------------------------
 
-def _check_t1(a, tol) -> Verdict:
-    return verdict.combine(
-        check_phi_concave_jensen(a["function"], a["x"], a["rho"], tol),
-        check_phi_monotone_chain(a["function"], a["x"], a["y"], a["rho"], tol),
-    )
-
-
 def _check_t3(a, tol) -> Verdict:
     return verdict.combine(
         check_jensen_expectation(a["function"], a["field"], a["atoms"], a["xi"], tol),
@@ -639,7 +631,8 @@ class _Theorem:
 
 _THEOREMS: dict[str, _Theorem] = {
     "T1": _Theorem(
-        _gen_t1, _check_t1,
+        _gen_t1,
+        lambda a, tol: check_phi_monotone_chain(a["function"], a["x"], a["y"], a["rho"], tol),
         {"function": _FUNCTION, "x": _TUPLE, "y": _TUPLE, "rho": _STATE},
     ),
     "T2": _Theorem(

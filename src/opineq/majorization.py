@@ -39,7 +39,6 @@ def wmaj_verdict(
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    decompose([a, b])
     return verdict.from_gap(*worst_gap(partial_sums(a), partial_sums(b), tol), **detail)
 
 

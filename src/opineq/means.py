@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .linalg import (
     Tolerance,
     decompose,
     eig_hermitian,
-    hermitian_function,
     is_psd,
     matrix_power,
     psd_eigensystem,
@@ -196,8 +195,10 @@ def check_trace_power_monotone(
 
     Hypotheses: x PSD, memberwise Loewner order, all members in the
     centralizer of the state, nonnegative exponents; both tuples are abelian
-    by type.  Any violated hypothesis produces an invalid verdict so
-    campaign statistics never count a malformed instance as confirmation.
+    by type.  A violated hypothesis produces an invalid verdict so campaign
+    statistics never count a malformed instance as confirmation, with one
+    exception: a negative exponent passed as a plain sequence raises
+    ``ValueError`` from :class:`ExponentVector` before any check runs.
     """
     if not isinstance(p, ExponentVector):
         p = ExponentVector(tuple(p))
@@ -216,20 +217,3 @@ def check_trace_power_monotone(
     rhs = state_trace(rho, _power_product(ys, p.p, tol))
     return verdict.from_gap(*worst_gap([lhs], [rhs], tol), lhs=lhs, rhs=rhs, exponents=p.p)
 
-
-def check_trace_monotone_single(
-    x: HermitianMatrix,
-    y: HermitianMatrix,
-    g: Callable[[float], float],
-    rho: DiagonalState,
-    tol: Tolerance = DEFAULT_TOL,
-) -> Verdict:
-    """One-variable lemma: ``phi(g(x)) <= phi(g(y))`` for increasing g and x <= y in the centralizer."""
-    lam, slack = psd_margin(eig_hermitian(y - x), tol)
-    if lam < -slack:
-        return verdict.invalid("x <= y fails", lambda_min=lam)
-    if not _centralizer_ok(rho, (x, y), tol):
-        return verdict.invalid("x or y leaves the centralizer of the state")
-    lhs = state_trace(rho, hermitian_function(x, g))
-    rhs = state_trace(rho, hermitian_function(y, g))
-    return verdict.from_gap(*worst_gap([lhs], [rhs], tol), lhs=lhs, rhs=rhs)

@@ -33,7 +33,7 @@ from .linalg import (
     psd_margin,
     worst_gap,
 )
-from .state import DiagonalFunction, DiagonalState, pinch, state_trace
+from .state import DiagonalState, pinch, state_trace
 from .verdict import Verdict
 
 
@@ -258,9 +258,9 @@ def check_phi_jensen_field(
         return verdict.invalid("state dimension mismatch")
     if np.any(rho.weights <= 0):
         return verdict.invalid("state weights must be strictly positive")
-    pinched = [pinch(rho, y).values for y in compress(field_, tf)]
+    pinched = [pinch(rho, y) for y in compress(field_, tf)]
     image = field_.conjugate_sum([apply_cube_function(f, t, tol) for t in tf.atoms])
-    rhs_vals = pinch(rho, image).values
+    rhs_vals = pinch(rho, image)
     lhs_vals = [f([p[s] for p in pinched]) for s in range(rho.dim)]
     gap, slack = worst_gap(lhs_vals, rhs_vals, tol)
     return verdict.from_gap(gap, slack, indices=rho.dim)
@@ -283,8 +283,8 @@ def check_phi_concave_jensen(
     if not spectrum_in_cube(t, f.domain, tol):
         return verdict.invalid("tuple leaves the domain cube")
     fx = apply_cube_function(f, t, tol)
-    lhs_vals = pinch(rho, fx).values
-    pinched = [pinch(rho, x).values for x in t.members]
+    lhs_vals = pinch(rho, fx)
+    pinched = [pinch(rho, x) for x in t.members]
     live = np.flatnonzero(rho.weights > 0)
     rhs_vals = [f([p[s] for p in pinched]) for s in live]
     gap, slack = worst_gap(lhs_vals[live], rhs_vals, tol)
@@ -324,9 +324,9 @@ def check_phi_monotone_chain(
 
     fx = apply_cube_function(f, x, tol)
     fy = apply_cube_function(f, y, tol)
-    lhs_vals = pinch(rho, fx).values
-    px = [pinch(rho, m).values for m in x.members]
-    py = [pinch(rho, m).values for m in y.members]
+    lhs_vals = pinch(rho, fx)
+    px = [pinch(rho, m) for m in x.members]
+    py = [pinch(rho, m) for m in y.members]
     live = np.flatnonzero(rho.weights > 0)
     mid_x = np.array([f([p[s] for p in px]) for s in live])
     mid_y = np.array([f([p[s] for p in py]) for s in live])
@@ -334,7 +334,7 @@ def check_phi_monotone_chain(
     dev = np.abs(mid_y - fy.diagonal()[live]) / (1.0 + np.abs(mid_y))
     equality_dev = float(np.max(dev, initial=0.0))
     if equality_dev > tol.rtol:
-        return verdict.failed(-equality_dev, reason="diagonal equality link broke")
+        return Verdict(verdict.FAIL, -equality_dev, {"reason": "diagonal equality link broke"})
 
     phi_x = state_trace(rho, fx)
     phi_y = state_trace(rho, fy)
@@ -367,7 +367,7 @@ class ExampleReport:
     y: HermitianMatrix
     x_squared: HermitianMatrix
     y_squared: HermitianMatrix
-    pinched_square: DiagonalFunction
+    pinched_square: np.ndarray
     order_margin: float
     order_strict: bool
     pinch_square_not_dominated: bool | None
@@ -413,7 +413,7 @@ def reproduce_example1(
 
     not_dominated: bool | None = None
     if t < c * math.sqrt(2.0):
-        lam_min, slack = psd_margin(eig_hermitian(y2 - pinched.as_matrix()), tol)
+        lam_min, slack = psd_margin(eig_hermitian(y2 - diagonal(pinched)), tol)
         not_dominated = lam_min < -slack
 
     tr_x2 = state_trace(rho, x2)

@@ -43,32 +43,6 @@ class DiagonalState:
         return DiagonalState(np.ones(dim))
 
 
-@dataclass(frozen=True)
-class DiagonalFunction:
-    """A diagonal-algebra element: one real value per index.
-
-    ``undefined`` lists indices where the state weight vanishes; the value
-    there is 0 by convention (any value is correct almost everywhere).
-    """
-
-    values: np.ndarray
-    undefined: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-    def as_matrix(self) -> HermitianMatrix:
-        return diagonal(self.values)
-
-
 def state_trace(rho: DiagonalState, a: HermitianMatrix) -> float:
     """phi(a) = sum of state weights against the diagonal of ``a``."""
     if rho.dim != a.dim:
@@ -76,19 +50,20 @@ def state_trace(rho: DiagonalState, a: HermitianMatrix) -> float:
     return float(np.dot(rho.weights, a.diagonal()))
 
 
-def pinch(rho: DiagonalState, a: HermitianMatrix) -> DiagonalFunction:
-    """Conditional expectation onto the diagonal algebra.
+def pinch(rho: DiagonalState, a: HermitianMatrix) -> np.ndarray:
+    """Conditional expectation onto the diagonal algebra, as a read-only array of values.
 
     At indices with positive weight the defining duality
     ``phi(z a) = sum_s z_s values[s] rho_ss`` (for all diagonal ``z``)
     forces ``values[s] = a[s, s]``, independent of the weights.  Indices
-    with zero weight are undefined by the duality and reported as such,
-    with value 0 assigned by convention.
+    with zero weight are undefined by the duality; their value is 0 by
+    convention (any value is correct almost everywhere).
     """
     if rho.dim != a.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, matrix {a.dim}")
     values = a.diagonal()
-    dead = tuple(int(i) for i in np.flatnonzero(rho.weights == 0.0))
-    for i in dead:
-        values[i] = 0.0
-    return DiagonalFunction(values, dead)
+    values[rho.weights == 0.0] = 0.0
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    values.setflags(write=False)
+    return values

@@ -39,10 +39,6 @@ class Verdict:
         return self.status == INVALID
 
 
-def failed(gap: float, **detail: Any) -> Verdict:
-    return Verdict(FAIL, gap, detail)
-
-
 def invalid(reason: str, **detail: Any) -> Verdict:
     detail["reason"] = reason
     return Verdict(INVALID, None, detail)

@@ -62,6 +62,13 @@ class TestParser:
         assert err.value.column == 14
         assert "bad decimal 'oops'" in str(err.value)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_decimal_rejected(self, token):
+        with pytest.raises(MatrixParseError) as err:
+            parse_matrix_text(f"dim: 2\n1.0 0.0  0.0 0.0\n0.0 0.0  {token} 0.0\n")
+        assert (err.value.line, err.value.column) == (3, 10)
+        assert f"bad decimal {token!r}" in str(err.value)
+
     def test_wrong_token_count(self):
         with pytest.raises(MatrixParseError) as err:
             parse_matrix_text("dim: 2\n1.0 0.0\n")
@@ -162,6 +169,21 @@ class TestCheckCommand:
         y = write(tmp_path, "y.mat", HERM_Y)
         assert main(["check", "loewner", x, y]) == 2
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["loewner", "wmaj", "gmean"])
+    def test_non_finite_matrix_exit_2(self, tmp_path, capsys, name):
+        x = write(tmp_path, "x.mat", "dim: 2\n1 0 0 0\n0 0 nan 0\n")
+        y = write(tmp_path, "y.mat", HERM_Y)
+        assert main(["check", name, x, y]) == 2
+        assert "line 3, column 5: bad decimal 'nan'" in capsys.readouterr().err
+
+    def test_non_finite_xi_exit_2(self, tmp_path, capsys):
+        x = write(tmp_path, "x.mat", "dim: 2\n0 0 1 0\n1 0 0 0\n")
+        xi = write(tmp_path, "xi.mat", "dim: 2 1\n1 0\nnan 0\n")
+        assert main(["check", "jensen", x, "--xi", xi]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 3, column 1: bad decimal 'nan'" in captured.err
 
     def test_missing_file_exit_2(self, tmp_path):
         y = write(tmp_path, "y.mat", HERM_Y)

@@ -279,6 +279,24 @@ class TestCampaigns:
         assert len(jacobi_runs) == 8
         assert jacobi_runs.batches == [3, 5]
 
+    def test_t1_applies_f_once_per_tuple(self, monkeypatch):
+        # the chain's first link is the pinching-Jensen inequality, so T1 runs
+        # the chain alone: f(x) and f(y), never a second f(x)
+        from opineq import pinching
+
+        real = pinching.apply_cube_function
+        calls = []
+
+        def counted(f, t, tol=DEFAULT_TOL):
+            calls.append(t)
+            return real(f, t, tol)
+
+        monkeypatch.setattr(pinching, "apply_cube_function", counted)
+        rep = run_campaign(CampaignConfig("T1", 10, dim_range=(2, 5), arity_range=(1, 3), seed=19))
+        assert rep.summary["pass"] == 10
+        assert len(calls) == 20
+        assert len({id(t) for t in calls}) == 20
+
     def test_lh_invalid_reason_names_every_alpha(self):
         v = check_lowner_heinz(diagonal([2, 0]), diagonal([1, 1]), hz.LH_ALPHAS)
         assert v.detail["reason"] == "; ".join(["x <= y fails"] * len(hz.LH_ALPHAS))

@@ -18,7 +18,6 @@ from opineq.means import (
     ExponentVector,
     SingularInputError,
     check_lowner_heinz,
-    check_trace_monotone_single,
     check_trace_power_monotone,
     geometric_mean,
     geometric_mean_quadrature,
@@ -300,27 +299,35 @@ class TestTracePowerMonotone:
         with pytest.raises(ValueError):
             ExponentVector((1.0, -0.5))
 
+    # n = 1: the one-variable lemma phi(x^p) <= phi(y^p) in the centralizer
 
-class TestTraceMonotoneSingle:
-    def test_identity_map(self):
+    def test_single_identity_power(self):
         rng = np.random.default_rng(13)
         x, y = random_psd_ordered_pair(rng, 4)
-        assert check_trace_monotone_single(x, y, lambda t: t, DiagonalState.uniform(4)).passed
+        v = check_trace_power_monotone(
+            AbelianTuple((x,)), AbelianTuple((y,)), (1.0,), DiagonalState.uniform(4)
+        )
+        assert v.passed
 
-    def test_cube_on_diagonals(self):
-        v = check_trace_monotone_single(
-            diagonal([1, 3]), diagonal([2, 3]), lambda t: t**3, DiagonalState.uniform(2)
+    def test_single_cube_on_diagonals(self):
+        v = check_trace_power_monotone(
+            AbelianTuple((diagonal([1, 3]),)),
+            AbelianTuple((diagonal([2, 3]),)),
+            (3.0,),
+            DiagonalState.uniform(2),
         )
         assert v.passed
         assert v.detail["lhs"] == pytest.approx(28.0)
         assert v.detail["rhs"] == pytest.approx(35.0)
 
-    def test_square_on_noncommuting_campaign(self):
+    def test_single_square_on_noncommuting_campaign(self):
         rng = np.random.default_rng(14)
         for _ in range(1000):
             dim = int(rng.integers(2, 5))
             x, y = random_psd_ordered_pair(rng, dim)
-            v = check_trace_monotone_single(x, y, lambda t: t**2, DiagonalState.uniform(dim))
+            v = check_trace_power_monotone(
+                AbelianTuple((x,)), AbelianTuple((y,)), (2.0,), DiagonalState.uniform(dim)
+            )
             assert v.passed, v
 
 

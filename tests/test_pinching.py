@@ -70,14 +70,14 @@ class TestPinch:
     def test_diagonal_fixed_point(self):
         z = diagonal([1.5, -2.0, 0.25])
         out = pinch(DiagonalState.uniform(3), z)
-        assert np.allclose(out.values, [1.5, -2.0, 0.25])
+        assert np.allclose(out, [1.5, -2.0, 0.25])
 
     def test_example_square(self):
         # all-ones matrix with c=1: the pinched square is (2, 2)
         x = HermitianMatrix(np.ones((2, 2), dtype=complex))
         x2 = HermitianMatrix(x.entries @ x.entries)
         out = pinch(DiagonalState.uniform(2), x2)
-        assert np.allclose(out.values, [2.0, 2.0])
+        assert np.allclose(out, [2.0, 2.0])
 
     def test_duality_identity(self):
         rng = np.random.default_rng(1)
@@ -88,7 +88,7 @@ class TestPinch:
             z = rng.uniform(-1, 1, dim)
             za = HermitianMatrix(np.diag(z) @ a.entries)
             lhs = state_trace(rho, za)
-            vals = pinch(rho, a).values
+            vals = pinch(rho, a)
             rhs = float(np.sum(z * vals * rho.weights))
             assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
@@ -96,8 +96,20 @@ class TestPinch:
         rho = DiagonalState([1.0, 0.0])
         a = diagonal([3.0, 7.0])
         out = pinch(rho, a)
-        assert out.undefined == (1,)
-        assert out.values[1] == 0.0
+        assert out.tolist() == [3.0, 0.0]
+        assert not out.flags.writeable
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # symmetrizing an infinite entry
+    def test_zero_weight_index_may_be_non_finite(self):
+        a = HermitianMatrix(np.diag([3.0, np.inf]).astype(complex))
+        assert pinch(DiagonalState([1.0, 0.0]), a).tolist() == [3.0, 0.0]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # symmetrizing an infinite entry
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_diagonal(self, bad):
+        a = HermitianMatrix(np.diag([1.0, bad]).astype(complex))
+        with pytest.raises(ValueError, match="values must be finite"):
+            pinch(DiagonalState.uniform(2), a)
 
 
 class TestCompress:
@@ -405,4 +417,4 @@ class TestExample1:
         report = reproduce_example1(c, t, lam)
         assert report.x_squared.trace() == pytest.approx(4 * c * c, abs=1e-14)
         assert report.y_squared.trace() == pytest.approx(t * t * (1 + lam * lam), rel=1e-14)
-        assert np.allclose(report.pinched_square.values, [2 * c * c, 2 * c * c])
+        assert np.allclose(report.pinched_square, [2 * c * c, 2 * c * c])
