@@ -21,7 +21,8 @@ _OFFDIAG_FACTOR = 1e-14
 
 
 class JacobiConvergenceError(RuntimeError):
-    """The eigensolver did not reach its off-diagonal threshold within the sweep cap."""
+    """No spectrum: the input's Frobenius norm is not finite (a NaN or infinite entry, or
+    an overflow), or the off-diagonal threshold was not reached within the sweep cap."""
 
 
 class SpectrumDomainError(ValueError):
@@ -138,22 +139,21 @@ class EigenSystem:
         return max(abs(self.lambda_max), abs(self.lambda_min))
 
     def reconstruct(self, values: np.ndarray | None = None) -> HermitianMatrix:
-        """``basis @ diag(values) @ basis*`` (the matrix itself by default), born decomposed."""
-        d = self.eigenvalues if values is None else np.asarray(values, dtype=float)
-        return _spectral_matrix(self.basis, d)
+        """``basis @ diag(values) @ basis*`` (the matrix itself by default), carrying that pair."""
+        return _spectral_matrix(self.basis, self.eigenvalues if values is None else values)
 
 
 def _spectral_matrix(basis: np.ndarray, values: np.ndarray) -> HermitianMatrix:
-    """``basis @ diag(values) @ basis*`` with that decomposition as its memo.
+    """``basis @ diag(values) @ basis*``, carrying the pair it was built from.
 
-    The memo holds ``values`` in non-increasing order (stable argsort) with
-    the matching columns, so a later :func:`decompose` of the result runs no
-    kernel.  Only a basis unitary to rounding, a kernel or joint eigenbasis,
-    may seed it.
+    :func:`decompose` sorts the pair into the matrix's eigensystem when it is
+    first read, so no kernel runs for it.  The pair keeps its own copy of
+    ``values``: a caller's later writes to its array change nothing.  Only a
+    basis unitary to rounding, a kernel or joint eigenbasis, may seed it.
     """
+    values = np.array(values, dtype=float)
     a = HermitianMatrix((basis * values) @ basis.conj().T)
-    order = (-values).argsort(kind="stable")
-    object.__setattr__(a, "_eigensystem", EigenSystem(values[order], basis[:, order]))
+    object.__setattr__(a, "_carried", (values, basis))
     return a
 
 
@@ -228,9 +228,8 @@ def _fit(rounds, off, n: int, m: int) -> tuple:
     return fitted, off[: n * (m * m - m)]
 
 
-def _eigensystem(w: np.ndarray, u: np.ndarray) -> EigenSystem:
-    """The diagonal of a converged ``w``, non-increasing, with the matching columns of ``u``."""
-    lam = w.diagonal().real
+def _eigensystem(lam: np.ndarray, u: np.ndarray) -> EigenSystem:
+    """``lam`` in non-increasing order (stable argsort) with the matching columns of ``u``."""
     order = (-lam).argsort(kind="stable")
     return EigenSystem(lam[order], u[:, order])
 
@@ -255,14 +254,17 @@ def _jacobi(mats: Sequence[HermitianMatrix]) -> list[EigenSystem]:
         ident = np.empty_like(w)
         ident[:] = eye
     u = ident.copy()
+    thresholds = [_OFFDIAG_FACTOR * a.norm() for a in mats]
+    for k, threshold in enumerate(thresholds):
+        if not math.isfinite(threshold):
+            raise JacobiConvergenceError(f"norm not finite (position {k} of a batch of {b})")
     if m == 1:
-        return [_eigensystem(x, v) for x, v in zip(w, u)]
+        return [_eigensystem(x.diagonal().real, v) for x, v in zip(w, u)]
     npairs = m // 2
     if b > 1:
         rounds, off = _stack_plan(m, b)
     out: list = [None] * b
     live = list(range(b))  # the batch position of each stack entry
-    thresholds = [_OFFDIAG_FACTOR * a.norm() for a in mats]
     skip = [threshold / m for threshold in thresholds for _ in range(npairs)]
     for _ in range(_SWEEP_CAP):
         v = w.take(off)
@@ -278,7 +280,7 @@ def _jacobi(mats: Sequence[HermitianMatrix]) -> list[EigenSystem]:
         if len(keep) < len(live):
             for pos, k in enumerate(live):
                 if pos not in keep:
-                    out[k] = _eigensystem(w[pos], u[pos])
+                    out[k] = _eigensystem(w[pos].diagonal().real, u[pos])
             if not keep:
                 return out
             # converged matrices leave; the rest move up the stack
@@ -331,12 +333,15 @@ def _jacobi(mats: Sequence[HermitianMatrix]) -> list[EigenSystem]:
 def decompose(mats: Sequence[HermitianMatrix]) -> list[EigenSystem]:
     """Eigendecompositions of ``mats``, in order, with one kernel run per dimension.
 
-    The kernel runs on the matrices not decomposed yet, each object once
-    however often it is listed, and keeps every result on its matrix as
+    A carried pair is sorted as the kernel sorts its own output.  The kernel
+    runs on the other matrices not decomposed yet, each object once however
+    often it is listed, and keeps every result on its matrix as
     :func:`eig_hermitian` does.  A matrix gets the same bits in any batch.
     """
     todo: dict[int, dict[int, HermitianMatrix]] = {}
     for a in mats:
+        if "_carried" in a.__dict__ and "_eigensystem" not in a.__dict__:
+            object.__setattr__(a, "_eigensystem", _eigensystem(*a.__dict__["_carried"]))
         if "_eigensystem" not in a.__dict__:
             todo.setdefault(a.dim, {})[id(a)] = a
     for group in todo.values():
@@ -352,8 +357,9 @@ def eig_hermitian(a: HermitianMatrix) -> EigenSystem:
     Each sweep visits every off-diagonal pair once, in rounds of disjoint
     pairs (Brent-Luk ordering); a round's rotations are applied as one
     block-diagonal unitary.  Sweeps stop once the off-diagonal Frobenius
-    mass drops below ``1e-14 * ||a||_F``; more than 100 sweeps raises
-    :class:`JacobiConvergenceError` (never returns silently wrong output).
+    mass drops below ``1e-14 * ||a||_F``; more than 100 sweeps, or a norm
+    that is not finite, raises :class:`JacobiConvergenceError` (never returns
+    silently wrong output).
 
     Deterministic for a fixed input.  The result is kept on ``a``, so each
     matrix object is decomposed once; its arrays are read-only.  The kernel

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from . import verdict
-from .abelian import AbelianTuple, memberwise_leq
+from .abelian import AbelianTuple, check_commuting, memberwise_leq
 from .linalg import (
     DEFAULT_QUADRATURE_NODES,
     DEFAULT_TOL,
@@ -70,21 +70,12 @@ def geometric_mean(
     if ex.lambda_min <= eps or ey.lambda_min <= eps:
         # lifting keeps each basis and the order of the values
         ex, ey = (EigenSystem(np.maximum(es.eigenvalues, 0.0) + eps, es.basis) for es in (ex, ey))
-    rx = _spectral_entries(ex, np.sqrt(ex.eigenvalues))
-    rx_inv = _spectral_entries(ex, 1.0 / np.sqrt(ex.eigenvalues))
-    inner = HermitianMatrix(rx_inv @ _spectral_entries(ey, ey.eigenvalues) @ rx_inv)
+    rx = ex.reconstruct(np.sqrt(ex.eigenvalues)).entries
+    rx_inv = ex.reconstruct(1.0 / np.sqrt(ex.eigenvalues)).entries
+    inner = HermitianMatrix(rx_inv @ ey.reconstruct().entries @ rx_inv)
     ei = eig_hermitian(inner)
-    core = _spectral_entries(ei, np.sqrt(np.maximum(ei.eigenvalues, 0.0)))
+    core = ei.reconstruct(np.sqrt(np.maximum(ei.eigenvalues, 0.0))).entries
     return HermitianMatrix(rx @ core @ rx)
-
-
-def _spectral_entries(es, values) -> np.ndarray:
-    """The entries of ``es.reconstruct(values)``, without building its decomposition memo.
-
-    The closed form reads only the entries of its factors, so they skip the
-    memo that :meth:`EigenSystem.reconstruct` attaches.
-    """
-    return HermitianMatrix((es.basis * values) @ es.basis.conj().T).entries
 
 
 @functools.cache
@@ -175,15 +166,6 @@ def check_lowner_heinz(
     )
 
 
-def _centralizer_ok(rho: DiagonalState, members, tol: Tolerance) -> bool:
-    rho_m = rho.matrix()
-    for x in members:
-        comm = rho_m.entries @ x.entries - x.entries @ rho_m.entries
-        if np.linalg.norm(comm) > tol.rtol * (1.0 + rho_m.norm() * x.norm()):
-            return False
-    return True
-
-
 def check_trace_power_monotone(
     x: AbelianTuple,
     y: AbelianTuple,
@@ -211,7 +193,8 @@ def check_trace_power_monotone(
         return verdict.invalid("x <= y fails memberwise")
     if not all(is_psd(a, tol) for a in xs):
         return verdict.invalid("x is not PSD")
-    if not (_centralizer_ok(rho, xs, tol) and _centralizer_ok(rho, ys, tol)):
+    rho_m = rho.matrix()
+    if not all(check_commuting([rho_m, a], tol) for a in xs + ys):
         return verdict.invalid("members leave the centralizer of the state")
     lhs = state_trace(rho, _power_product(xs, p.p, tol))
     rhs = state_trace(rho, _power_product(ys, p.p, tol))

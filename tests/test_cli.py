@@ -204,6 +204,17 @@ class TestCheckCommand:
         assert captured.out == ""
         assert captured.err.startswith("numerical error: no convergence after 0 sweeps")
 
+    def test_overflowing_norm_exit_2(self, tmp_path, capsys):
+        # finite entries whose norm overflows: the difference has no computable spectrum
+        # (its smallest eigenvalue is -1e160), so there is no verdict to print
+        x = write(tmp_path, "zero.mat", "dim: 2\n0 0 0 0\n0 0 0 0\n")
+        y = write(tmp_path, "big.mat", "dim: 2\n0 0 1e160 0\n1e160 0 0 0\n")
+        with np.errstate(over="ignore"):  # numpy 2 reports the overflow in the norm's dot
+            assert main(["check", "loewner", x, y]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical error: norm not finite")
+
     @pytest.mark.parametrize("name", ["loewner", "wmaj", "gmean", "jensen"])
     def test_dimension_mismatch_exit_2(self, tmp_path, capsys, name):
         a = write(tmp_path, "a.mat", "dim: 2\n1 0 0 0\n0 0 1 0\n")

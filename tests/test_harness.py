@@ -36,7 +36,7 @@ from opineq.harness import (
     run_campaign,
     verify_flags,
 )
-from opineq.linalg import DEFAULT_TOL, diagonal, eig_hermitian
+from opineq.linalg import DEFAULT_TOL, JacobiConvergenceError, diagonal, eig_hermitian
 from opineq.means import check_lowner_heinz
 
 
@@ -266,6 +266,15 @@ class TestCampaigns:
             instance = json.loads(json.dumps({"theorem": theorem, **entry.encode(args)}))
             v = replay_instance(instance, cfg.tol)
             assert (v.status, v.gap) == (rec["status"], rec["gap"]), (theorem, i)
+
+    def test_non_finite_payload_is_a_numerical_dead_end(self):
+        # a NaN entry has no spectrum; the kernel says so instead of dividing by zero
+        cfg = CampaignConfig("LH", 1, seed=37)
+        entry = hz._THEOREMS["LH"]
+        instance = {"theorem": "LH", **entry.encode(entry.generate(cfg, instance_rng(cfg.seed, 0), 0))}
+        instance["x"]["re"][0][0] = float("nan")
+        with pytest.raises(JacobiConvergenceError, match="norm not finite"):
+            replay_instance(instance)
 
     def test_ex1_decomposes_each_matrix_once(self, eig_calls):
         # y - x and y^2 - pinch(x^2) per instance; the gap reuses order_margin

@@ -106,6 +106,23 @@ class TestEig:
         with pytest.raises(JacobiConvergenceError, match=message):
             eig_hermitian(h)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_non_finite_entry_raises(self, value, at):
+        z = np.eye(3, dtype=complex)
+        z[at] = value
+        with np.errstate(invalid="ignore"):  # symmetrizing inf + 0j divides by (2 + 0j)
+            h = HermitianMatrix(z)
+        with pytest.raises(JacobiConvergenceError, match="position 1 of a batch of 2"):
+            decompose([identity(3), h])
+
+    def test_overflowing_norm_raises(self):
+        # every entry is finite, but ||a||_F overflows, so no stop threshold exists
+        h = HermitianMatrix([[0.0, 1e160], [1e160, 0.0]])
+        with np.errstate(over="ignore"):  # numpy 2 reports the overflow in the norm's dot
+            with pytest.raises(JacobiConvergenceError, match="norm not finite"):
+                eig_hermitian(h)
+
     def test_reconstruction_thousand_instances(self):
         rng = np.random.default_rng(2024)
         for _ in range(1000):

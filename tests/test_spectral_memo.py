@@ -1,10 +1,12 @@
-"""Results born with their spectral decomposition, and the per-matrix norm memo.
+"""Results that carry their spectral decomposition, and the per-matrix norm memo.
 
 ``EigenSystem.reconstruct`` (and so ``hermitian_function`` and
 ``matrix_power``) and ``apply_cube_function`` build a matrix from a known
-eigensystem and keep that eigensystem as the matrix's memo, so no kernel run
-recovers a spectrum the code just assembled.  Generators never produce such
-a matrix: replay decodes raw entries, which carry no memo.
+eigensystem and carry the pair it was built from; the first ``decompose``
+sorts that pair into the matrix's eigensystem, so no kernel run recovers a
+spectrum the code just assembled, and a result never read costs no sort.
+Generators never produce such a matrix: replay decodes raw entries, which
+carry no memo.
 """
 
 import math
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opineq import harness as hz
+from opineq import linalg
 from opineq.abelian import (
     AbelianTuple,
     CubeFunction,
@@ -146,6 +149,46 @@ class TestKernelRuns:
         assert jacobi_runs.batches == [2, 1]
 
 
+@pytest.fixture
+def eigensystems_built(monkeypatch):
+    """Every ``EigenSystem`` that ``linalg`` constructs, in order."""
+    original = linalg.EigenSystem
+    built = []
+
+    def counted(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    monkeypatch.setattr(linalg, "EigenSystem", counted)
+    return built
+
+
+class TestLazyMemo:
+    def test_unread_result_builds_no_eigensystem(self, eigensystems_built, jacobi_runs):
+        a = random_psd(np.random.default_rng(65), 5)
+        eig_hermitian(a)
+        del eigensystems_built[:], jacobi_runs[:]
+        out = matrix_power(a, 0.5)
+        assert eigensystems_built == []
+        es = eig_hermitian(out)
+        assert eigensystems_built == [es] and jacobi_runs == []
+
+    def test_later_writes_to_the_values_change_nothing(self):
+        es = eig_hermitian(random_hermitian(np.random.default_rng(66), 4))
+        values = np.array([4.0, 3.0, 2.0, 1.0])
+        out = es.reconstruct(values)
+        values[:] = 0.0
+        assert eig_hermitian(out).eigenvalues.tolist() == [4.0, 3.0, 2.0, 1.0]
+
+    def test_memo_is_the_stable_sort_of_the_carried_pair(self):
+        es = eig_hermitian(random_hermitian(np.random.default_rng(67), 5))
+        values = np.array([1.0, 3.0, 1.0, -2.0, 3.0])
+        got = eig_hermitian(es.reconstruct(values))
+        order = [1, 4, 0, 2, 3]  # ties keep their column order
+        assert got.eigenvalues.tobytes() == values[order].tobytes()
+        assert got.basis.tobytes() == es.basis[:, order].tobytes()
+
+
 def _matrices(value):
     """Every HermitianMatrix reachable from a generated argument."""
     if isinstance(value, HermitianMatrix):
@@ -166,7 +209,7 @@ def test_generators_never_produce_a_carried_matrix(theorem):
         args = entry.generate(cfg, instance_rng(cfg.seed, i), i)
         for m in (m for v in args.values() for m in _matrices(v)):
             seen += 1
-            assert "_eigensystem" not in m.__dict__, (theorem, i)
+            assert not {"_carried", "_eigensystem"} & m.__dict__.keys(), (theorem, i)
     assert seen > 0 or theorem == "EX1"
 
 
