@@ -16,6 +16,7 @@ from .linalg import (
     DEFAULT_TOL,
     HermitianMatrix,
     Tolerance,
+    _freeze,
     _spectral_matrix,
     decompose,
     eig_hermitian,
@@ -138,14 +139,23 @@ class JointSpectrum:
 
     basis: np.ndarray
     points: np.ndarray  # shape (m, n); row j = joint eigenvalues of eigenvector j
+    residuals: np.ndarray  # (n,) off-diagonal norms in the basis; they widen the points (Weyl)
 
     def __post_init__(self) -> None:
-        b = np.asarray(self.basis, dtype=complex)
-        p = np.asarray(self.points, dtype=float)
-        b.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "basis", b)
-        object.__setattr__(self, "points", p)
+        for name, dtype in (("basis", complex), ("points", float), ("residuals", float)):
+            object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), dtype=dtype)))
+
+    @property
+    def lambda_min(self) -> np.ndarray:
+        return self.points.min(axis=0) - self.residuals
+
+    @property
+    def lambda_max(self) -> np.ndarray:
+        return self.points.max(axis=0) + self.residuals
+
+    @property
+    def op_norm(self) -> np.ndarray:
+        return np.maximum(np.abs(self.lambda_max), np.abs(self.lambda_min))
 
 
 def _refine_blocks(members, u, cols, k, lam) -> None:
@@ -177,33 +187,33 @@ def joint_diagonalize(t: AbelianTuple, tol: Tolerance = DEFAULT_TOL) -> JointSpe
     The basis starts as member 0's eigenbasis (memoized on the member); each
     cluster of nearly equal eigenvalues is then refined by diagonalizing the
     next member inside it, recursively (Bunse-Gerstner, Byers & Mehrmann,
-    SIAM J. Matrix Anal. Appl. 14(4), 1993).  Deterministic for a fixed
-    tuple.  Raises :class:`JointDiagonalizationError` when some member's
-    off-diagonal residual exceeds ``rtol * (1 + ||x||_F)``.
+    SIAM J. Matrix Anal. Appl. 14(4), 1993).  Deterministic, and kept on
+    ``t`` for any ``tol``; raises :class:`JointDiagonalizationError` when a
+    member's off-diagonal residual exceeds this call's ``rtol * (1 + ||x||_F)``.
     """
     members = t.members
-    es = eig_hermitian(members[0])
-    u = es.basis.copy()
-    _refine_blocks(members, u, np.arange(t.dim), 0, es.eigenvalues)
-    points = []
-    for x in members:
-        conj = u.conj().T @ x.entries @ u
-        diag = np.diag(conj)
-        if np.linalg.norm(conj - np.diag(diag)) > tol.rtol * (1.0 + x.norm()):
-            raise JointDiagonalizationError(
-                "off-diagonal residual above tolerance after block refinement"
-            )
-        points.append(diag.real)
-    return JointSpectrum(u, np.column_stack(points))
+    js = t.__dict__.get("_joint")
+    if js is None:
+        es = eig_hermitian(members[0])
+        u = es.basis.copy()
+        _refine_blocks(members, u, np.arange(t.dim), 0, es.eigenvalues)
+        conj = [u.conj().T @ x.entries @ u for x in members]
+        residuals = [np.linalg.norm(c - np.diag(np.diag(c))) for c in conj]
+        js = JointSpectrum(u, np.column_stack([np.diag(c).real for c in conj]), residuals)
+        object.__setattr__(t, "_joint", js)
+    if any(r > tol.rtol * (1.0 + x.norm()) for r, x in zip(js.residuals, members)):
+        raise JointDiagonalizationError("a member's off-diagonal residual is above tolerance")
+    return js
 
 
 def spectrum_in_cube(t: AbelianTuple, cube: Cube, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff every member's spectrum sits in its interval, inflated by the relative slack."""
+    """True iff every member's joint-spectrum bounds sit in its interval, inflated by the slack."""
     if cube.arity != t.n:
         raise ValueError(f"cube arity {cube.arity} does not match tuple arity {t.n}")
-    for es, (lo, hi) in zip(decompose(t.members), cube.intervals):
+    js = joint_diagonalize(t, tol)
+    for low, high, (lo, hi) in zip(js.lambda_min, js.lambda_max, cube.intervals):
         pad = tol.rtol * (1.0 + abs(lo) + abs(hi))
-        if es.lambda_min < lo - pad or es.lambda_max > hi + pad:
+        if low < lo - pad or high > hi + pad:
             return False
     return True
 
@@ -211,11 +221,11 @@ def spectrum_in_cube(t: AbelianTuple, cube: Cube, tol: Tolerance = DEFAULT_TOL) 
 def memberwise_leq(x: AbelianTuple, y: AbelianTuple, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``x_i <= y_i`` in the Loewner order for every member index i.
 
-    The members of both tuples and their differences go through the kernel
-    in one batch, so later spectral work on the members hits the memo.
+    The differences and the two leading members go through the kernel in one
+    batch, so the joint spectra of both tuples start from the memo.
     """
     diffs = [b - a for a, b in zip(x.members, y.members)]
-    decompose([*x.members, *y.members, *diffs])
+    decompose([x.members[0], y.members[0], *diffs])
     return all(is_psd(d, tol) for d in diffs)
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verdict
-from .abelian import AbelianTuple, Cube, JointDiagonalizationError
+from .abelian import AbelianTuple, Cube, JointDiagonalizationError, joint_diagonalize
 from .harness import (
     CampaignConfig,
     ConfigError,
@@ -262,11 +262,8 @@ def _check_jensen(args, tol) -> int:
     except ValueError:
         print("jensen: invalid input (matrices do not commute)")
         return 2
-    intervals = []
-    for m in members:
-        es = eig_hermitian(m)
-        intervals.append((es.lambda_min, es.lambda_max))
-    cube = Cube(tuple(intervals))
+    js = joint_diagonalize(t, tol)
+    cube = Cube(tuple(zip(js.lambda_min, js.lambda_max)))
     pool = {f.name: f for f in function_library(t.n, cube)}
     if args.function not in pool:
         print(

@@ -9,16 +9,17 @@ from typing import Sequence
 import numpy as np
 
 from . import verdict
-from .abelian import AbelianTuple, check_commuting, memberwise_leq
+from .abelian import AbelianTuple, check_commuting, joint_diagonalize, memberwise_leq
 from .linalg import (
     DEFAULT_QUADRATURE_NODES,
     DEFAULT_TOL,
     EigenSystem,
     HermitianMatrix,
+    SpectrumDomainError,
     Tolerance,
+    _spectral_matrix,
     decompose,
     eig_hermitian,
-    is_psd,
     matrix_power,
     psd_eigensystem,
     psd_margin,
@@ -121,20 +122,26 @@ def geometric_mean_quadrature(
     return HermitianMatrix((2.0 / np.pi) * np.tensordot(coef, invs, 1))
 
 
-def _power_product(members, exponents: Sequence[float], tol: Tolerance) -> HermitianMatrix:
-    prod = np.eye(members[0].dim, dtype=complex)
-    for x, expo in zip(members, exponents):
-        prod = prod @ matrix_power(x, expo, tol).entries
-    return HermitianMatrix(prod)
+def _psd_members(t: AbelianTuple, tol: Tolerance) -> bool:
+    """True iff every member's joint lower bound clears its PSD slack."""
+    lam, slack = psd_margin(joint_diagonalize(t, tol), tol)
+    return bool(np.all(lam >= -slack))
+
+
+def _power_product(t: AbelianTuple, exponents: Sequence[float], tol: Tolerance) -> HermitianMatrix:
+    if not _psd_members(t, tol):
+        raise SpectrumDomainError("power product members must be positive semidefinite")
+    js = joint_diagonalize(t, tol)
+    return _spectral_matrix(js.basis, np.prod(np.maximum(js.points, 0.0) ** exponents, axis=1))
 
 
 def root_product_chain(t: AbelianTuple, tol: Tolerance = DEFAULT_TOL) -> HermitianMatrix:
     """Ordered product of the ``2^(n-1)``-th roots of the members.
 
-    The members commute, so the product is Hermitian; it agrees with the
-    joint functional calculus for ``prod_i s_i^(1/2^(n-1))``.
+    The members commute, so the product is the joint functional calculus of
+    ``prod_i max(s_i, 0)^(1/2^(n-1))``; the members must be PSD at tolerance.
     """
-    return _power_product(t.members, (1.0 / 2.0 ** (t.n - 1),) * t.n, tol)
+    return _power_product(t, (1.0 / 2.0 ** (t.n - 1),) * t.n, tol)
 
 
 def check_lowner_heinz(
@@ -152,12 +159,13 @@ def check_lowner_heinz(
     """
     if not alphas or not all(0.0 <= alpha <= 1.0 for alpha in alphas):
         raise ValueError(f"alphas must be a non-empty list in [0, 1], got {alphas}")
-    ex, ed, _ = decompose([x, y - x, y])
+    d = y - x
+    ex, ed, _ = decompose([x, d, y])
     for reason, es in (("x is not positive semidefinite", ex), ("x <= y fails", ed)):
         lam, slack = psd_margin(es, tol)
         if lam < -slack:
             return verdict.combine(*[verdict.invalid(reason)] * len(alphas))
-    diffs = [matrix_power(y, alpha, tol) - matrix_power(x, alpha, tol) for alpha in alphas]
+    diffs = [d if a == 1.0 else matrix_power(y, a, tol) - matrix_power(x, a, tol) for a in alphas]
     return verdict.combine(
         *[
             verdict.from_gap(*psd_margin(es, tol), alpha=alpha)
@@ -191,12 +199,12 @@ def check_trace_power_monotone(
         return verdict.invalid("dimension mismatch against the state")
     if not memberwise_leq(x, y, tol):
         return verdict.invalid("x <= y fails memberwise")
-    if not all(is_psd(a, tol) for a in xs):
+    if not _psd_members(x, tol):
         return verdict.invalid("x is not PSD")
     rho_m = rho.matrix()
     if not all(check_commuting([rho_m, a], tol) for a in xs + ys):
         return verdict.invalid("members leave the centralizer of the state")
-    lhs = state_trace(rho, _power_product(xs, p.p, tol))
-    rhs = state_trace(rho, _power_product(ys, p.p, tol))
+    lhs = state_trace(rho, _power_product(x, p.p, tol))
+    rhs = state_trace(rho, _power_product(y, p.p, tol))
     return verdict.from_gap(*worst_gap([lhs], [rhs], tol), lhs=lhs, rhs=rhs, exponents=p.p)
 

@@ -108,7 +108,7 @@ class TupleField:
         return len(self.atoms)
 
     def in_domain(self, cube: Cube, tol: Tolerance = DEFAULT_TOL) -> bool:
-        decompose([x for t in self.atoms for x in t.members])
+        decompose([t.members[0] for t in self.atoms])
         return all(spectrum_in_cube(t, cube, tol) for t in self.atoms)
 
 

@@ -21,6 +21,12 @@ from opineq.linalg import HermitianMatrix, Tolerance, diagonal, eig_hermitian, i
 X_FLIP = HermitianMatrix(np.array([[0, 1], [1, 0]], dtype=complex))
 
 
+def _off_diagonal(dim, eps):
+    off = np.zeros((dim, dim), dtype=complex)
+    off[0, 1] = off[1, 0] = eps
+    return off
+
+
 def random_commuting_tuple(rng, dim, n, lo=0.0, hi=2.0):
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
@@ -191,6 +197,25 @@ class TestJointDiagonalize:
         with pytest.raises(JointDiagonalizationError):
             joint_diagonalize(t)
 
+    def test_second_call_returns_the_memo(self, jacobi_runs):
+        t = random_commuting_tuple(np.random.default_rng(9), 4, 3)
+        js = joint_diagonalize(t)
+        del jacobi_runs[:]
+        assert joint_diagonalize(t) is js
+        assert jacobi_runs == []
+
+    def test_memo_carries_no_tolerance(self):
+        # members commuting at rtol 1e-3 but not at the default: member 1 keeps
+        # a residual of 1.4e-5 in member 0's eigenbasis.  The memo keeps the
+        # residuals; each call checks them against its own tol
+        loose = Tolerance(1e-3)
+        x1 = HermitianMatrix(np.diag([3.0, 1.0, 2.0]) + _off_diagonal(3, 1e-5))
+        t = AbelianTuple((diagonal([1.0, 2.0, 3.0]), x1), tol=loose)
+        js = joint_diagonalize(t, loose)
+        with pytest.raises(JointDiagonalizationError):
+            joint_diagonalize(t)
+        assert joint_diagonalize(t, loose) is js
+
     def test_campaign_decomposes_each_matrix_once(self, jacobi_runs):
         run_campaign(CampaignConfig("T3", 20, dim_range=(2, 5), arity_range=(1, 3), seed=17))
         keys = [(a.dim, a.entries.tobytes()) for a in jacobi_runs]
@@ -255,6 +280,19 @@ class TestSpectrumInCube:
         # eigenvalues {0, 2} of the all-ones 2x2 matrix
         x = HermitianMatrix(np.ones((2, 2), dtype=complex))
         assert spectrum_in_cube(AbelianTuple((x,)), uniform_cube(1, 0, 2))
+
+    def test_points_inside_but_residual_widened_bounds_outside(self):
+        # member 0 fixes the basis; member 1 keeps an off-diagonal residual
+        # r = 0.01 there, within 1e-3 (1 + ||x_1||_F) = 0.0127 but above the
+        # cube slack 1e-3 (1 + 3 + 4) = 0.008, so its Weyl bounds leave [3, 4]
+        loose = Tolerance(1e-3)
+        x1 = HermitianMatrix(np.diag([3.0] + [4.0] * 8) + _off_diagonal(9, 0.01 / np.sqrt(2)))
+        t = AbelianTuple((diagonal(np.arange(1.0, 10.0)), x1), tol=loose)
+        js = joint_diagonalize(t, loose)
+        assert js.points[:, 1].min() == 3.0 and js.points[:, 1].max() == 4.0
+        assert js.residuals[1] == pytest.approx(0.01)
+        assert not spectrum_in_cube(t, Cube(((1.0, 9.0), (3.0, 4.0))), loose)
+        assert spectrum_in_cube(t, Cube(((1.0, 9.0), (2.98, 4.02))), loose)
 
 
 class TestCompatibility:

@@ -135,9 +135,9 @@ class TestCheckCommand:
         b = write(tmp_path, "b.mat", "dim: 2\n2 0 3 0\n3 0 2 0\n")
         assert main(["check", "jensen", a, b]) == 0
         assert capsys.readouterr().out == "jensen: pass gap=10\n"
-        # the two members only: the joint basis comes from member 0's memo
+        # member 0 only: the cube comes from the joint spectrum's bounds
         distinct = {m.entries.tobytes() for m in jacobi_runs}
-        assert len(jacobi_runs) == len(distinct) == 2
+        assert len(jacobi_runs) == len(distinct) == 1
 
     def test_gmean_indefinite_input(self, tmp_path):
         x = write(tmp_path, "x.mat", "dim: 2\n-1 0 0 0\n0 0 1 0\n")

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from opineq.abelian import AbelianTuple, CubeFunction, apply_cube_function, uniform_cube
+from opineq import harness as hz
+from opineq.abelian import AbelianTuple
+from opineq.harness import CampaignConfig, instance_rng
 from opineq.linalg import (
     DEFAULT_QUADRATURE_NODES,
     HermitianMatrix,
+    SpectrumDomainError,
     diagonal,
     eig_hermitian,
     identity,
@@ -24,6 +27,15 @@ from opineq.means import (
     root_product_chain,
 )
 from opineq.state import DiagonalState, state_trace
+
+
+def member_power_product(t, exponents):
+    """``x1^p1 ... xn^pn`` as a product of per-member powers: a reference independent
+    of the joint spectrum the library's power products are read from."""
+    prod = np.eye(t.dim, dtype=complex)
+    for x, p in zip(t.members, exponents):
+        prod = prod @ matrix_power(x, p).entries
+    return HermitianMatrix(prod)
 
 
 def random_pd(rng, dim, lo=0.3, hi=3.5):
@@ -194,14 +206,13 @@ class TestRootProductChain:
                 for _ in range(n)
             )
             t = AbelianTuple(members)
-            expo = 1.0 / 2 ** (n - 1)
-            f = CubeFunction(
-                "rootprod", n, uniform_cube(n, 0.0, 2.0),
-                lambda s: float(np.prod([v**expo for v in s])),
-            )
             direct = root_product_chain(t)
-            oracle = apply_cube_function(f, t)
+            oracle = member_power_product(t, (1.0 / 2 ** (n - 1),) * n)
             assert (direct - oracle).norm() <= 1e-8 * (1 + oracle.norm())
+
+    def test_rejects_an_indefinite_member(self):
+        with pytest.raises(SpectrumDomainError):
+            root_product_chain(AbelianTuple((diagonal([1.0, 2.0]), diagonal([1.0, -0.5]))))
 
 
 class TestLownerHeinz:
@@ -319,6 +330,24 @@ class TestTracePowerMonotone:
         assert v.passed
         assert v.detail["lhs"] == pytest.approx(28.0)
         assert v.detail["rhs"] == pytest.approx(35.0)
+
+    def test_power_products_agree_with_member_powers(self):
+        cfg = CampaignConfig("T2", 40, dim_range=(2, 6), arity_range=(1, 4), seed=17)
+        for i in range(cfg.count):
+            a = hz._THEOREMS["T2"].generate(cfg, instance_rng(cfg.seed, i), i)
+            v = check_trace_power_monotone(a["x"], a["y"], a["p"], a["rho"])
+            for side, t in (("lhs", a["x"]), ("rhs", a["y"])):
+                ref = state_trace(a["rho"], member_power_product(t, a["p"].p))
+                assert abs(v.detail[side] - ref) <= 1e-10 * (1 + abs(ref)), (i, side)
+
+    def test_invalid_on_indefinite_x(self):
+        v = check_trace_power_monotone(
+            AbelianTuple((diagonal([-1.0, 1.0]),)),
+            AbelianTuple((diagonal([0.0, 2.0]),)),
+            (1.0,),
+            DiagonalState.uniform(2),
+        )
+        assert v.invalid and v.detail["reason"] == "x is not PSD"
 
     def test_single_square_on_noncommuting_campaign(self):
         rng = np.random.default_rng(14)

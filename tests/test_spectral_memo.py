@@ -33,6 +33,7 @@ from opineq.harness import (
     gen_compatible_pair,
     gen_dominated_pair,
     instance_rng,
+    run_campaign,
 )
 from opineq.linalg import (
     HermitianMatrix,
@@ -127,18 +128,20 @@ class TestExactIdentity:
 
 class TestKernelRuns:
     def test_thm6_runs_the_kernel_once(self, jacobi_runs):
-        # members and their differences in one batch; f(x) and f(y) carry their spectra
+        # leading members and the differences in one batch; the joint spectra
+        # start from the leading members, and f(x) and f(y) carry their spectra
         n = 2
         x, y = gen_dominated_pair(4, n, uniform_cube(n, 0.0, 2.0), 61)
         assert check_thm6(SUMEXP2, x, y).passed
-        assert jacobi_runs.batches == [3 * n]
+        assert jacobi_runs.batches == [n + 2]
 
     def test_corollary_runs_the_kernel_on_the_right_side_only(self, jacobi_runs):
-        # x, y and the mix in one batch; f(mix) carries its spectrum, the mixed
-        # right-hand side lam f(x) + (1 - lam) f(y) is the one new matrix
+        # the leading members of x, y and the mix in one batch; f(mix) carries
+        # its spectrum, the mixed right-hand side lam f(x) + (1 - lam) f(y) is
+        # the one new matrix
         x, y = gen_compatible_pair(4, 2, uniform_cube(2, 0.0, 2.0), 21)
         assert check_corollary(MAX2, x, y, 0.5).passed
-        assert jacobi_runs.batches == [6, 1]
+        assert jacobi_runs.batches == [3, 1]
 
     def test_geometric_mean_regularized_pair_is_not_decomposed(self, jacobi_runs):
         rng = np.random.default_rng(62)
@@ -189,15 +192,20 @@ class TestLazyMemo:
         assert got.basis.tobytes() == es.basis[:, order].tobytes()
 
 
+def _tuples(value):
+    """Every AbelianTuple reachable from a generated argument."""
+    if isinstance(value, AbelianTuple):
+        yield value
+    elif isinstance(value, TupleField):
+        yield from value.atoms
+
+
 def _matrices(value):
     """Every HermitianMatrix reachable from a generated argument."""
     if isinstance(value, HermitianMatrix):
         yield value
-    elif isinstance(value, AbelianTuple):
-        yield from value.members
-    elif isinstance(value, TupleField):
-        for t in value.atoms:
-            yield from t.members
+    for t in _tuples(value):
+        yield from t.members
 
 
 @pytest.mark.parametrize("theorem", THEOREM_IDS)
@@ -210,7 +218,46 @@ def test_generators_never_produce_a_carried_matrix(theorem):
         for m in (m for v in args.values() for m in _matrices(v)):
             seen += 1
             assert not {"_carried", "_eigensystem"} & m.__dict__.keys(), (theorem, i)
+        for t in (t for v in args.values() for t in _tuples(v)):
+            assert "_joint" not in t.__dict__, (theorem, i)
     assert seen > 0 or theorem == "EX1"
+
+
+# Kernel matrices per 20-instance campaign at seed 17, dims 2-6, arity 1-3:
+# every tuple's spectra come from its leading member's decomposition, and a
+# check decomposes no matrix twice.  A change that loses spectral reuse
+# raises a count above its budget.
+KERNEL_BUDGET = {
+    "T1": 84, "T2": 84, "T3": 73, "T4": 73, "T5": 91, "T6": 84,
+    "COR": 74, "LH": 140, "KF": 20, "EX1": 40, "CHAIN": 104,
+}
+
+
+def _small_campaign(theorem):
+    return run_campaign(CampaignConfig(theorem, 20, dim_range=(2, 6), arity_range=(1, 3), seed=17))
+
+
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+def test_kernel_budget(theorem, jacobi_runs):
+    _small_campaign(theorem)
+    assert len(jacobi_runs) <= KERNEL_BUDGET[theorem]
+
+
+@pytest.mark.parametrize("theorem", ["T1", "T2", "T3", "T4", "T5", "T6", "COR", "CHAIN"])
+def test_no_trailing_member_reaches_the_kernel(theorem, monkeypatch, jacobi_runs):
+    # a tuple's spectral questions read its joint spectrum, which decomposes
+    # member 0 and at most blocks of the others, never a whole later member
+    trailing = []
+    init = AbelianTuple.__post_init__
+
+    def recording(self):
+        init(self)
+        trailing.extend(self.members[1:])
+
+    monkeypatch.setattr(AbelianTuple, "__post_init__", recording)
+    _small_campaign(theorem)
+    ids = {id(m) for m in trailing}  # the list keeps every id alive and distinct
+    assert trailing and not [a for a in jacobi_runs if id(a) in ids]
 
 
 @pytest.fixture
