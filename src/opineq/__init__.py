@@ -84,7 +84,6 @@ from .means import (
 )
 from .pinching import (
     ColumnField,
-    ExampleReport,
     SpectralMeasure,
     TupleField,
     build_mu_xi,
@@ -110,7 +109,6 @@ __all__ = [
     "DEFAULT_TOL",
     "DiagonalState",
     "EigenSystem",
-    "ExampleReport",
     "ExponentVector",
     "GenerationError",
     "HermitianMatrix",

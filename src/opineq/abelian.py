@@ -118,16 +118,15 @@ class CubeFunction:
     """
 
     name: str
-    arity: int
     domain: Cube
     evaluator: Callable[[Sequence[float]], float]
     convex: bool = False
     concave: bool = False
     separately_increasing: bool = False
 
-    def __post_init__(self) -> None:
-        if self.domain.arity != self.arity:
-            raise ValueError("domain arity does not match declared arity")
+    @property
+    def arity(self) -> int:
+        return self.domain.arity
 
     def __call__(self, point: Sequence[float]) -> float:
         return float(self.evaluator(self.domain.clip(point)))
@@ -241,8 +240,6 @@ def apply_cube_function(
     ``spectrum_in_cube`` is a precondition.  The result carries its
     decomposition: the values of ``f`` in the joint eigenbasis.
     """
-    if f.arity != t.n:
-        raise ValueError(f"function arity {f.arity} does not match tuple arity {t.n}")
     if not spectrum_in_cube(t, f.domain, tol):
         raise CubeDomainError(f"tuple spectrum escapes the domain of {f.name!r}")
     js = joint_diagonalize(t, tol)

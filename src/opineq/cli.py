@@ -264,7 +264,7 @@ def _check_jensen(args, tol) -> int:
         return 2
     js = joint_diagonalize(t, tol)
     cube = Cube(tuple(zip(js.lambda_min, js.lambda_max)))
-    pool = {f.name: f for f in function_library(t.n, cube)}
+    pool = {f.name: f for f in function_library(cube)}
     if args.function not in pool:
         print(
             f"jensen: invalid input (function {args.function!r} unavailable on the "

@@ -123,15 +123,13 @@ def _spectral_tuple(rng, q: np.ndarray, intervals) -> AbelianTuple:
     )
 
 
-def gen_abelian_tuple(dim: int, n: int, cube: Cube, seed) -> AbelianTuple:
+def gen_abelian_tuple(dim: int, cube: Cube, seed) -> AbelianTuple:
     """Commuting tuple sharing one random eigenbasis, eigenvalues uniform per interval."""
     rng = np.random.default_rng(seed)
-    if cube.arity != n:
-        raise ValueError("cube arity must match n")
     return _spectral_tuple(rng, random_unitary(dim, rng), cube.intervals)
 
 
-def gen_dominated_pair(dim: int, n: int, cube: Cube, seed) -> tuple[AbelianTuple, AbelianTuple]:
+def gen_dominated_pair(dim: int, cube: Cube, seed) -> tuple[AbelianTuple, AbelianTuple]:
     """Memberwise-ordered pair of abelian tuples with independent eigenbases.
 
     x eigenvalues live in the lower 30% of each interval and y eigenvalues in
@@ -144,35 +142,30 @@ def gen_dominated_pair(dim: int, n: int, cube: Cube, seed) -> tuple[AbelianTuple
         raise ValueError("cube needs headroom in every interval")
     lower = Cube(tuple((lo, lo + 0.3 * (hi - lo)) for lo, hi in cube.intervals))
     upper = Cube(tuple((lo + 0.4 * (hi - lo), hi) for lo, hi in cube.intervals))
-    return gen_abelian_tuple(dim, n, lower, rng), gen_abelian_tuple(dim, n, upper, rng)
+    return gen_abelian_tuple(dim, lower, rng), gen_abelian_tuple(dim, upper, rng)
 
 
 def gen_centralizer_pair(
-    dim: int,
-    n: int,
-    rho_blocks: Sequence[int],
-    seed,
-    cube: Cube | None = None,
+    cube: Cube, rho_blocks: Sequence[int], seed
 ) -> tuple[AbelianTuple, AbelianTuple, DiagonalState]:
     """Ordered pair of abelian tuples commuting exactly with a block-constant state.
 
-    The state is diagonal and constant on each block of the partition; both
-    tuples are block-diagonal for that partition (so the commutators with the
-    state vanish identically), and within each block they are generated as a
-    dominated pair.
+    The state is diagonal and constant on each block of the partition, and
+    the block sizes add up to the dimension; both tuples are block-diagonal
+    for that partition (so the commutators with the state vanish
+    identically), and within each block they are a dominated pair on the cube.
     """
     rng = np.random.default_rng(seed)
     blocks = tuple(int(b) for b in rho_blocks)
-    if sum(blocks) != dim or any(b < 1 for b in blocks):
-        raise ValueError(f"blocks {blocks} do not partition dimension {dim}")
-    if cube is None:
-        cube = uniform_cube(n, 0.0, 2.0)
+    if not blocks or any(b < 1 for b in blocks):
+        raise ValueError(f"blocks {blocks} are not a partition")
+    dim, n = sum(blocks), cube.arity
     xs = [np.zeros((dim, dim), dtype=complex) for _ in range(n)]
     ys = [np.zeros((dim, dim), dtype=complex) for _ in range(n)]
     weights = np.empty(dim)
     offset = 0
     for b in blocks:
-        bx, by = gen_dominated_pair(b, n, Cube(cube.intervals), rng)
+        bx, by = gen_dominated_pair(b, cube, rng)
         for i in range(n):
             xs[i][offset : offset + b, offset : offset + b] = bx.members[i].entries
             ys[i][offset : offset + b, offset : offset + b] = by.members[i].entries
@@ -216,9 +209,7 @@ def gen_unital_field(dim: int, count: int, seed, kind: str = "generic") -> Colum
     return ColumnField(tuple(weights), tuple(b @ root_inv for b in mats))
 
 
-def gen_tuple_field(
-    dim: int, n: int, count: int, cube: Cube, seed, kind: str = "generic"
-) -> TupleField:
+def gen_tuple_field(dim: int, count: int, cube: Cube, seed, kind: str = "generic") -> TupleField:
     """Aligned atoms for a column field; ``diagonal``/``common`` restrict the bases."""
     rng = np.random.default_rng(seed)
     if kind == "diagonal":
@@ -232,11 +223,11 @@ def gen_tuple_field(
         q = random_unitary(dim, rng)
         atoms = tuple(_spectral_tuple(rng, q, cube.intervals) for _ in range(count))
     else:
-        atoms = tuple(gen_abelian_tuple(dim, n, cube, rng) for _ in range(count))
+        atoms = tuple(gen_abelian_tuple(dim, cube, rng) for _ in range(count))
     return TupleField(atoms)
 
 
-def gen_compatible_pair(dim: int, n: int, cube: Cube, seed) -> tuple[AbelianTuple, AbelianTuple]:
+def gen_compatible_pair(dim: int, cube: Cube, seed) -> tuple[AbelianTuple, AbelianTuple]:
     """Compatible pair by construction: both tuples diagonal in one common basis."""
     rng = np.random.default_rng(seed)
     q = random_unitary(dim, rng)
@@ -247,50 +238,48 @@ def gen_compatible_pair(dim: int, n: int, cube: Cube, seed) -> tuple[AbelianTupl
 # function library and flag audit
 # ---------------------------------------------------------------------------
 
-def function_library(n: int, cube: Cube) -> list[CubeFunction]:
+def function_library(cube: Cube) -> list[CubeFunction]:
     """Named test functions admissible on the cube, with audited shape flags.
 
     The geometric-mean entry uses the n-th root of the product (the scalar
     geometric mean), which is concave and separately increasing on
     nonnegative cubes at every arity.
     """
-    if cube.arity != n:
-        raise ValueError("cube arity must match n")
     lows = [lo for lo, _ in cube.intervals]
     out = [
         CubeFunction(
-            "affine", n, cube,
+            "affine", cube,
             lambda s: 0.1 + sum((0.25 + 0.5 * (i + 1) / len(s)) * v for i, v in enumerate(s)),
             convex=True, concave=True, separately_increasing=True,
         ),
         CubeFunction(
-            "sum-of-squares", n, cube, lambda s: sum(v * v for v in s), convex=True
+            "sum-of-squares", cube, lambda s: sum(v * v for v in s), convex=True
         ),
         CubeFunction(
-            "max", n, cube, max, convex=True, separately_increasing=True
+            "max", cube, max, convex=True, separately_increasing=True
         ),
         CubeFunction(
-            "sum-of-exponentials", n, cube, lambda s: sum(math.exp(v) for v in s),
+            "sum-of-exponentials", cube, lambda s: sum(math.exp(v) for v in s),
             convex=True, separately_increasing=True,
         ),
     ]
     if min(lows) >= 0:
         out.append(
             CubeFunction(
-                "square-of-sum", n, cube, lambda s: sum(s) ** 2,
+                "square-of-sum", cube, lambda s: sum(s) ** 2,
                 convex=True, separately_increasing=True,
             )
         )
         out.append(
             CubeFunction(
-                "geometric-mean", n, cube,
+                "geometric-mean", cube,
                 lambda s: float(np.prod(s)) ** (1.0 / len(s)),
                 concave=True, separately_increasing=True,
             )
         )
         out.append(
             CubeFunction(
-                "monomial", n, cube,
+                "monomial", cube,
                 lambda s: float(np.prod([v ** (0.5 + 0.25 * i) for i, v in enumerate(s)])),
                 separately_increasing=True,
             )
@@ -298,28 +287,28 @@ def function_library(n: int, cube: Cube) -> list[CubeFunction]:
     if min(lows) > 0:
         out.append(
             CubeFunction(
-                "neg-log-product", n, cube,
+                "neg-log-product", cube,
                 lambda s: -sum(math.log(v) for v in s), convex=True,
             )
         )
     return out
 
 
-def mislabeled_controls(n: int, cube: Cube) -> list[CubeFunction]:
+def mislabeled_controls(cube: Cube) -> list[CubeFunction]:
     """Deliberately wrong flag declarations; the audit must reject every one."""
     controls = [
         CubeFunction(
-            "control-sumsq-as-concave", n, cube,
+            "control-sumsq-as-concave", cube,
             lambda s: sum(v * v for v in s), concave=True,
         ),
         CubeFunction(
-            "control-negsum-as-increasing", n, cube,
+            "control-negsum-as-increasing", cube,
             lambda s: -sum(s), separately_increasing=True,
         ),
     ]
-    if n >= 2:
+    if cube.arity >= 2:
         controls.append(
-            CubeFunction("control-max-as-concave", n, cube, max, concave=True)
+            CubeFunction("control-max-as-concave", cube, max, concave=True)
         )
     return controls
 
@@ -381,7 +370,9 @@ def _ser_func(f: CubeFunction) -> dict:
 
 def _deser_func(d: dict) -> CubeFunction:
     cube = Cube(tuple(tuple(iv) for iv in d["cube"]))
-    for f in function_library(d["arity"], cube):
+    if cube.arity != d["arity"]:
+        raise ValueError(f"recorded arity {d['arity']} does not match the cube's {cube.arity}")
+    for f in function_library(cube):
         if f.name == d["name"]:
             return f
     raise KeyError(f"function {d['name']!r} not in the library for this cube")
@@ -416,10 +407,10 @@ def _draw(rng, lohi) -> int:
     return int(rng.integers(lohi[0], lohi[1] + 1))
 
 
-def _pick_function(cfg, rng, n, cube, need: tuple[str, ...]) -> CubeFunction:
+def _pick_function(cfg, rng, cube, need: tuple[str, ...]) -> CubeFunction:
     pool = [
         f
-        for f in function_library(n, cube)
+        for f in function_library(cube)
         if all(getattr(f, flag) for flag in need)
         and (cfg.functions is None or f.name in cfg.functions)
     ]
@@ -445,15 +436,15 @@ def _field_instance(cfg, rng):
     count = int(rng.integers(1, 5))
     cube = uniform_cube(n, 0.05, 2.0)
     field_ = gen_unital_field(dim, count, rng)
-    tf = gen_tuple_field(dim, n, field_.count, cube, rng)
-    return dim, n, cube, field_, tf
+    tf = gen_tuple_field(dim, field_.count, cube, rng)
+    return dim, cube, field_, tf
 
 
 def _gen_t1(cfg, rng, index) -> dict:
     dim, n = _draw(rng, cfg.dim_range), _draw(rng, cfg.arity_range)
     cube = uniform_cube(n, 0.0, 2.0)
-    f = _pick_function(cfg, rng, n, cube, ("concave", "separately_increasing"))
-    x = gen_abelian_tuple(dim, n, uniform_cube(n, 0.0, 0.6), rng)
+    f = _pick_function(cfg, rng, cube, ("concave", "separately_increasing"))
+    x = gen_abelian_tuple(dim, uniform_cube(n, 0.0, 0.6), rng)
     y = AbelianTuple(tuple(diagonal(rng.uniform(0.8, 2.0, dim)) for _ in range(n)))
     rho = DiagonalState(rng.uniform(0.1, 2.0, dim))
     return {"function": f, "x": x, "y": y, "rho": rho}
@@ -462,7 +453,7 @@ def _gen_t1(cfg, rng, index) -> dict:
 def _gen_t2(cfg, rng, index) -> dict:
     dim, n = _draw(rng, cfg.dim_range), _draw(rng, cfg.arity_range)
     blocks = _random_partition(rng, dim)
-    x, y, rho = gen_centralizer_pair(dim, n, blocks, rng)
+    x, y, rho = gen_centralizer_pair(uniform_cube(n, 0.0, 2.0), blocks, rng)
     p = rng.uniform(0.0, 3.0, n)
     if rng.integers(5) == 0:
         p[int(rng.integers(n))] = float(rng.integers(0, 2))
@@ -470,16 +461,16 @@ def _gen_t2(cfg, rng, index) -> dict:
 
 
 def _gen_t3(cfg, rng, index) -> dict:
-    dim, n, cube, field_, tf = _field_instance(cfg, rng)
-    f = _pick_function(cfg, rng, n, cube, ("convex",))
+    dim, cube, field_, tf = _field_instance(cfg, rng)
+    f = _pick_function(cfg, rng, cube, ("convex",))
     xi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     xi /= np.linalg.norm(xi)
     return {"function": f, "field": field_, "atoms": tf, "xi": xi}
 
 
 def _gen_t4(cfg, rng, index) -> dict:
-    dim, n, cube, field_, tf = _field_instance(cfg, rng)
-    f = _pick_function(cfg, rng, n, cube, ("convex",))
+    dim, cube, field_, tf = _field_instance(cfg, rng)
+    f = _pick_function(cfg, rng, cube, ("convex",))
     rho = DiagonalState(rng.uniform(0.1, 2.0, dim))
     return {"function": f, "field": field_, "atoms": tf, "rho": rho}
 
@@ -500,16 +491,16 @@ def _gen_t5(cfg, rng, index) -> dict:
     n = _draw(rng, cfg.arity_range) if draws_arity else 1
     cube = uniform_cube(n, 0.05, 2.0)
     field_ = gen_unital_field(dim, int(rng.integers(1, 5)), rng, field_kind)
-    tf = gen_tuple_field(dim, n, field_.count, cube, rng, atom_kind)
-    f = _pick_function(cfg, rng, n, cube, ("convex",))
+    tf = gen_tuple_field(dim, field_.count, cube, rng, atom_kind)
+    f = _pick_function(cfg, rng, cube, ("convex",))
     return {"function": f, "field": field_, "atoms": tf}
 
 
 def _gen_t6(cfg, rng, index) -> dict:
     dim, n = _draw(rng, cfg.dim_range), _draw(rng, cfg.arity_range)
     cube = uniform_cube(n, 0.0, 2.0)
-    x, y = gen_dominated_pair(dim, n, cube, rng)
-    f = _pick_function(cfg, rng, n, cube, ("convex", "separately_increasing"))
+    x, y = gen_dominated_pair(dim, cube, rng)
+    f = _pick_function(cfg, rng, cube, ("convex", "separately_increasing"))
     return {"function": f, "x": x, "y": y}
 
 
@@ -519,14 +510,14 @@ def _gen_cor(cfg, rng, index) -> dict:
     n = 1 if general else _draw(rng, cfg.arity_range)
     cube = uniform_cube(n, 0.0, 2.0)
     if general:
-        x = gen_abelian_tuple(dim, 1, cube, rng)
-        y = gen_abelian_tuple(dim, 1, cube, rng)
+        x = gen_abelian_tuple(dim, cube, rng)
+        y = gen_abelian_tuple(dim, cube, rng)
     else:
-        x, y = gen_compatible_pair(dim, n, cube, rng)
+        x, y = gen_compatible_pair(dim, cube, rng)
     lam = float(rng.uniform(0.0, 1.0))
     if rng.integers(10) == 0:
         lam = float(rng.integers(0, 2))
-    f = _pick_function(cfg, rng, n, cube, ("convex",))
+    f = _pick_function(cfg, rng, cube, ("convex",))
     return {"function": f, "x": x, "y": y, "lam": lam}
 
 
@@ -559,7 +550,7 @@ def _gen_ex1(cfg, rng, index) -> dict:
 
 def _gen_chain(cfg, rng, index) -> dict:
     dim, n = _draw(rng, cfg.dim_range), _draw(rng, cfg.arity_range)
-    x, y = gen_dominated_pair(dim, n, uniform_cube(n, 0.0, 2.0), rng)
+    x, y = gen_dominated_pair(dim, uniform_cube(n, 0.0, 2.0), rng)
     return {"x": x, "y": y}
 
 
@@ -572,15 +563,6 @@ def _check_t3(a, tol) -> Verdict:
     return verdict.combine(
         check_jensen_expectation(a["function"], a["field"], a["atoms"], a["xi"], tol),
         check_mond_pecaric(a["function"], a["atoms"].atoms[0], a["xi"], tol),
-    )
-
-
-def _check_ex1(a, tol) -> Verdict:
-    report = reproduce_example1(a["c"], a["t"], a["lam"], tol)
-    return Verdict(
-        verdict.PASS if report.all_hold else verdict.FAIL,
-        report.order_margin,
-        {"params": [report.c, report.t, report.lam], "verdicts": report.verdicts},
     )
 
 
@@ -678,7 +660,9 @@ _THEOREMS: dict[str, _Theorem] = {
         {"a": _MATRIX, "frame": _ARRAY},
     ),
     "EX1": _Theorem(
-        _gen_ex1, _check_ex1, {"c": _SCALAR, "t": _SCALAR, "lam": _SCALAR}, sweep=True
+        _gen_ex1,
+        lambda a, tol: reproduce_example1(a["c"], a["t"], a["lam"], tol),
+        {"c": _SCALAR, "t": _SCALAR, "lam": _SCALAR}, sweep=True
     ),
     "CHAIN": _Theorem(_gen_chain, _check_chain, {"x": _TUPLE, "y": _TUPLE}),
 }
@@ -763,7 +747,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
         rec["near_equality"] = bool(near)
         if entry.sweep:
             rec["params"] = entry.encode(args)
-            rec["claims"] = dict(v.detail["verdicts"])
+            rec["claims"] = dict(v.detail["claims"])
         if v.status == verdict.FAIL:
             rec["instance"] = {"theorem": cfg.theorem, **entry.encode(args)}
             nfail += 1

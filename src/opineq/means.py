@@ -155,7 +155,9 @@ def check_lowner_heinz(
     The hypotheses are tested once for the pair; a violated one is an invalid
     verdict naming its reason once per alpha, reported distinctly from a false
     comparison (which would indicate an implementation bug, not a
-    counterexample).  The alphas' verdicts are merged by ``verdict.combine``.
+    counterexample).  Every alpha decides pass/fail and records its own gap
+    in its part; the verdict's gap and slack are the tightest link's among
+    the alphas strictly inside (0, 1), or among all alphas when none is.
     """
     if not alphas or not all(0.0 <= alpha <= 1.0 for alpha in alphas):
         raise ValueError(f"alphas must be a non-empty list in [0, 1], got {alphas}")
@@ -166,12 +168,15 @@ def check_lowner_heinz(
         if lam < -slack:
             return verdict.combine(*[verdict.invalid(reason)] * len(alphas))
     diffs = [d if a == 1.0 else matrix_power(y, a, tol) - matrix_power(x, a, tol) for a in alphas]
-    return verdict.combine(
-        *[
-            verdict.from_gap(*psd_margin(es, tol), alpha=alpha)
-            for alpha, es in zip(alphas, decompose(diffs))
-        ]
-    )
+    links = []
+    for alpha, es in zip(alphas, decompose(diffs)):
+        gap, slack = psd_margin(es, tol)
+        links.append(verdict.from_gap(gap, slack, alpha=alpha, gap=gap))
+    # the endpoint links are I - I and the hypothesis y - x itself, so the
+    # reported gap is the tightest interior link's when there is one
+    tight = verdict.combine(*[v for v in links if 0.0 < v.detail["alpha"] < 1.0] or links)
+    merged = verdict.combine(*links)
+    return Verdict(merged.status, tight.gap, {**merged.detail, "slack": tight.detail["slack"]})
 
 
 def check_trace_power_monotone(

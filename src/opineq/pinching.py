@@ -114,10 +114,14 @@ class TupleField:
 
 @dataclass(frozen=True)
 class SpectralMeasure:
-    """Finitely supported probability measure on the joint-spectrum cube."""
+    """Finitely supported nonnegative measure on the joint-spectrum cube.
+
+    :func:`build_mu_xi` certifies its total mass against the unitality
+    defect its column field was admitted at.
+    """
 
     support: np.ndarray  # (k, n) rows of joint eigenvalue vectors
-    masses: np.ndarray  # (k,) nonnegative weights summing to 1
+    masses: np.ndarray  # (k,) nonnegative weights
     tol: Tolerance = field(default=DEFAULT_TOL, compare=False)
 
     def __post_init__(self) -> None:
@@ -127,8 +131,6 @@ class SpectralMeasure:
             raise ValueError("support and masses must be aligned")
         if np.any(mas < -self.tol.rtol):
             raise ValueError("masses must be nonnegative")
-        if abs(mas.sum() - 1.0) > self.tol.rtol:
-            raise ValueError(f"total mass {mas.sum()} is not 1 within tolerance")
         sup.setflags(write=False)
         mas.setflags(write=False)
         object.__setattr__(self, "support", sup)
@@ -160,7 +162,10 @@ def build_mu_xi(
     """Spectral measure of a unit vector through a column field of abelian tuples.
 
     Each atom contributes its joint eigenvalue vectors with mass
-    ``w_t |<u_j, a_t xi>|^2``; unitality of the field forces total mass 1.
+    ``w_t |<u_j, a_t xi>|^2``, so the total mass is ``<G xi, xi>`` for the
+    field's Gram matrix ``G = sum_t w_t a_t* a_t``.  It differs from
+    ``|xi|^2`` by at most ``|G - I|_F |xi|^2``, and the field was admitted
+    with ``|G - I|_F <= rtol * count``.
     """
     xi = np.asarray(xi, dtype=complex).reshape(-1)
     if xi.shape[0] != field_.dim:
@@ -176,7 +181,11 @@ def build_mu_xi(
         amp = js.basis.conj().T @ (a @ xi)
         rows.append(js.points)
         masses.append(w * np.abs(amp) ** 2)
-    return SpectralMeasure(np.vstack(rows), np.concatenate(masses), tol)
+    mu = SpectralMeasure(np.vstack(rows), np.concatenate(masses), tol)
+    norm2 = float(np.vdot(xi, xi).real)
+    if abs(mu.total_mass - norm2) > field_.tol.rtol * field_.count * norm2:
+        raise ValueError(f"total mass {mu.total_mass} exceeds the field's unitality defect")
+    return mu
 
 
 def _expectation(a: HermitianMatrix, xi: np.ndarray) -> float:
@@ -345,57 +354,21 @@ def check_phi_monotone_chain(
     return verdict.from_gap(gap, slack, phi_x=phi_x, phi_y=phi_y)
 
 
-@dataclass(frozen=True)
-class ExampleReport:
-    """Reproduction record for the 2x2 counterexample to pointwise pinching-monotonicity.
+def reproduce_example1(c: float, t: float, lam: float, tol: Tolerance = DEFAULT_TOL) -> Verdict:
+    """Reproduce the 2x2 instance where pinching-monotonicity fails pointwise but holds in trace.
 
-    For ``x`` the all-ones matrix scaled by c and ``y = diag(t, lam*t)``:
-      * ``order_strict``: x < y strictly in the Loewner order, decided from
-        ``order_margin``, the smallest eigenvalue of y - x,
+    For ``x`` the all-ones matrix scaled by c and ``y = diag(t, lam*t)``, the
+    verdict's ``detail["claims"]`` holds:
+      * ``order_strict``: x < y strictly in the Loewner order,
       * ``pinch_square_not_dominated``: pinch(x^2) escapes below y^2
         (only asserted when t < c*sqrt(2), else None),
       * ``trace_square_identity``: tr x^2 equals 4c^2,
       * ``trace_monotone``: tr x^2 < tr y^2.
 
-    Intermediate matrices are kept so a failed claim can be pinpointed.
-    """
-
-    c: float
-    t: float
-    lam: float
-    x: HermitianMatrix
-    y: HermitianMatrix
-    x_squared: HermitianMatrix
-    y_squared: HermitianMatrix
-    pinched_square: np.ndarray
-    order_margin: float
-    order_strict: bool
-    pinch_square_not_dominated: bool | None
-    trace_square_identity: bool
-    trace_monotone: bool
-
-    @property
-    def verdicts(self) -> dict[str, bool | None]:
-        return {
-            "order_strict": self.order_strict,
-            "pinch_square_not_dominated": self.pinch_square_not_dominated,
-            "trace_square_identity": self.trace_square_identity,
-            "trace_monotone": self.trace_monotone,
-        }
-
-    @property
-    def all_hold(self) -> bool:
-        return all(v for v in self.verdicts.values() if v is not None)
-
-
-def reproduce_example1(
-    c: float, t: float, lam: float, tol: Tolerance = DEFAULT_TOL
-) -> ExampleReport:
-    """Reproduce the 2x2 instance where pinching-monotonicity fails pointwise but holds in trace.
-
+    It passes iff every asserted claim holds; its gap is the order margin,
+    the smallest eigenvalue of y - x, and ``detail`` also records both traces.
     Parameters must satisfy ``0 < c < t`` and ``lam > c / (t - c)`` (which
-    makes x < y strict).  The pointwise violation is asserted only in the
-    regime ``t < c*sqrt(2)``.
+    makes x < y strict).
     """
     if not (0 < c < t):
         raise ValueError(f"need 0 < c < t, got c={c}, t={t}")
@@ -406,33 +379,22 @@ def reproduce_example1(
     x2 = HermitianMatrix(x.entries @ x.entries)
     y2 = HermitianMatrix(y.entries @ y.entries)
     rho = DiagonalState.uniform(2)
-    pinched = pinch(rho, x2)
 
     order_margin, slack = psd_margin(eig_hermitian(y - x), tol)
     order_strict = order_margin > slack
 
     not_dominated: bool | None = None
     if t < c * math.sqrt(2.0):
-        lam_min, slack = psd_margin(eig_hermitian(y2 - diagonal(pinched)), tol)
+        lam_min, slack = psd_margin(eig_hermitian(y2 - diagonal(pinch(rho, x2))), tol)
         not_dominated = lam_min < -slack
 
     tr_x2 = state_trace(rho, x2)
     tr_y2 = state_trace(rho, y2)
-    identity_holds = abs(tr_x2 - 4.0 * c * c) <= 1e-12 * (1.0 + 4.0 * c * c)
-    monotone = tr_x2 < tr_y2
-
-    return ExampleReport(
-        c=float(c),
-        t=float(t),
-        lam=float(lam),
-        x=x,
-        y=y,
-        x_squared=x2,
-        y_squared=y2,
-        pinched_square=pinched,
-        order_margin=order_margin,
-        order_strict=order_strict,
-        pinch_square_not_dominated=not_dominated,
-        trace_square_identity=identity_holds,
-        trace_monotone=monotone,
-    )
+    claims = {
+        "order_strict": order_strict,
+        "pinch_square_not_dominated": not_dominated,
+        "trace_square_identity": abs(tr_x2 - 4.0 * c * c) <= 1e-12 * (1.0 + 4.0 * c * c),
+        "trace_monotone": tr_x2 < tr_y2,
+    }
+    status = verdict.PASS if all(v for v in claims.values() if v is not None) else verdict.FAIL
+    return Verdict(status, order_margin, {"claims": claims, "trace_x2": tr_x2, "trace_y2": tr_y2})

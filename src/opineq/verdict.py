@@ -44,7 +44,7 @@ def invalid(reason: str, **detail: Any) -> Verdict:
     return Verdict(INVALID, None, detail)
 
 
-def from_gap(gap: float, slack: float, **detail: Any) -> Verdict:
+def from_gap(gap: float, slack: float, /, **detail: Any) -> Verdict:
     """Pass iff ``gap >= -slack``; the slack is recorded for audit."""
     detail["slack"] = slack
     status = PASS if gap >= -slack else FAIL

@@ -224,7 +224,7 @@ class TestJointDiagonalize:
 
 class TestCubeFunction:
     def test_product_on_diagonals(self):
-        f = CubeFunction("product", 2, uniform_cube(2, 0, 5), lambda s: s[0] * s[1])
+        f = CubeFunction("product", uniform_cube(2, 0, 5), lambda s: s[0] * s[1])
         t = AbelianTuple((diagonal([1, 2]), diagonal([3, 4])))
         out = apply_cube_function(f, t)
         assert np.allclose(out.entries, np.diag([3.0, 8.0]))
@@ -233,12 +233,12 @@ class TestCubeFunction:
         rng = np.random.default_rng(9)
         t = random_commuting_tuple(rng, 4, 3)
         for i in range(3):
-            f = CubeFunction(f"coord{i}", 3, uniform_cube(3, -1, 3), lambda s, i=i: s[i])
+            f = CubeFunction(f"coord{i}", uniform_cube(3, -1, 3), lambda s, i=i: s[i])
             out = apply_cube_function(f, t)
             assert (out - t.members[i]).norm() <= 1e-10 * (1 + t.members[i].norm())
 
     def test_pointwise_max(self):
-        f = CubeFunction("max", 2, uniform_cube(2, 0, 6), max)
+        f = CubeFunction("max", uniform_cube(2, 0, 6), max)
         t = AbelianTuple((diagonal([1, 5]), diagonal([4, 2])))
         out = apply_cube_function(f, t)
         assert np.allclose(out.entries, np.diag([4.0, 5.0]))
@@ -246,14 +246,14 @@ class TestCubeFunction:
     def test_output_commutes_with_members(self):
         rng = np.random.default_rng(10)
         t = random_commuting_tuple(rng, 5, 2)
-        f = CubeFunction("sum", 2, uniform_cube(2, 0, 2), sum)
+        f = CubeFunction("sum", uniform_cube(2, 0, 2), sum)
         out = apply_cube_function(f, t)
         assert check_commuting(list(t.members) + [out])
 
     def test_basis_covariance(self):
         rng = np.random.default_rng(11)
         t = random_commuting_tuple(rng, 4, 2)
-        f = CubeFunction("sumsq", 2, uniform_cube(2, 0, 2), lambda s: s[0] ** 2 + s[1] ** 2)
+        f = CubeFunction("sumsq", uniform_cube(2, 0, 2), lambda s: s[0] ** 2 + s[1] ** 2)
         z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         q, _ = np.linalg.qr(z)
         conj = AbelianTuple(tuple(HermitianMatrix(q.conj().T @ x.entries @ q) for x in t.members))
@@ -261,10 +261,16 @@ class TestCubeFunction:
         rhs = HermitianMatrix(q.conj().T @ apply_cube_function(f, t).entries @ q)
         assert (lhs - rhs).norm() <= 1e-8 * (1 + rhs.norm())
 
+    def test_arity_is_read_from_the_domain(self):
+        f = CubeFunction("sum", uniform_cube(3, 0, 1), sum)
+        assert f.arity == 3
+        with pytest.raises(ValueError, match="cube arity 3 does not match tuple arity 2"):
+            apply_cube_function(f, AbelianTuple((diagonal([0.5]), diagonal([0.5]))))
+
     def test_domain_violation_raises(self):
         from opineq.abelian import CubeDomainError
 
-        f = CubeFunction("id", 1, uniform_cube(1, 0, 1), lambda s: s[0])
+        f = CubeFunction("id", uniform_cube(1, 0, 1), lambda s: s[0])
         with pytest.raises(CubeDomainError):
             apply_cube_function(f, AbelianTuple((diagonal([2.0, 0.0]),)))
 

@@ -29,11 +29,11 @@ def _stripped(report) -> str:
 
 def test_criterion_01_example1_reproduction():
     start = time.perf_counter()
-    canonical = reproduce_example1(1.0, 1.3, 3.4)
-    assert canonical.order_strict
-    assert canonical.pinch_square_not_dominated is True
-    assert canonical.trace_square_identity
-    assert canonical.trace_monotone
+    claims = reproduce_example1(1.0, 1.3, 3.4).detail["claims"]
+    assert claims["order_strict"]
+    assert claims["pinch_square_not_dominated"] is True
+    assert claims["trace_square_identity"]
+    assert claims["trace_monotone"]
     rep = run_campaign(CampaignConfig("EX1", 50, seed=7))
     assert rep.summary["fail"] == 0 and rep.summary["invalid"] == 0
     for rec in rep.verdicts:

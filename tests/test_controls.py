@@ -7,6 +7,9 @@ fails on some instances.  It also pins that the real guard rejects the
 instance, so no campaign counts it as a confirmation.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from opineq import harness as hz
@@ -22,8 +25,9 @@ from opineq.linalg import (
     psd_margin,
     worst_gap,
 )
-from opineq.majorization import check_corollary, check_thm6
-from opineq.means import check_lowner_heinz, check_trace_power_monotone
+from opineq.majorization import check_corollary, check_thm6, kyfan_check, partial_sums
+from opineq.means import check_lowner_heinz, check_trace_power_monotone, root_product_chain
+from opineq.pinching import reproduce_example1
 from opineq.state import DiagonalState, state_trace
 
 
@@ -54,7 +58,7 @@ def test_thm6_with_a_non_increasing_function():
     for args in generated("T6", 200, (2, 6), (1, 4), 31):
         x = args["x"]
         f = CubeFunction(
-            "control-centered-sumsq", x.n, uniform_cube(x.n, 0.0, 2.0),
+            "control-centered-sumsq", uniform_cube(x.n, 0.0, 2.0),
             lambda s: sum((v - 1.0) ** 2 for v in s), convex=True, separately_increasing=True,
         )
         fails += check_thm6(f, x, args["y"]).status == "fail"
@@ -65,7 +69,7 @@ def test_thm6_with_a_non_increasing_function():
 def test_corollary_with_a_concave_function():
     # dropped hypothesis: f convex.  sqrt is concave; declared convex, it fails
     # 103 of the 119 one-variable instances among these 200.
-    f = CubeFunction("control-sqrt", 1, uniform_cube(1, 0.0, 2.0), lambda s: s[0] ** 0.5,
+    f = CubeFunction("control-sqrt", uniform_cube(1, 0.0, 2.0), lambda s: s[0] ** 0.5,
                      convex=True)
     assert not verify_flags(f, samples=100)
     fails = ones = 0
@@ -89,3 +93,45 @@ def test_trace_power_outside_the_centralizer():
     v = check_trace_power_monotone(AbelianTuple((x,)), AbelianTuple((y,)), [2.0], rho)
     assert v.status == "invalid"
     assert v.detail["reason"] == "members leave the centralizer of the state"
+
+
+def test_kyfan_with_a_scaled_frame():
+    # dropped hypothesis: the frame is orthonormal.  Scaling it by 1.2 scales
+    # the left side by 1.44, which overtakes the top-k eigenvalue sum whenever
+    # that side is positive and near it (29 of these 200 fail).
+    fails = 0
+    for args in generated("KF", 200, (2, 8), (1, 1), 23):
+        a, u = args["a"], 1.2 * args["frame"]
+        lhs = float(np.real(np.trace(u.conj().T @ a.entries @ u)))
+        rhs = float(partial_sums(a)[u.shape[1] - 1])
+        fails += verdict.from_gap(*worst_gap([lhs], [rhs], DEFAULT_TOL)).status == "fail"
+        assert kyfan_check(a, u).status == "invalid"
+    assert fails > 0
+
+
+def test_root_product_chain_with_swapped_order():
+    # dropped hypothesis: x <= y memberwise.  Swapping the pair makes the
+    # chain's difference negative definite (all 200 of these fail).
+    fails = 0
+    for args in generated("CHAIN", 200, (2, 6), (2, 4), 11):
+        x, y = args["y"], args["x"]
+        diff = root_product_chain(y) - root_product_chain(x)
+        fails += verdict.from_gap(*psd_margin(eig_hermitian(diff), DEFAULT_TOL)).status == "fail"
+        v = hz._THEOREMS["CHAIN"].check({"x": x, "y": y}, DEFAULT_TOL)
+        assert v.status == "invalid" and v.detail["reason"] == "x <= y fails memberwise"
+    assert fails > 0
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("ratio", [math.sqrt(2.0), 1.5, 4.0])
+def test_example1_beyond_c_sqrt2(c, ratio):
+    # dropped hypothesis: t < c sqrt(2).  There y^2 - pinch(x^2) =
+    # diag(t^2 - 2c^2, lam^2 t^2 - 2c^2) >= 0, so pinch(x^2) is dominated
+    # and the pointwise escape never holds; the check must not assert it.
+    t = ratio * c
+    lam = 1.5 * c / (t - c)
+    y2 = diagonal([t * t - 2 * c * c, lam * lam * t * t - 2 * c * c])
+    assert psd_margin(eig_hermitian(y2), DEFAULT_TOL)[0] >= 0.0
+    v = reproduce_example1(c, t, lam)
+    assert v.detail["claims"]["pinch_square_not_dominated"] is None
+    assert v.passed

@@ -42,20 +42,20 @@ from opineq.means import check_lowner_heinz
 
 class TestGenerators:
     def test_abelian_tuple_scalar_dim(self):
-        t = gen_abelian_tuple(1, 2, uniform_cube(2, 0, 1), seed=3)
+        t = gen_abelian_tuple(1, uniform_cube(2, 0, 1), seed=3)
         assert t.dim == 1 and t.n == 2
         assert spectrum_in_cube(t, uniform_cube(2, 0, 1))
 
     def test_abelian_tuple_deterministic(self):
         cube = uniform_cube(3, 0, 1)
-        a = gen_abelian_tuple(4, 3, cube, seed=9)
-        b = gen_abelian_tuple(4, 3, cube, seed=9)
+        a = gen_abelian_tuple(4, cube, seed=9)
+        b = gen_abelian_tuple(4, cube, seed=9)
         for ma, mb in zip(a.members, b.members):
             assert np.array_equal(ma.entries, mb.entries)
 
     def test_abelian_tuple_eigenvalues_in_cube(self):
         cube = uniform_cube(3, 0, 1)
-        t = gen_abelian_tuple(4, 3, cube, seed=1)
+        t = gen_abelian_tuple(4, cube, seed=1)
         for m in t.members:
             lam = eig_hermitian(m).eigenvalues
             assert np.all(lam >= -1e-12) and np.all(lam <= 1 + 1e-12)
@@ -65,7 +65,7 @@ class TestGenerators:
 
         lo, hi = 0.0, 2.0
         for seed in range(20):
-            x, y = gen_dominated_pair(2 + seed % 5, 2, uniform_cube(2, lo, hi), seed=seed)
+            x, y = gen_dominated_pair(2 + seed % 5, uniform_cube(2, lo, hi), seed=seed)
             assert check_commuting(x.members) and check_commuting(y.members)
             # range separation: y_i - x_i >= 0.1 (hi - lo) I, no audit needed
             for a, b in zip(x.members, y.members):
@@ -77,7 +77,7 @@ class TestGenerators:
         # x fills the lower 30% and y the upper 60% of each member's own interval
         cube = Cube(((0.0, 1.0), (10.0, 20.0), (-4.0, -2.0)))
         for seed in range(10):
-            x, y = gen_dominated_pair(3, 3, cube, seed=seed)
+            x, y = gen_dominated_pair(3, cube, seed=seed)
             for a, b, (lo, hi) in zip(x.members, y.members, cube.intervals):
                 slack = 1e-12 * (1.0 + abs(lo) + abs(hi))
                 cut_x, cut_y = lo + 0.3 * (hi - lo), lo + 0.4 * (hi - lo)
@@ -90,33 +90,39 @@ class TestGenerators:
         from opineq.state import DiagonalState
 
         for i in range(1000):
-            x, y = gen_dominated_pair(3, 2, uniform_cube(2, 0, 2), seed=i)
+            x, y = gen_dominated_pair(3, uniform_cube(2, 0, 2), seed=i)
             v = check_trace_power_monotone(x, y, (1.0, 2.0), DiagonalState.uniform(3))
             assert not v.invalid
 
     def test_dominated_pair_needs_headroom(self):
         with pytest.raises(ValueError):
-            gen_dominated_pair(2, 1, uniform_cube(1, 1.0, 1.0), seed=0)
+            gen_dominated_pair(2, uniform_cube(1, 1.0, 1.0), seed=0)
 
     def test_centralizer_pair_commutes_with_state(self):
-        x, y, rho = gen_centralizer_pair(4, 2, (2, 2), seed=7)
+        x, y, rho = gen_centralizer_pair(uniform_cube(2, 0.0, 2.0), (2, 2), seed=7)
         rm = rho.matrix().entries
         for m in list(x.members) + list(y.members):
             assert np.linalg.norm(rm @ m.entries - m.entries @ rm) < 1e-12
 
     def test_centralizer_single_block_is_uniform_state(self):
-        x, y, rho = gen_centralizer_pair(3, 2, (3,), seed=8)
+        x, y, rho = gen_centralizer_pair(uniform_cube(2, 0.0, 2.0), (3,), seed=8)
         assert np.allclose(rho.weights, rho.weights[0])
 
     def test_centralizer_unit_blocks_all_diagonal(self):
-        x, y, rho = gen_centralizer_pair(3, 2, (1, 1, 1), seed=9)
+        x, y, rho = gen_centralizer_pair(uniform_cube(2, 0.0, 2.0), (1, 1, 1), seed=9)
         for m in x.members:
             off = m.entries - np.diag(np.diag(m.entries))
             assert np.linalg.norm(off) < 1e-12
 
     def test_centralizer_bad_partition(self):
-        with pytest.raises(ValueError):
-            gen_centralizer_pair(4, 2, (3, 2), seed=0)
+        cube = uniform_cube(2, 0.0, 2.0)
+        for blocks in ((3, 0), (2, -1), ()):
+            with pytest.raises(ValueError):
+                gen_centralizer_pair(cube, blocks, seed=0)
+
+    def test_centralizer_dimension_is_block_sum(self):
+        x, y, rho = gen_centralizer_pair(uniform_cube(3, 0.0, 2.0), (2, 1, 3), seed=10)
+        assert x.dim == y.dim == rho.dim == 6 and x.n == y.n == 3
 
     def test_unital_field_kinds(self):
         for kind, count in (("generic", 3), ("diagonal", 2), ("unitary", 1), ("probability", 4)):
@@ -125,17 +131,17 @@ class TestGenerators:
             assert np.linalg.norm(gram - np.eye(3)) <= 1e-10
 
     def test_tuple_field_shares_shape(self):
-        tf = gen_tuple_field(3, 2, 4, uniform_cube(2, 0, 1), seed=12)
+        tf = gen_tuple_field(3, 4, uniform_cube(2, 0, 1), seed=12)
         assert tf.count == 4 and tf.n == 2 and tf.dim == 3
 
     def test_compatible_pair_construction(self):
-        x, y = gen_compatible_pair(3, 2, uniform_cube(2, 0, 2), seed=13)
+        x, y = gen_compatible_pair(3, uniform_cube(2, 0, 2), seed=13)
         assert check_compatible(x, y)
 
     def test_compatible_rejection_trivial_case(self):
         # independent draws of one variable are always compatible
         rng = np.random.default_rng(14)
-        x, y = (gen_abelian_tuple(2, 1, uniform_cube(1, 0, 1), rng) for _ in range(2))
+        x, y = (gen_abelian_tuple(2, uniform_cube(1, 0, 1), rng) for _ in range(2))
         assert check_compatible(x, y)
 
     def test_compatible_rejection_exhausts_budget(self):
@@ -143,7 +149,7 @@ class TestGenerators:
         cube = uniform_cube(2, 0, 1)
         rng = np.random.default_rng(15)
         for _ in range(25):
-            x, y = gen_abelian_tuple(3, 2, cube, rng), gen_abelian_tuple(3, 2, cube, rng)
+            x, y = gen_abelian_tuple(3, cube, rng), gen_abelian_tuple(3, cube, rng)
             assert not check_compatible(x, y)
 
 
@@ -152,40 +158,40 @@ class TestFunctionLibrary:
         for n in (1, 2, 3, 4):
             for lo in (0.05, 0.0, -1.0):
                 cube = uniform_cube(n, lo, 2.0)
-                for f in function_library(n, cube):
+                for f in function_library(cube):
                     assert verify_flags(f, samples=300, seed=17), f.name
 
     def test_positive_cube_extends_library(self):
-        names = {f.name for f in function_library(2, uniform_cube(2, 0.05, 2))}
+        names = {f.name for f in function_library(uniform_cube(2, 0.05, 2))}
         assert {"geometric-mean", "monomial", "square-of-sum", "neg-log-product"} <= names
-        names_signed = {f.name for f in function_library(2, uniform_cube(2, -1, 2))}
+        names_signed = {f.name for f in function_library(uniform_cube(2, -1, 2))}
         assert "geometric-mean" not in names_signed
 
     def test_affine_is_both_convex_and_concave(self):
-        f = next(f for f in function_library(2, uniform_cube(2, 0, 1)) if f.name == "affine")
+        f = next(f for f in function_library(uniform_cube(2, 0, 1)) if f.name == "affine")
         assert f.convex and f.concave and f.separately_increasing
 
     def test_controls_rejected_every_run(self):
         for n in (1, 2, 3):
             cube = uniform_cube(n, 0.0, 2.0)
-            for ctl in mislabeled_controls(n, cube):
+            for ctl in mislabeled_controls(cube):
                 for seed in range(5):
                     assert not verify_flags(ctl, samples=200, seed=seed), ctl.name
 
     def test_square_declared_concave_rejected(self):
         from opineq.abelian import CubeFunction
 
-        f = CubeFunction("sq", 1, uniform_cube(1, -1, 1), lambda s: s[0] ** 2, concave=True)
+        f = CubeFunction("sq", uniform_cube(1, -1, 1), lambda s: s[0] ** 2, concave=True)
         assert not verify_flags(f, samples=150, seed=0)
 
     def test_max_declared_increasing_passes(self):
         from opineq.abelian import CubeFunction
 
-        f = CubeFunction("max", 2, uniform_cube(2, -1, 1), max, separately_increasing=True)
+        f = CubeFunction("max", uniform_cube(2, -1, 1), max, separately_increasing=True)
         assert verify_flags(f, samples=150, seed=0)
 
     def test_sample_floor_enforced(self):
-        f = function_library(1, uniform_cube(1, 0, 1))[0]
+        f = function_library(uniform_cube(1, 0, 1))[0]
         with pytest.raises(ValueError):
             verify_flags(f, samples=50)
 
@@ -266,6 +272,16 @@ class TestCampaigns:
             instance = json.loads(json.dumps({"theorem": theorem, **entry.encode(args)}))
             v = replay_instance(instance, cfg.tol)
             assert (v.status, v.gap) == (rec["status"], rec["gap"]), (theorem, i)
+
+    def test_function_payload_arity_must_match_its_cube(self):
+        cfg = CampaignConfig("T6", 1, arity_range=(2, 2), seed=31)
+        entry = hz._THEOREMS["T6"]
+        instance = {"theorem": "T6", **entry.encode(entry.generate(cfg, instance_rng(cfg.seed, 0), 0))}
+        assert instance["function"]["arity"] == 2
+        replay_instance(instance)
+        instance["function"]["arity"] = 3
+        with pytest.raises(ValueError, match="arity"):
+            replay_instance(instance)
 
     def test_non_finite_payload_is_a_numerical_dead_end(self):
         # a NaN entry has no spectrum; the kernel says so instead of dividing by zero

@@ -22,10 +22,10 @@ from opineq.majorization import (
 )
 from opineq.pinching import ColumnField, TupleField
 
-MAX2 = CubeFunction("max", 2, uniform_cube(2, 0, 2), max, convex=True, separately_increasing=True)
-SQ1 = CubeFunction("sq", 1, uniform_cube(1, -3, 3), lambda s: s[0] ** 2, convex=True)
+MAX2 = CubeFunction("max", uniform_cube(2, 0, 2), max, convex=True, separately_increasing=True)
+SQ1 = CubeFunction("sq", uniform_cube(1, -3, 3), lambda s: s[0] ** 2, convex=True)
 SUMEXP2 = CubeFunction(
-    "sumexp", 2, uniform_cube(2, 0, 2), lambda s: math.exp(s[0]) + math.exp(s[1]),
+    "sumexp", uniform_cube(2, 0, 2), lambda s: math.exp(s[0]) + math.exp(s[1]),
     convex=True, separately_increasing=True,
 )
 
@@ -236,7 +236,7 @@ class TestCorollary:
             assert v.passed and v.gap >= -1e-12
 
     def test_one_variable_noncommuting(self):
-        f = CubeFunction("sq", 1, uniform_cube(1, -10, 10), lambda s: s[0] ** 2, convex=True)
+        f = CubeFunction("sq", uniform_cube(1, -10, 10), lambda s: s[0] ** 2, convex=True)
         rng = np.random.default_rng(12)
         for _ in range(1000):
             dim = int(rng.integers(2, 5))
@@ -261,7 +261,7 @@ class TestCorollary:
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     def test_endpoint_decomposes_no_matrix_twice(self, jacobi_runs, lam):
         # at lam = 1 (0) the mix is x (y) itself: no copy of it goes through the kernel
-        x, y = gen_compatible_pair(4, 2, uniform_cube(2, 0.0, 2.0), 21)
+        x, y = gen_compatible_pair(4, uniform_cube(2, 0.0, 2.0), 21)
         v = check_corollary(MAX2, x, y, lam)
         assert v.passed and v.gap == 0.0
         keys = [a.entries.tobytes() for a in jacobi_runs]
@@ -286,7 +286,7 @@ class TestThm6:
         q = random_unitary(rng, 2)
         x = AbelianTuple((HermitianMatrix((q * np.array([1.0, 0.0])) @ q.conj().T),))
         y = AbelianTuple((x.members[0] + identity(2),))
-        f = CubeFunction("sq+", 1, uniform_cube(1, 0, 3), lambda s: s[0] ** 2,
+        f = CubeFunction("sq+", uniform_cube(1, 0, 3), lambda s: s[0] ** 2,
                          convex=True, separately_increasing=True)
         assert check_thm6(f, x, y).passed
 
@@ -297,7 +297,7 @@ class TestThm6:
             x = random_abelian(rng, dim, n, 0.0, 0.6)
             y = random_abelian(rng, dim, n, 0.8, 2.0)
             f = SUMEXP2 if n == 2 else CubeFunction(
-                "exp", 1, uniform_cube(1, 0, 2), lambda s: math.exp(s[0]),
+                "exp", uniform_cube(1, 0, 2), lambda s: math.exp(s[0]),
                 convex=True, separately_increasing=True,
             )
             v = check_thm6(f, x, y)
@@ -309,7 +309,7 @@ class TestThm6:
         for _ in range(50):
             dx = np.sort(rng.uniform(0.0, 0.6, 4))
             dy = dx + rng.uniform(0.0, 1.0, 4)
-            f = CubeFunction("sq+", 1, uniform_cube(1, 0, 3), lambda s: s[0] ** 2,
+            f = CubeFunction("sq+", uniform_cube(1, 0, 3), lambda s: s[0] ** 2,
                              convex=True, separately_increasing=True)
             v = check_thm6(f, AbelianTuple((diagonal(dx),)), AbelianTuple((diagonal(dy),)))
             fx = np.sort(dx**2)[::-1]
@@ -320,6 +320,6 @@ class TestThm6:
     def test_order_violation_invalid(self):
         x = AbelianTuple((diagonal([1.0, 0.0]),))
         y = AbelianTuple((diagonal([0.5, 0.5]),))
-        f = CubeFunction("id", 1, uniform_cube(1, 0, 1), lambda s: s[0],
+        f = CubeFunction("id", uniform_cube(1, 0, 1), lambda s: s[0],
                          convex=True, separately_increasing=True)
         assert check_thm6(f, x, y).invalid

@@ -238,6 +238,26 @@ class TestLownerHeinz:
         v = check_lowner_heinz(diagonal([-1, 0]), diagonal([1, 1]), (0.5,))
         assert v.invalid
 
+    def test_gap_from_the_tightest_interior_alpha(self):
+        # alpha 0 compares I with I, an exact zero; the gap must come from
+        # 0 < alpha < 1, while every alpha still decides pass/fail
+        rng = np.random.default_rng(12)
+        x, y = random_psd_ordered_pair(rng, 4)
+        v = check_lowner_heinz(x, y, hz.LH_ALPHAS)
+        parts = v.detail["parts"]
+        assert [p["alpha"] for p in parts] == list(hz.LH_ALPHAS)
+        assert parts[0]["gap"] == 0.0
+        interior = [p for p in parts if 0.0 < p["alpha"] < 1.0]
+        tight = min(interior, key=lambda p: p["gap"] + p["slack"])
+        assert v.passed and (v.gap, v.detail["slack"]) == (tight["gap"], tight["slack"])
+        assert v.gap > 0.0
+
+    def test_endpoint_alphas_alone_report_their_gap(self):
+        rng = np.random.default_rng(13)
+        x, y = random_psd_ordered_pair(rng, 3)
+        v = check_lowner_heinz(x, y, (0.0, 1.0))
+        assert v.passed and v.gap == 0.0
+
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
             check_lowner_heinz(identity(2), identity(2), (1.5,))

@@ -9,7 +9,6 @@ from opineq.abelian import AbelianTuple, CubeFunction, check_commuting, uniform_
 from opineq.linalg import HermitianMatrix, diagonal, eig_hermitian, identity
 from opineq.pinching import (
     ColumnField,
-    ExampleReport,
     TupleField,
     build_mu_xi,
     check_jensen_expectation,
@@ -23,18 +22,19 @@ from opineq.pinching import (
 from opineq.state import DiagonalState, pinch, state_trace
 
 AFFINE2 = CubeFunction(
-    "affine", 2, uniform_cube(2, 0, 2), lambda s: 0.25 + 0.5 * s[0] + 0.3 * s[1],
+    "affine", uniform_cube(2, 0, 2), lambda s: 0.25 + 0.5 * s[0] + 0.3 * s[1],
     convex=True, concave=True, separately_increasing=True,
 )
 SUMSQ2 = CubeFunction(
-    "sumsq", 2, uniform_cube(2, 0, 2), lambda s: s[0] ** 2 + s[1] ** 2, convex=True
+    "sumsq", uniform_cube(2, 0, 2), lambda s: s[0] ** 2 + s[1] ** 2, convex=True
 )
 SQRT1 = CubeFunction(
-    "sqrt", 1, uniform_cube(1, 0, 4), lambda s: math.sqrt(s[0]),
+    "sqrt", uniform_cube(1, 0, 4), lambda s: math.sqrt(s[0]),
     concave=True, separately_increasing=True,
 )
+SUMSQ1 = CubeFunction("sumsq", uniform_cube(1, 0, 2), lambda s: s[0] ** 2, convex=True)
 GEO2 = CubeFunction(
-    "geomean", 2, uniform_cube(2, 0, 2), lambda s: math.sqrt(s[0] * s[1]),
+    "geomean", uniform_cube(2, 0, 2), lambda s: math.sqrt(s[0] * s[1]),
     concave=True, separately_increasing=True,
 )
 
@@ -196,6 +196,20 @@ class TestSpectralMeasure:
                 rhs = float(np.real(np.vdot(xi, members[i].entries @ xi)))
                 assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs))
 
+    def test_mass_within_the_fields_admitted_defect(self):
+        # |G - I|_F = 1.3e-9 sqrt(2) = 1.84e-9 <= rtol * count = 2e-9 admits
+        # the field; the mass <G e1, e1> = 1 + 1.3e-9 must be accepted too
+        t = AbelianTuple((diagonal([0.5, 1.5]),))
+        field = ColumnField(
+            (1.0, 1.0),
+            (math.sqrt(0.5 + 1.3e-9) * np.eye(2, dtype=complex), math.sqrt(0.5) * np.eye(2, dtype=complex)),
+        )
+        xi = np.array([1.0, 0.0], dtype=complex)
+        mu = build_mu_xi(field, TupleField((t, t)), xi)
+        assert mu.total_mass == pytest.approx(1.0 + 1.3e-9, abs=1e-15)
+        v = check_jensen_expectation(SUMSQ1, field, TupleField((t, t)), xi)
+        assert v.detail["mu_mass"] == mu.total_mass and not v.invalid
+
     def test_non_unit_vector_rejected(self):
         t = AbelianTuple((diagonal([1.0, 0.0]),))
         field = ColumnField((1.0,), (np.eye(2, dtype=complex),))
@@ -220,7 +234,7 @@ class TestJensenExpectation:
 
     def test_square_of_sum_campaign(self):
         f = CubeFunction(
-            "sqsum", 2, uniform_cube(2, 0, 2), lambda s: (s[0] + s[1]) ** 2,
+            "sqsum", uniform_cube(2, 0, 2), lambda s: (s[0] + s[1]) ** 2,
             convex=True, separately_increasing=True,
         )
         rng = np.random.default_rng(8)
@@ -244,13 +258,13 @@ class TestJensenExpectation:
 
 class TestMondPecaric:
     def test_diagonal_basis_vector_equality(self):
-        f = CubeFunction("sq", 1, uniform_cube(1, -2, 2), lambda s: s[0] ** 2, convex=True)
+        f = CubeFunction("sq", uniform_cube(1, -2, 2), lambda s: s[0] ** 2, convex=True)
         t = AbelianTuple((diagonal([1.2, 0.4]),))
         v = check_mond_pecaric(f, t, np.array([1.0, 0.0]))
         assert v.passed and abs(v.gap) <= 1e-12
 
     def test_flip_matrix_strict(self):
-        f = CubeFunction("sq", 1, uniform_cube(1, -2, 2), lambda s: s[0] ** 2, convex=True)
+        f = CubeFunction("sq", uniform_cube(1, -2, 2), lambda s: s[0] ** 2, convex=True)
         t = AbelianTuple((HermitianMatrix(np.array([[0, 1], [1, 0]], dtype=complex)),))
         v = check_mond_pecaric(f, t, np.array([1.0, 0.0]))
         assert v.passed
@@ -293,7 +307,7 @@ class TestPhiJensenField:
 
     def test_max_campaign(self):
         f = CubeFunction(
-            "max", 2, uniform_cube(2, 0, 2), max, convex=True, separately_increasing=True
+            "max", uniform_cube(2, 0, 2), max, convex=True, separately_increasing=True
         )
         rng = np.random.default_rng(13)
         for _ in range(200):
@@ -382,29 +396,34 @@ class TestPhiMonotoneChain:
 
 class TestExample1:
     def test_canonical_parameters(self):
-        report = reproduce_example1(1.0, 1.3, 3.4)
-        assert report.order_strict
-        assert report.pinch_square_not_dominated is True
-        assert report.trace_square_identity
-        assert report.trace_monotone
-        assert report.all_hold
+        v = reproduce_example1(1.0, 1.3, 3.4)
+        assert v.detail["claims"] == {
+            "order_strict": True,
+            "pinch_square_not_dominated": True,
+            "trace_square_identity": True,
+            "trace_monotone": True,
+        }
+        assert v.passed and "slack" not in v.detail
 
     def test_order_margin_is_lambda_min(self):
-        report = reproduce_example1(1.0, 1.3, 3.4)
-        assert report.order_margin == eig_hermitian(report.y - report.x).lambda_min
-        assert report.order_margin > 0
+        c, t, lam = 1.0, 1.3, 3.4
+        v = reproduce_example1(c, t, lam)
+        x = HermitianMatrix(np.full((2, 2), c, dtype=complex))
+        assert v.gap == eig_hermitian(diagonal([t, lam * t]) - x).lambda_min
+        assert v.gap > 0
 
     def test_large_t_skips_pointwise_claim(self):
-        report = reproduce_example1(1.0, 1.5, 10.0)
-        assert report.pinch_square_not_dominated is None
-        assert report.order_strict and report.trace_square_identity and report.trace_monotone
-        assert report.all_hold
+        v = reproduce_example1(1.0, 1.5, 10.0)
+        claims = v.detail["claims"]
+        assert claims.pop("pinch_square_not_dominated") is None
+        assert all(claims.values())
+        assert v.passed
 
     def test_trace_identity_any_c(self):
         for c in (0.25, 1.0, 2.5, 7.0):
             t = 1.3 * c
-            report = reproduce_example1(c, t, 1.5 * c / (t - c))
-            assert report.trace_square_identity
+            v = reproduce_example1(c, t, 1.5 * c / (t - c))
+            assert v.detail["claims"]["trace_square_identity"]
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -414,7 +433,9 @@ class TestExample1:
 
     def test_trace_values_match_closed_forms(self):
         c, t, lam = 1.0, 1.3, 3.4
-        report = reproduce_example1(c, t, lam)
-        assert report.x_squared.trace() == pytest.approx(4 * c * c, abs=1e-14)
-        assert report.y_squared.trace() == pytest.approx(t * t * (1 + lam * lam), rel=1e-14)
-        assert np.allclose(report.pinched_square, [2 * c * c, 2 * c * c])
+        v = reproduce_example1(c, t, lam)
+        assert v.detail["trace_x2"] == pytest.approx(4 * c * c, abs=1e-14)
+        assert v.detail["trace_y2"] == pytest.approx(t * t * (1 + lam * lam), rel=1e-14)
+        x = HermitianMatrix(np.full((2, 2), c, dtype=complex))
+        x2 = HermitianMatrix(x.entries @ x.entries)
+        assert np.allclose(pinch(DiagonalState.uniform(2), x2), [2 * c * c, 2 * c * c])

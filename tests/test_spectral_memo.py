@@ -46,9 +46,9 @@ from opineq.majorization import check_corollary, check_thm6
 from opineq.means import check_lowner_heinz, geometric_mean
 from opineq.pinching import TupleField
 
-MAX2 = CubeFunction("max", 2, uniform_cube(2, 0, 2), max, convex=True, separately_increasing=True)
+MAX2 = CubeFunction("max", uniform_cube(2, 0, 2), max, convex=True, separately_increasing=True)
 SUMEXP2 = CubeFunction(
-    "sumexp", 2, uniform_cube(2, 0, 2), lambda s: math.exp(s[0]) + math.exp(s[1]),
+    "sumexp", uniform_cube(2, 0, 2), lambda s: math.exp(s[0]) + math.exp(s[1]),
     convex=True, separately_increasing=True,
 )
 SCALAR_FUNCTIONS = (math.exp, math.sin, abs, lambda t: t**3, lambda t: -t)
@@ -100,8 +100,8 @@ class TestCarriedAccuracy:
             t = AbelianTuple(tuple(diagonal(np.repeat(v, 2)[:dim]) for v in
                                    np.random.default_rng(seed).uniform(0.0, 2.0, (n, dim))))
         else:
-            t = gen_abelian_tuple(dim, n, cube, seed)
-        lib = function_library(n, cube)
+            t = gen_abelian_tuple(dim, cube, seed)
+        lib = function_library(cube)
         assert_accurate(apply_cube_function(lib[pick % len(lib)], t))
 
 
@@ -131,7 +131,7 @@ class TestKernelRuns:
         # leading members and the differences in one batch; the joint spectra
         # start from the leading members, and f(x) and f(y) carry their spectra
         n = 2
-        x, y = gen_dominated_pair(4, n, uniform_cube(n, 0.0, 2.0), 61)
+        x, y = gen_dominated_pair(4, uniform_cube(n, 0.0, 2.0), 61)
         assert check_thm6(SUMEXP2, x, y).passed
         assert jacobi_runs.batches == [n + 2]
 
@@ -139,7 +139,7 @@ class TestKernelRuns:
         # the leading members of x, y and the mix in one batch; f(mix) carries
         # its spectrum, the mixed right-hand side lam f(x) + (1 - lam) f(y) is
         # the one new matrix
-        x, y = gen_compatible_pair(4, 2, uniform_cube(2, 0.0, 2.0), 21)
+        x, y = gen_compatible_pair(4, uniform_cube(2, 0.0, 2.0), 21)
         assert check_corollary(MAX2, x, y, 0.5).passed
         assert jacobi_runs.batches == [3, 1]
 
@@ -282,7 +282,7 @@ class TestNormMemo:
         assert norm_calls == [(4, 4)]
 
     def test_check_commuting_norms_each_member_once(self, norm_calls):
-        t = gen_abelian_tuple(3, 4, uniform_cube(4, 0.0, 2.0), 64)
+        t = gen_abelian_tuple(3, uniform_cube(4, 0.0, 2.0), 64)
         members = [HermitianMatrix(m.entries) for m in t.members]
         norm_calls.clear()
         assert check_commuting(members)
