@@ -74,7 +74,6 @@ from .majorization import (
     weak_majorize,
 )
 from .means import (
-    ExponentVector,
     SingularInputError,
     check_lowner_heinz,
     check_trace_power_monotone,
@@ -84,7 +83,6 @@ from .means import (
 )
 from .pinching import (
     ColumnField,
-    SpectralMeasure,
     TupleField,
     build_mu_xi,
     check_jensen_expectation,
@@ -109,14 +107,12 @@ __all__ = [
     "DEFAULT_TOL",
     "DiagonalState",
     "EigenSystem",
-    "ExponentVector",
     "GenerationError",
     "HermitianMatrix",
     "JacobiConvergenceError",
     "JointDiagonalizationError",
     "JointSpectrum",
     "SingularInputError",
-    "SpectralMeasure",
     "SpectrumDomainError",
     "Tolerance",
     "TupleField",

@@ -25,12 +25,7 @@ from .linalg import (
     psd_margin,
 )
 from .majorization import check_corollary, check_thm5, check_thm6, kyfan_check
-from .means import (
-    ExponentVector,
-    check_lowner_heinz,
-    check_trace_power_monotone,
-    root_product_chain,
-)
+from .means import check_lowner_heinz, check_trace_power_monotone, root_product_chain
 from .pinching import (
     ColumnField,
     TupleField,
@@ -457,7 +452,7 @@ def _gen_t2(cfg, rng, index) -> dict:
     p = rng.uniform(0.0, 3.0, n)
     if rng.integers(5) == 0:
         p[int(rng.integers(n))] = float(rng.integers(0, 2))
-    return {"x": x, "y": y, "p": ExponentVector(tuple(p)), "rho": rho}
+    return {"x": x, "y": y, "p": tuple(float(v) for v in p), "rho": rho}
 
 
 def _gen_t3(cfg, rng, index) -> dict:
@@ -596,13 +591,11 @@ class _Theorem:
     ``generate(cfg, rng, index)`` returns the check's named arguments;
     ``check(args, tol)`` gives the verdict; ``codecs`` maps each argument
     name, which is also its payload key, to an (encode, decode) pair.
-    ``sweep`` records carry their encoded parameters and per-claim verdicts.
     """
 
     generate: Callable[[CampaignConfig, np.random.Generator, int], dict]
     check: Callable[[dict, Tolerance], Verdict]
     codecs: dict[str, tuple[Callable, Callable]]
-    sweep: bool = False
 
     def encode(self, args: dict) -> dict:
         return {name: enc(args[name]) for name, (enc, _) in self.codecs.items()}
@@ -620,8 +613,7 @@ _THEOREMS: dict[str, _Theorem] = {
     "T2": _Theorem(
         _gen_t2,
         lambda a, tol: check_trace_power_monotone(a["x"], a["y"], a["p"], a["rho"], tol),
-        {"x": _TUPLE, "y": _TUPLE,
-         "p": (lambda e: list(e.p), lambda d, tol: ExponentVector(tuple(d))), "rho": _STATE},
+        {"x": _TUPLE, "y": _TUPLE, "p": (list, lambda d, tol: tuple(d)), "rho": _STATE},
     ),
     "T3": _Theorem(
         _gen_t3, _check_t3,
@@ -662,7 +654,7 @@ _THEOREMS: dict[str, _Theorem] = {
     "EX1": _Theorem(
         _gen_ex1,
         lambda a, tol: reproduce_example1(a["c"], a["t"], a["lam"], tol),
-        {"c": _SCALAR, "t": _SCALAR, "lam": _SCALAR}, sweep=True
+        {"c": _SCALAR, "t": _SCALAR, "lam": _SCALAR},
     ),
     "CHAIN": _Theorem(_gen_chain, _check_chain, {"x": _TUPLE, "y": _TUPLE}),
 }
@@ -745,7 +737,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
         slack = v.detail.get("slack")
         near = v.gap is not None and slack is not None and abs(v.gap) <= 10.0 * slack
         rec["near_equality"] = bool(near)
-        if entry.sweep:
+        if "claims" in v.detail:  # EX1: the sweep table reads params and claims
             rec["params"] = entry.encode(args)
             rec["claims"] = dict(v.detail["claims"])
         if v.status == verdict.FAIL:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,23 +32,6 @@ _REGULARIZATION_FACTOR = 1e-10
 
 class SingularInputError(ValueError):
     """The quadrature oracle needs strictly positive definite inputs."""
-
-
-@dataclass(frozen=True)
-class ExponentVector:
-    """Nonnegative exponents, one per tuple member."""
-
-    p: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        p = tuple(float(v) for v in self.p)
-        if any(v < 0 for v in p):
-            raise ValueError(f"exponents must be nonnegative, got {p}")
-        object.__setattr__(self, "p", p)
-
-    @property
-    def n(self) -> int:
-        return len(self.p)
 
 
 def geometric_mean(
@@ -153,7 +135,7 @@ def check_lowner_heinz(
     """Check ``x^alpha <= y^alpha`` at every alpha in [0, 1], given ``0 <= x <= y``.
 
     The hypotheses are tested once for the pair; a violated one is an invalid
-    verdict naming its reason once per alpha, reported distinctly from a false
+    verdict naming its reason, reported distinctly from a false
     comparison (which would indicate an implementation bug, not a
     counterexample).  Every alpha decides pass/fail and records its own gap
     in its part; the verdict's gap and slack are the tightest link's among
@@ -166,7 +148,7 @@ def check_lowner_heinz(
     for reason, es in (("x is not positive semidefinite", ex), ("x <= y fails", ed)):
         lam, slack = psd_margin(es, tol)
         if lam < -slack:
-            return verdict.combine(*[verdict.invalid(reason)] * len(alphas))
+            return verdict.invalid(reason)
     diffs = [d if a == 1.0 else matrix_power(y, a, tol) - matrix_power(x, a, tol) for a in alphas]
     links = []
     for alpha, es in zip(alphas, decompose(diffs)):
@@ -182,7 +164,7 @@ def check_lowner_heinz(
 def check_trace_power_monotone(
     x: AbelianTuple,
     y: AbelianTuple,
-    p: ExponentVector | Sequence[float],
+    p: Sequence[float],
     rho: DiagonalState,
     tol: Tolerance = DEFAULT_TOL,
 ) -> Verdict:
@@ -192,14 +174,14 @@ def check_trace_power_monotone(
     centralizer of the state, nonnegative exponents; both tuples are abelian
     by type.  A violated hypothesis produces an invalid verdict so campaign
     statistics never count a malformed instance as confirmation, with one
-    exception: a negative exponent passed as a plain sequence raises
-    ``ValueError`` from :class:`ExponentVector` before any check runs.
+    exception: a negative exponent raises ``ValueError`` before any check runs.
     """
-    if not isinstance(p, ExponentVector):
-        p = ExponentVector(tuple(p))
+    p = tuple(float(v) for v in p)
+    if any(v < 0 for v in p):
+        raise ValueError(f"exponents must be nonnegative, got {p}")
     xs, ys = x.members, y.members
-    if len(xs) != len(ys) or len(xs) != p.n:
-        return verdict.invalid(f"arity mismatch: x {len(xs)}, y {len(ys)}, p {p.n}")
+    if len(xs) != len(ys) or len(xs) != len(p):
+        return verdict.invalid(f"arity mismatch: x {len(xs)}, y {len(ys)}, p {len(p)}")
     if x.dim != rho.dim or y.dim != rho.dim:
         return verdict.invalid("dimension mismatch against the state")
     if not memberwise_leq(x, y, tol):
@@ -209,7 +191,7 @@ def check_trace_power_monotone(
     rho_m = rho.matrix()
     if not all(check_commuting([rho_m, a], tol) for a in xs + ys):
         return verdict.invalid("members leave the centralizer of the state")
-    lhs = state_trace(rho, _power_product(x, p.p, tol))
-    rhs = state_trace(rho, _power_product(y, p.p, tol))
-    return verdict.from_gap(*worst_gap([lhs], [rhs], tol), lhs=lhs, rhs=rhs, exponents=p.p)
+    lhs = state_trace(rho, _power_product(x, p, tol))
+    rhs = state_trace(rho, _power_product(y, p, tol))
+    return verdict.from_gap(*worst_gap([lhs], [rhs], tol), lhs=lhs, rhs=rhs, exponents=p)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -112,38 +112,6 @@ class TupleField:
         return all(spectrum_in_cube(t, cube, tol) for t in self.atoms)
 
 
-@dataclass(frozen=True)
-class SpectralMeasure:
-    """Finitely supported nonnegative measure on the joint-spectrum cube.
-
-    :func:`build_mu_xi` certifies its total mass against the unitality
-    defect its column field was admitted at.
-    """
-
-    support: np.ndarray  # (k, n) rows of joint eigenvalue vectors
-    masses: np.ndarray  # (k,) nonnegative weights
-    tol: Tolerance = field(default=DEFAULT_TOL, compare=False)
-
-    def __post_init__(self) -> None:
-        sup = np.asarray(self.support, dtype=float)
-        mas = np.asarray(self.masses, dtype=float).reshape(-1)
-        if sup.shape[0] != mas.shape[0]:
-            raise ValueError("support and masses must be aligned")
-        if np.any(mas < -self.tol.rtol):
-            raise ValueError("masses must be nonnegative")
-        sup.setflags(write=False)
-        mas.setflags(write=False)
-        object.__setattr__(self, "support", sup)
-        object.__setattr__(self, "masses", mas)
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
-    def integrate(self, g: Callable[[Sequence[float]], float]) -> float:
-        return float(sum(m * g(row) for m, row in zip(self.masses, self.support)))
-
-
 def compress(field_: ColumnField, tf: TupleField) -> tuple[HermitianMatrix, ...]:
     """``y_i = sum_t w_t a_t* x_it a_t``; the members are Hermitian but need not commute."""
     if field_.count != tf.count:
@@ -158,12 +126,13 @@ def build_mu_xi(
     tf: TupleField,
     xi: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
-) -> SpectralMeasure:
+) -> tuple[np.ndarray, np.ndarray]:
     """Spectral measure of a unit vector through a column field of abelian tuples.
 
-    Each atom contributes its joint eigenvalue vectors with mass
-    ``w_t |<u_j, a_t xi>|^2``, so the total mass is ``<G xi, xi>`` for the
-    field's Gram matrix ``G = sum_t w_t a_t* a_t``.  It differs from
+    Returns the support, a ``(k, n)`` array of joint eigenvalue vectors, and
+    its ``(k,)`` masses.  Each atom contributes its joint eigenvalue vectors
+    with mass ``w_t |<u_j, a_t xi>|^2``, so the total mass is ``<G xi, xi>``
+    for the field's Gram matrix ``G = sum_t w_t a_t* a_t``.  It differs from
     ``|xi|^2`` by at most ``|G - I|_F |xi|^2``, and the field was admitted
     with ``|G - I|_F <= rtol * count``.
     """
@@ -181,11 +150,11 @@ def build_mu_xi(
         amp = js.basis.conj().T @ (a @ xi)
         rows.append(js.points)
         masses.append(w * np.abs(amp) ** 2)
-    mu = SpectralMeasure(np.vstack(rows), np.concatenate(masses), tol)
-    norm2 = float(np.vdot(xi, xi).real)
-    if abs(mu.total_mass - norm2) > field_.tol.rtol * field_.count * norm2:
-        raise ValueError(f"total mass {mu.total_mass} exceeds the field's unitality defect")
-    return mu
+    support, masses = np.vstack(rows), np.concatenate(masses)
+    total, norm2 = float(masses.sum()), float(np.vdot(xi, xi).real)
+    if abs(total - norm2) > field_.tol.rtol * field_.count * norm2:
+        raise ValueError(f"total mass {total} exceeds the field's unitality defect")
+    return support, masses
 
 
 def _expectation(a: HermitianMatrix, xi: np.ndarray) -> float:
@@ -215,10 +184,10 @@ def check_jensen_expectation(
     lhs = f([_expectation(y, xi) for y in compress(field_, tf)])
     image = field_.conjugate_sum([apply_cube_function(f, t, tol) for t in tf.atoms])
     rhs = _expectation(image, xi)
-    mu = build_mu_xi(field_, tf, xi, tol)
-    middle = mu.integrate(f)
+    support, masses = build_mu_xi(field_, tf, xi, tol)
+    middle = float(sum(m * f(row) for m, row in zip(masses, support)))
     return verdict.from_gap(
-        *worst_gap([lhs], [rhs], tol), lhs=lhs, rhs=rhs, middle=middle, mu_mass=mu.total_mass
+        *worst_gap([lhs], [rhs], tol), lhs=lhs, rhs=rhs, middle=middle, mu_mass=float(masses.sum())
     )
 
 

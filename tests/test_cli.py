@@ -34,17 +34,13 @@ role: y
 
 class TestParser:
     def test_parses_square_matrix(self):
-        parsed = parse_matrix_text(HERM_X)
-        assert parsed.role == "x"
-        assert np.allclose(parsed.array, np.ones((2, 2)))
+        assert np.allclose(parse_matrix_text(HERM_X), np.ones((2, 2)))
 
     def test_complex_entries(self):
-        parsed = parse_matrix_text("dim: 2\n0 0  0 -1\n0 1  0 0\n")
-        assert parsed.array[0, 1] == -1j
+        assert parse_matrix_text("dim: 2\n0 0  0 -1\n0 1  0 0\n")[0, 1] == -1j
 
     def test_rectangular_frame(self):
-        parsed = parse_matrix_text("dim: 3 2\n1 0 0 0\n0 0 1 0\n0 0 0 0\n")
-        assert parsed.array.shape == (3, 2)
+        assert parse_matrix_text("dim: 3 2\n1 0 0 0\n0 0 1 0\n0 0 0 0\n").shape == (3, 2)
 
     def test_missing_header(self):
         with pytest.raises(MatrixParseError) as err:
@@ -184,6 +180,12 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "line 3, column 1: bad decimal 'nan'" in captured.err
+
+    def test_non_unit_xi_exit_2(self, tmp_path, capsys):
+        x = write(tmp_path, "x.mat", "dim: 2\n0 0 1 0\n1 0 0 0\n")
+        xi = write(tmp_path, "xi.mat", "dim: 2 1\n1 0\n1 0\n")
+        assert main(["check", "jensen", x, "--xi", xi]) == 2
+        assert capsys.readouterr().out == "jensen: invalid input (xi is not a unit vector)\n"
 
     def test_missing_file_exit_2(self, tmp_path):
         y = write(tmp_path, "y.mat", HERM_Y)

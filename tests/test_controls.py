@@ -25,9 +25,14 @@ from opineq.linalg import (
     psd_margin,
     worst_gap,
 )
-from opineq.majorization import check_corollary, check_thm6, kyfan_check, partial_sums
+from opineq.majorization import check_corollary, check_thm5, check_thm6, kyfan_check, partial_sums
 from opineq.means import check_lowner_heinz, check_trace_power_monotone, root_product_chain
-from opineq.pinching import reproduce_example1
+from opineq.pinching import (
+    check_jensen_expectation,
+    check_phi_jensen_field,
+    check_phi_monotone_chain,
+    reproduce_example1,
+)
 from opineq.state import DiagonalState, state_trace
 
 
@@ -36,6 +41,64 @@ def generated(theorem, count, dims, arity, seed):
     cfg = CampaignConfig(theorem, count, dim_range=dims, arity_range=arity, seed=seed)
     entry = hz._THEOREMS[theorem]
     return [entry.generate(cfg, instance_rng(cfg.seed, i), i) for i in range(count)]
+
+
+def sum_of_roots_as_convex(n):
+    """sum sqrt(v_i) on [0.05, 2]^n: concave, declared convex."""
+    return CubeFunction(
+        "control-sum-of-roots-as-convex", uniform_cube(n, 0.05, 2.0),
+        lambda s: sum(math.sqrt(v) for v in s), convex=True,
+    )
+
+
+def test_monotone_chain_with_a_convex_function():
+    # dropped hypothesis: f concave.  sum v_i^2 is convex and separately
+    # increasing on [0, 2]^n; declared concave, it fails all 200 of these.
+    fails = 0
+    for args in generated("T1", 200, (2, 5), (1, 3), 19):
+        x = args["x"]
+        f = CubeFunction(
+            "control-sumsq-as-concave", uniform_cube(x.n, 0.0, 2.0),
+            lambda s: sum(v * v for v in s), concave=True, separately_increasing=True,
+        )
+        fails += check_phi_monotone_chain(f, x, args["y"], args["rho"]).status == "fail"
+        assert not verify_flags(f, samples=100)
+    assert fails > 0
+
+
+def test_jensen_expectation_with_a_concave_function():
+    # dropped hypothesis: f convex.  Declared convex, sum sqrt(v_i) fails
+    # all 200 of these.
+    fails = 0
+    for args in generated("T3", 200, (2, 5), (1, 3), 17):
+        f = sum_of_roots_as_convex(args["atoms"].n)
+        v = check_jensen_expectation(f, args["field"], args["atoms"], args["xi"])
+        fails += v.status == "fail"
+        assert not verify_flags(f, samples=100)
+    assert fails > 0
+
+
+def test_pinched_jensen_field_with_a_concave_function():
+    # dropped hypothesis: f convex.  The same control fails all 200 of these.
+    fails = 0
+    for args in generated("T4", 200, (2, 5), (1, 3), 17):
+        f = sum_of_roots_as_convex(args["atoms"].n)
+        v = check_phi_jensen_field(f, args["field"], args["atoms"], args["rho"])
+        fails += v.status == "fail"
+        assert not verify_flags(f, samples=100)
+    assert fails > 0
+
+
+def test_compression_majorization_with_a_concave_function():
+    # dropped hypothesis: f convex.  The same control fails 104 of these 200;
+    # those with a one-atom unitary field all pass, since both sides are then
+    # unitarily equivalent whatever f is.
+    fails = 0
+    for args in generated("T5", 200, (2, 5), (1, 3), 31):
+        f = sum_of_roots_as_convex(args["atoms"].n)
+        fails += check_thm5(f, args["field"], args["atoms"]).status == "fail"
+        assert not verify_flags(f, samples=100)
+    assert fails > 0
 
 
 def test_lowner_heinz_beyond_the_unit_interval():

@@ -258,6 +258,19 @@ class TestCorollary:
         v = check_corollary(MAX2, x, y, 0.5)
         assert v.invalid
 
+    def test_near_miss_pair_raises_the_documented_error(self):
+        # compatible at tolerance, yet the midpoint's members are not jointly
+        # diagonalizable at it: a numerical dead end, never a bare RuntimeError
+        a, e, g = np.diag([5.0, 6.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+        eps = 1.18e-4
+        x = AbelianTuple((HermitianMatrix(a), HermitianMatrix(a)))
+        y = AbelianTuple((HermitianMatrix(-a + eps * e), HermitianMatrix(-a + eps * (e + g))))
+        assert abelian.check_compatible(x, y)
+        f = CubeFunction("sumsq", uniform_cube(2, -10, 10), lambda s: s[0] ** 2 + s[1] ** 2,
+                         convex=True)
+        with pytest.raises(abelian.JointDiagonalizationError):
+            check_corollary(f, x, y, 0.5)
+
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     def test_endpoint_decomposes_no_matrix_twice(self, jacobi_runs, lam):
         # at lam = 1 (0) the mix is x (y) itself: no copy of it goes through the kernel
