@@ -18,6 +18,7 @@ DEFAULT_QUADRATURE_NODES = 128
 
 _SWEEP_CAP = 100
 _OFFDIAG_FACTOR = 1e-14
+_EPS = float(np.finfo(float).eps)
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -53,7 +54,9 @@ class HermitianMatrix:
     """Square complex matrix with Hermitian symmetry enforced at construction.
 
     The constructor symmetrizes its input, ``(a + a*)/2``, so
-    ``entries[i, j] == conj(entries[j, i])`` holds exactly.
+    ``entries[i, j] == conj(entries[j, i])`` holds exactly.  The halving
+    acts on the real and imaginary parts apart: complex division by ``2 + 0j``
+    would turn an infinite entry into ``inf+nanj``.
     """
 
     entries: np.ndarray
@@ -64,7 +67,9 @@ class HermitianMatrix:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("dimension must be at least 1")
-        sym = (arr + arr.conj().T) / 2.0
+        sym = arr + arr.conj().T
+        parts = sym.view(float)
+        parts *= 0.5
         object.__setattr__(self, "entries", _freeze(sym))
 
     @property
@@ -398,8 +403,60 @@ def psd_eigensystem(a: HermitianMatrix, tol: Tolerance, what: str) -> EigenSyste
     return es
 
 
+def _cholesky_certifies(a: HermitianMatrix, rtol: float) -> bool:
+    """True only if a checked Cholesky factor proves ``lambda_min(a) >= -s/2``.
+
+    Here ``s = rtol * (1 + ||a||_F / sqrt(m))``, at most :func:`is_psd`'s
+    slack since ``||a||_op >= ||a||_F / sqrt(m)``.  LAPACK factors
+    ``c = a + sigma I`` with ``sigma = s/4`` and stays untrusted: ``L L*`` is
+    PSD for any ``L`` it returns, so by Weyl ``lambda_min(a) >= -sigma -
+    ||L L* - c||_F``, and the claim holds once ``||L L* - c||_F <= sigma``.
+    That exact residual is bounded from computed values (Rump, BIT 46, 2006;
+    error terms after Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, 3.1 and 3.6; ``u = eps/2``, ``g_k = k u / (1 - k u)``):
+
+    * the stored ``c`` differs from ``a + sigma I`` by at most
+      ``u ||c||_F``, rounding on the diagonal only; ``||c||_F <=
+      ||a||_F + sigma sqrt(m)``;
+    * each entry of ``fl(L L*)`` is a complex inner product of length m, so
+      ``||fl(L L*) - L L*||_F <= sqrt(2) g_(m+2) ||L||_F^2``, in any
+      summation order;
+    * the subtraction and the sums of at most ``2 m^2`` squares behind the
+      residual ``r`` and ``||L||_F^2`` move them by a relative
+      ``g_(m^2+2)`` at most.
+
+    So ``||L L* - c||_F <= r + (m^2 + 2m + 8) eps (r + ||L||_F^2 +
+    ||a||_F + sigma sqrt(m))``, whose coefficient covers each term above
+    twice over.  This is a soundness bound, not a tuned tolerance.  ``False``
+    means unknown: ``rtol = 0``, a norm that is not finite, a
+    ``LinAlgError``, a non-finite value or too large a residual.
+    """
+    m = a.dim
+    sigma = rtol * (1.0 + a.norm() / math.sqrt(m)) / 4.0
+    if not 0.0 < sigma < math.inf:
+        return False
+    c = np.array(a.entries)
+    c.flat[:: m + 1] += sigma
+    try:
+        low = np.linalg.cholesky(c)
+    except np.linalg.LinAlgError:
+        return False
+    d = low @ low.conj().T - c
+    r = math.sqrt(np.vdot(d, d).real)
+    scale = r + float(np.vdot(low, low).real) + a.norm() + sigma * math.sqrt(m)
+    return r + (m * m + 2 * m + 8) * _EPS * scale <= sigma  # False on NaN
+
+
 def is_psd(a: HermitianMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the smallest eigenvalue clears ``-rtol * (1 + ||a||_op)``."""
+    """True iff the smallest eigenvalue clears ``-rtol * (1 + ||a||_op)``.
+
+    A matrix that holds or carries its eigensystem is read as it is.  Any
+    other is first offered to :func:`_cholesky_certifies`, which accepts
+    only a matrix whose smallest eigenvalue provably clears half that
+    slack; every other outcome runs the kernel.
+    """
+    if not {"_eigensystem", "_carried"} & a.__dict__.keys() and _cholesky_certifies(a, tol.rtol):
+        return True
     lam, slack = psd_margin(eig_hermitian(a), tol)
     return lam >= -slack
 

@@ -36,6 +36,11 @@ class TestParser:
     def test_parses_square_matrix(self):
         assert np.allclose(parse_matrix_text(HERM_X), np.ones((2, 2)))
 
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Matrix file format", 1)[1].split("```")[1]
+        assert parse_matrix_text(block).tolist() == [[1.0, 1.0], [1.0, 1.0]]
+
     def test_complex_entries(self):
         assert parse_matrix_text("dim: 2\n0 0  0 -1\n0 1  0 0\n")[0, 1] == -1j
 

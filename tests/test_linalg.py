@@ -111,10 +111,15 @@ class TestEig:
     def test_non_finite_entry_raises(self, value, at):
         z = np.eye(3, dtype=complex)
         z[at] = value
-        with np.errstate(invalid="ignore"):  # symmetrizing inf + 0j divides by (2 + 0j)
-            h = HermitianMatrix(z)
+        h = HermitianMatrix(z)
         with pytest.raises(JacobiConvergenceError, match="position 1 of a batch of 2"):
             decompose([identity(3), h])
+
+    def test_infinite_entry_stays_real(self):
+        # complex halving by 2 + 0j would give inf+nanj (and warn)
+        h = HermitianMatrix([[math.inf, 1.0], [0.0, -math.inf]])
+        assert h.entries.tolist() == [[math.inf, 0.5], [0.5, -math.inf]]
+        assert not np.isnan(h.entries.view(float)).any()
 
     def test_overflowing_norm_raises(self):
         # every entry is finite, but ||a||_F overflows, so no stop threshold exists

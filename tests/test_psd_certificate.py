@@ -1,0 +1,218 @@
+"""The Cholesky certificate behind ``is_psd``, its kernel fallback, and ``memberwise_leq``.
+
+A difference ``y_i - x_i`` is read only by ``is_psd``, which first asks an
+untrusted LAPACK Cholesky factor of a shifted copy for a residual it checks
+itself.  These tests run every way out of the certificate (no factor, too
+large a residual, a garbage factor, ``rtol = 0``, a norm that is not finite)
+and compare its acceptances with the kernel and with LAPACK's eigenvalues.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from opineq import linalg
+from opineq.abelian import AbelianTuple, memberwise_leq
+from opineq.harness import random_unitary
+from opineq.linalg import (
+    DEFAULT_TOL,
+    HermitianMatrix,
+    JacobiConvergenceError,
+    Tolerance,
+    eig_hermitian,
+    identity,
+    is_psd,
+    matrix_power,
+    psd_margin,
+    zero,
+)
+
+RTOL = DEFAULT_TOL.rtol
+
+
+def with_spectrum(rng, values):
+    q = random_unitary(len(values), rng)
+    return HermitianMatrix((q * np.asarray(values, dtype=float)) @ q.conj().T)
+
+
+def certified(a, rtol=RTOL):
+    return linalg._cholesky_certifies(a, rtol)
+
+
+def kernel_is_psd(a, tol=DEFAULT_TOL):
+    """The kernel's verdict on a fresh copy of ``a``: no certificate, no memo."""
+    lam, slack = psd_margin(eig_hermitian(HermitianMatrix(a.entries)), tol)
+    return lam >= -slack
+
+
+def cert_slack(a, rtol=RTOL):
+    """``s = rtol * (1 + ||a||_F / sqrt(m))``; the certificate proves ``lambda_min >= -s/2``."""
+    return rtol * (1.0 + a.norm() / math.sqrt(a.dim))
+
+
+class TestFallback:
+    # spectrum 2, 1, 0.5, lambda_min: the kernel's slack is rtol * (1 + 2)
+    SLACK = RTOL * 3.0
+
+    def test_just_below_the_slack_is_not_psd(self, jacobi_runs):
+        a = with_spectrum(np.random.default_rng(1), [2.0, 1.0, 0.5, -1.01 * self.SLACK])
+        assert not is_psd(a)
+        assert jacobi_runs == [a]
+
+    def test_inside_the_slack_beyond_half_the_certificate_slack(self, jacobi_runs):
+        a = with_spectrum(np.random.default_rng(2), [2.0, 1.0, 0.5, -0.75 * self.SLACK])
+        assert -self.SLACK < -0.75 * self.SLACK < -cert_slack(a) / 2
+        assert not certified(a)
+        assert is_psd(a)
+        assert jacobi_runs == [a]
+
+    @pytest.mark.parametrize("factor, expected", [(-1.01, False), (-0.75, True)])
+    def test_memberwise_leq_falls_back_to_the_kernel(self, factor, expected, jacobi_runs):
+        a = with_spectrum(np.random.default_rng(3), [2.0, 1.0, 0.5, factor * self.SLACK])
+        x, y = AbelianTuple((zero(4),)), AbelianTuple((a,))
+        assert memberwise_leq(x, y) is expected
+        # the leading members in one batch, then the difference alone
+        assert jacobi_runs.batches == [2, 1]
+
+    def test_rtol_zero_never_certifies(self, jacobi_runs):
+        rng = np.random.default_rng(4)
+        for a in (identity(3), zero(3), with_spectrum(rng, [3.0, 2.0, 1.0])):
+            assert not certified(a, 0.0)
+            assert is_psd(a, Tolerance(0.0))
+        assert len(jacobi_runs) == 3
+
+    def test_held_or_carried_spectrum_is_read(self, monkeypatch, jacobi_runs):
+        def refuse(c):
+            raise AssertionError("no factor for a matrix with a known spectrum")
+
+        a = with_spectrum(np.random.default_rng(5), [3.0, 2.0, 1.0])
+        eig_hermitian(a)
+        root = matrix_power(a, 0.5)
+        del jacobi_runs[:]
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        assert is_psd(a) and is_psd(root)
+        assert jacobi_runs == []
+
+
+class TestCertified:
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_zero_and_rank_deficient(self, m, jacobi_runs):
+        rng = np.random.default_rng(10 + m)
+        v = rng.standard_normal((m, 1)) + 1j * rng.standard_normal((m, 1))
+        for a in (zero(m), HermitianMatrix(v @ v.conj().T)):
+            assert certified(a)
+            assert is_psd(a)
+        assert jacobi_runs == []
+
+    def test_memberwise_leq_certifies_zero_and_rank_one_differences(self, jacobi_runs):
+        rng = np.random.default_rng(20)
+        q = random_unitary(5, rng)
+        alpha, beta = rng.uniform(0.0, 1.0, 5), rng.uniform(0.0, 1.0, 5)
+        bump = alpha + np.eye(5)[0]
+
+        def members(first):
+            return tuple(HermitianMatrix((q * lam) @ q.conj().T) for lam in (first, beta))
+
+        x, y = AbelianTuple(members(alpha)), AbelianTuple(members(bump))
+        assert memberwise_leq(x, y)
+        assert memberwise_leq(y, AbelianTuple(members(bump)))  # every difference is zero
+        # the leading members only: x's and y's, then the copy's (y's is memoized)
+        assert jacobi_runs.batches == [2, 1]
+
+
+LAPACK_CHOLESKY = np.linalg.cholesky
+GARBAGE = {
+    "zeros": lambda c: np.zeros_like(c),
+    "identity": lambda c: np.eye(len(c), dtype=complex),
+    "nan": lambda c: np.full_like(c, np.nan),
+    "scaled": lambda c: LAPACK_CHOLESKY(c) * (1.0 + 1e-6),
+    # a lying factor: that of a matrix shifted far enough to be positive definite
+    "shifted": lambda c: LAPACK_CHOLESKY(c + 10.0 * np.eye(len(c))),
+    "upper": lambda c: LAPACK_CHOLESKY(c).conj().T,
+}
+
+
+@pytest.mark.parametrize("garbage", sorted(GARBAGE))
+def test_garbage_factor_cannot_certify(garbage, monkeypatch, jacobi_runs):
+    rng = np.random.default_rng(30)
+    slack = RTOL * 4.0  # the kernel's slack at spectral radius 3
+    cases = [
+        with_spectrum(rng, [3.0, 2.0, 1.0, 0.5]),
+        with_spectrum(rng, [3.0, 2.0, 1.0, 0.0]),
+        with_spectrum(rng, [3.0, 2.0, 1.0, -1.01 * slack]),
+        with_spectrum(rng, [3.0, 2.0, 1.0, -0.5]),
+    ]
+    expected = [kernel_is_psd(a) for a in cases]
+    assert expected == [True, True, False, False]
+    del jacobi_runs[:]
+    monkeypatch.setattr(np.linalg, "cholesky", GARBAGE[garbage])
+    assert [is_psd(a) for a in cases] == expected
+    assert jacobi_runs == cases  # each verdict came from the kernel
+
+
+class TestNotFinite:
+    def test_certificate_reports_unknown_without_a_factor(self, monkeypatch):
+        def refuse(c):
+            raise AssertionError("no factor for a matrix whose norm is not finite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        with np.errstate(over="ignore"):  # numpy 2 reports the overflow in the norm's dot
+            big = HermitianMatrix([[0.0, 1e160], [1e160, 0.0]])
+            assert not certified(big)
+        assert not certified(HermitianMatrix([[math.inf, 0.0], [0.0, 1.0]]))
+        assert not certified(HermitianMatrix([[math.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", ["overflow", "infinite"])
+    def test_memberwise_leq_raises(self, bad):
+        # finite leading members, so the bad difference is the one that reaches is_psd
+        entries = {"overflow": [[0.0, 1e160], [1e160, 0.0]], "infinite": [[math.inf, 0.0], [0.0, 0.0]]}
+        # the commutation test meets the overflowing norm, or inf * 0 in a product
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = AbelianTuple((identity(2), zero(2)))
+            y = AbelianTuple((identity(2), HermitianMatrix(entries[bad])))
+        with np.errstate(over="ignore"):  # numpy 2 reports the overflow in the norm's dot
+            with pytest.raises(JacobiConvergenceError, match="norm not finite"):
+                memberwise_leq(x, y)
+
+
+def sweep_matrices(count, seed):
+    """Hermitian matrices at dims 1-16 with lambda_min log-uniform around 0 or around -slack.
+
+    Half the draws put ``|lambda_min|`` log-uniform on ``[1e-18, 1e-6]`` times
+    the scale, either sign, sometimes exactly 0 with extra null directions;
+    the other half put it at ``-slack * (1 + t)`` with ``|t|`` log-uniform on
+    ``[1e-4, 1]``, either sign, across the kernel's slack and inside it.
+    """
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        m = int(rng.integers(1, 17))
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        values = scale * rng.uniform(0.0, 1.0, m)
+        values[0] = scale
+        if k % 2 == 0:
+            lam = scale * 10.0 ** rng.uniform(-18.0, -6.0) * rng.choice([-1.0, 1.0])
+            if rng.uniform() < 0.2:
+                lam = 0.0
+                values[: int(rng.integers(0, m))] = 0.0
+        else:
+            slack = RTOL * (1.0 + scale)
+            lam = -slack * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, 0.0))
+        values[-1] = lam
+        yield with_spectrum(rng, values)
+
+
+def test_certificate_sweep_against_kernel_and_lapack():
+    # the certificate proves lambda_min >= -s/2; LAPACK's eigenvalues are the
+    # reference, allowed their own backward error
+    accepted = 0
+    for a in sweep_matrices(2400, 50):
+        ref = np.linalg.eigvalsh(a.entries)
+        if certified(a):
+            accepted += 1
+            assert kernel_is_psd(a)
+            assert ref[0] >= -RTOL * (1.0 + np.max(np.abs(ref)))
+            assert ref[0] >= -cert_slack(a) / 2 - 64 * linalg._EPS * a.norm()
+        elif ref[0] >= 0.0:
+            raise AssertionError(f"PSD matrix not certified (dim {a.dim}, min eigenvalue {ref[0]})")
+    assert accepted >= 1000
