@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Run the full standard campaign set and write one JSON report per theorem.
 
-This is the batch counterpart of `opineq campaign`: same configs as the
-acceptance gate, reports dropped into --outdir, nonzero exit on any failure.
-It imports opineq from this checkout's src/, so it runs without installing
-the package: `python3 scripts/run_campaigns.py --outdir reports`.
+Each campaign runs as `opineq campaign` through `opineq.cli.main`, so it
+prints the command's summary line and reports errors the way the command
+does.  The configs are the acceptance gate's; reports go to --outdir, and the
+exit code is the worst campaign's (2 over 1 over 0).  It imports opineq from
+this checkout's src/, so it runs without installing the package:
+`python3 scripts/run_campaigns.py --outdir reports`.
 """
 
 import argparse
@@ -14,20 +16,21 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from opineq.harness import CampaignConfig, run_campaign  # noqa: E402
+from opineq.cli import main as opineq  # noqa: E402
 
+# theorem, count, dim range, arity range, seed
 STANDARD = [
-    CampaignConfig("EX1", 50, seed=7),
-    CampaignConfig("T1", 1000, dim_range=(2, 5), arity_range=(1, 3), seed=19),
-    CampaignConfig("T2", 2000, dim_range=(2, 6), arity_range=(2, 4), seed=7),
-    CampaignConfig("T3", 2000, dim_range=(2, 5), arity_range=(1, 3), seed=17),
-    CampaignConfig("T4", 2000, dim_range=(2, 5), arity_range=(1, 3), seed=17),
-    CampaignConfig("T5", 2000, dim_range=(2, 5), arity_range=(1, 3), seed=31),
-    CampaignConfig("T6", 2000, dim_range=(2, 6), arity_range=(1, 4), seed=31),
-    CampaignConfig("COR", 2000, dim_range=(2, 6), arity_range=(1, 4), seed=31),
-    CampaignConfig("LH", 1000, dim_range=(2, 6), seed=37),
-    CampaignConfig("KF", 1000, dim_range=(2, 8), seed=23),
-    CampaignConfig("CHAIN", 1000, dim_range=(2, 6), arity_range=(2, 4), seed=11),
+    ("EX1", 50, "2..6", "1..3", 7),
+    ("T1", 1000, "2..5", "1..3", 19),
+    ("T2", 2000, "2..6", "2..4", 7),
+    ("T3", 2000, "2..5", "1..3", 17),
+    ("T4", 2000, "2..5", "1..3", 17),
+    ("T5", 2000, "2..5", "1..3", 31),
+    ("T6", 2000, "2..6", "1..4", 31),
+    ("COR", 2000, "2..6", "1..4", 31),
+    ("LH", 1000, "2..6", "1..3", 37),
+    ("KF", 1000, "2..8", "1..3", 23),
+    ("CHAIN", 1000, "2..6", "2..4", 11),
 ]
 
 
@@ -40,26 +43,17 @@ def main() -> int:
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    total_fail = 0
-    print(f"{'theorem':>8} {'count':>6} {'pass':>6} {'fail':>5} {'invalid':>8} "
-          f"{'near-eq':>8} {'min gap':>12} {'time':>8}")
-    for base in STANDARD:
-        cfg = CampaignConfig(
-            base.theorem, base.count, base.dim_range, base.arity_range,
-            base.seed + args.seed_shift, base.tol, base.functions,
-        )
-        t0 = time.perf_counter()
-        rep = run_campaign(cfg)
-        dt = time.perf_counter() - t0
-        path = outdir / f"report-{cfg.theorem}-seed{cfg.seed}.json"
-        path.write_text(rep.to_json(indent=2) + "\n")
-        s = rep.summary
-        gap = "n/a" if s["min_gap"] is None else f"{s['min_gap']:.3e}"
-        print(f"{cfg.theorem:>8} {cfg.count:>6} {s['pass']:>6} {s['fail']:>5} "
-              f"{s['invalid']:>8} {s['near_equality']:>8} {gap:>12} {dt:>7.1f}s")
-        total_fail += s["fail"]
-    print(f"reports in {outdir}/")
-    return 0 if total_fail == 0 else 1
+    start = time.perf_counter()
+    worst = 0
+    for theorem, count, dims, arities, seed in STANDARD:
+        seed += args.seed_shift
+        worst = max(worst, opineq([
+            "campaign", "--theorem", theorem, "--count", str(count), "--dim", dims,
+            "--arity", arities, "--seed", str(seed),
+            "--out", str(outdir / f"report-{theorem}-seed{seed}.json"),
+        ]))
+    print(f"{len(STANDARD)} campaigns in {time.perf_counter() - start:.1f} s")
+    return worst
 
 
 if __name__ == "__main__":

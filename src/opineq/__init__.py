@@ -74,8 +74,8 @@ from .majorization import (
     weak_majorize,
 )
 from .means import (
-    SingularInputError,
     check_lowner_heinz,
+    check_root_product_chain,
     check_trace_power_monotone,
     geometric_mean,
     geometric_mean_quadrature,
@@ -112,7 +112,6 @@ __all__ = [
     "JacobiConvergenceError",
     "JointDiagonalizationError",
     "JointSpectrum",
-    "SingularInputError",
     "SpectrumDomainError",
     "Tolerance",
     "TupleField",
@@ -128,6 +127,7 @@ __all__ = [
     "check_phi_concave_jensen",
     "check_phi_jensen_field",
     "check_phi_monotone_chain",
+    "check_root_product_chain",
     "check_thm5",
     "check_thm6",
     "check_trace_power_monotone",

@@ -15,6 +15,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     HermitianMatrix,
+    SpectrumDomainError,
     Tolerance,
     _freeze,
     _spectral_matrix,
@@ -34,10 +35,6 @@ _CLUSTER_GAP_FACTOR = 1e-5
 
 class JointDiagonalizationError(RuntimeError):
     """A member's off-diagonal residual stayed above tolerance after block refinement."""
-
-
-class CubeDomainError(ValueError):
-    """A tuple's joint spectrum escapes the declared domain cube."""
 
 
 def commutator_norm(a: HermitianMatrix, b: HermitianMatrix) -> float:
@@ -223,8 +220,10 @@ def memberwise_leq(x: AbelianTuple, y: AbelianTuple, tol: Tolerance = DEFAULT_TO
     The two leading members go through the kernel in one batch, so the joint
     spectra of both tuples start from the memo.  The differences are read
     only by :func:`is_psd`, whose Cholesky certificate settles them without
-    the kernel unless it cannot prove the order.
+    the kernel unless it cannot prove the order.  Unequal shapes raise ``ValueError``.
     """
+    if x.n != y.n or x.dim != y.dim:
+        raise ValueError(f"shape mismatch: arity {x.n}, dim {x.dim} vs arity {y.n}, dim {y.dim}")
     decompose([x.members[0], y.members[0]])
     return all(is_psd(b - a, tol) for a, b in zip(x.members, y.members))
 
@@ -242,7 +241,7 @@ def apply_cube_function(
     decomposition: the values of ``f`` in the joint eigenbasis.
     """
     if not spectrum_in_cube(t, f.domain, tol):
-        raise CubeDomainError(f"tuple spectrum escapes the domain of {f.name!r}")
+        raise SpectrumDomainError(f"tuple spectrum escapes the domain of {f.name!r}")
     js = joint_diagonalize(t, tol)
     return _spectral_matrix(js.basis, np.array([f(row) for row in js.points]))
 

@@ -1,10 +1,10 @@
 """Command line front end: seeded campaigns and one-off checks on matrix files.
 
 Exit codes are a stable contract: 0 for a mathematical pass, 1 for a
-mathematical failure, 2 when no verdict is reached (configuration or input
-errors, or a numerical dead end in the eigensolver or the joint
-diagonalization).  All randomness flows from --seed; omitting it selects
-the fixed default 0, never entropy.
+mathematical failure, 2 when no verdict is reached.  Each check handler
+returns a Verdict and ``_print_verdict`` turns it into a line and a code;
+every error that reaches ``main`` exits 2 through its one table.  All
+randomness flows from --seed; omitting it selects the fixed default 0.
 """
 
 from __future__ import annotations
@@ -13,18 +13,14 @@ import argparse
 import math
 import re
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
 
 from . import verdict
 from .abelian import AbelianTuple, Cube, JointDiagonalizationError, joint_diagonalize
-from .harness import (
-    CampaignConfig,
-    ConfigError,
-    function_library,
-    run_campaign,
-)
+from .harness import CampaignConfig, function_library, run_campaign
 from .linalg import (
     HermitianMatrix,
     JacobiConvergenceError,
@@ -34,13 +30,11 @@ from .linalg import (
     psd_margin,
 )
 from .majorization import kyfan_check, wmaj_verdict
-from .means import SingularInputError, geometric_mean, geometric_mean_quadrature
+from .means import geometric_mean, geometric_mean_quadrature
 from .pinching import check_mond_pecaric
+from .verdict import Verdict
 
 _TOKEN = re.compile(r"\S+")
-
-# numerical dead ends: no verdict was reached, so they exit 2, never 1
-_NUMERICAL_ERRORS = (JacobiConvergenceError, JointDiagonalizationError)
 
 
 class MatrixParseError(ValueError):
@@ -164,34 +158,18 @@ def _print_ex1_table(report) -> None:
 
 
 def cmd_campaign(args) -> int:
-    try:
-        tol = Tolerance(rtol=args.rtol)
-        cfg = CampaignConfig(
-            theorem=args.theorem.upper(),
-            count=args.count,
-            dim_range=_parse_range(args.dim),
-            arity_range=_parse_range(args.arity),
-            seed=args.seed,
-            tol=tol,
-            functions=tuple(args.functions.split(",")) if args.functions else None,
-        )
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = run_campaign(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 2
+    cfg = CampaignConfig(
+        theorem=args.theorem.upper(),
+        count=args.count,
+        dim_range=_parse_range(args.dim),
+        arity_range=_parse_range(args.arity),
+        seed=args.seed,
+        tol=Tolerance(rtol=args.rtol),
+        functions=tuple(args.functions.split(",")) if args.functions else None,
+    )
+    report = run_campaign(cfg)
     out = Path(args.out) if args.out else Path(f"report-{cfg.theorem}-seed{cfg.seed}.json")
-    try:
-        out.write_text(report.to_json(indent=2) + "\n")
-    except OSError as exc:
-        print(f"cannot write report: {exc}", file=sys.stderr)
-        return 2
+    out.write_text(report.to_json(indent=2) + "\n")
     if args.sweep and cfg.theorem == "EX1":
         _print_ex1_table(report)
     s = report.summary
@@ -203,79 +181,51 @@ def cmd_campaign(args) -> int:
     return 0 if s["fail"] == 0 else 1
 
 
-def _verdict_exit(v, label: str) -> int:
-    if v.invalid:
-        print(f"{label}: invalid input ({v.detail.get('reason', '')})")
-        return 2
-    print(f"{label}: {v.status} gap={v.gap:.6g}")
-    return 0 if v.passed else 1
-
-
-def _check_loewner(args, tol) -> int:
+def _check_loewner(args, tol) -> Verdict:
     a, b = load_hermitians(args.files)
-    return _verdict_exit(verdict.from_gap(*psd_margin(eig_hermitian(b - a), tol)), "loewner")
+    return verdict.from_gap(*psd_margin(eig_hermitian(b - a), tol))
 
 
-def _check_wmaj(args, tol) -> int:
-    a, b = load_hermitians(args.files)
-    return _verdict_exit(wmaj_verdict(a, b, tol), "wmaj")
+def _check_wmaj(args, tol) -> Verdict:
+    return wmaj_verdict(*load_hermitians(args.files), tol)
 
 
-def _check_gmean(args, tol) -> int:
+def _check_gmean(args, tol) -> Verdict:
+    """The mean's matrix, or its deviation from the oracle; the verdict carries its ``line``."""
     x, y = load_hermitians(args.files)
-    try:
-        gm = geometric_mean(x, y, tol)
-    except SpectrumDomainError as exc:
-        print(f"gmean: invalid input ({exc})")
-        return 2
+    gm = geometric_mean(x, y, tol)
     if not args.oracle:
-        print(f"gmean: pass norm={gm.norm():.6g}")
-        for row in gm.entries:
-            print("  " + "  ".join(f"{v.real:+.9g} {v.imag:+.9g}" for v in row))
-        return 0
-    try:
-        gq = geometric_mean_quadrature(x, y, tol)
-    except SingularInputError as exc:
-        print(f"gmean: invalid input ({exc})")
-        return 2
-    dev = (gm - gq).norm()
+        rows = ["  " + "  ".join(f"{v.real:+.9g} {v.imag:+.9g}" for v in row) for row in gm.entries]
+        line = "\n".join([f"gmean: pass norm={gm.norm():.6g}", *rows])
+        return Verdict(verdict.PASS, None, {"line": line})
+    dev = (gm - geometric_mean_quadrature(x, y, tol)).norm()
     bound = 1e-6 * (1.0 + gm.norm())
-    ok = dev <= bound
-    print(f"gmean: {'pass' if ok else 'fail'} oracle-deviation={dev:.3e} bound={bound:.3e}")
-    return 0 if ok else 1
+    status = verdict.PASS if dev <= bound else verdict.FAIL
+    line = f"gmean: {status} oracle-deviation={dev:.3e} bound={bound:.3e}"
+    return Verdict(status, bound - dev, {"line": line})
 
 
-def _check_jensen(args, tol) -> int:
+def _check_jensen(args, tol) -> Verdict:
     members = load_hermitians(args.files)
     try:
         t = AbelianTuple(tuple(members), tol)
     except ValueError:
-        print("jensen: invalid input (matrices do not commute)")
-        return 2
+        return verdict.invalid("matrices do not commute")
     js = joint_diagonalize(t, tol)
     cube = Cube(tuple(zip(js.lambda_min, js.lambda_max)))
     pool = {f.name: f for f in function_library(cube)}
     if args.function not in pool:
-        print(
-            f"jensen: invalid input (function {args.function!r} unavailable on the "
-            f"spectral cube; choices: {sorted(pool)})"
+        return verdict.invalid(
+            f"function {args.function!r} unavailable on the spectral cube; choices: {sorted(pool)}"
         )
-        return 2
-    if args.xi:
-        xi = load_vector(args.xi)
-        if xi.shape[0] != t.dim:
-            print("jensen: invalid input (xi dimension mismatch)")
-            return 2
-    else:
-        xi = np.zeros(t.dim, dtype=complex)
-        xi[0] = 1.0
-    return _verdict_exit(check_mond_pecaric(pool[args.function], t, xi, tol), "jensen")
+    xi = load_vector(args.xi) if args.xi else np.eye(t.dim, dtype=complex)[0]
+    if xi.shape[0] != t.dim:
+        return verdict.invalid("xi dimension mismatch")
+    return check_mond_pecaric(pool[args.function], t, xi, tol)
 
 
-def _check_kyfan(args, tol) -> int:
-    a = load_hermitian(args.files[0])
-    frame = parse_matrix_file(args.files[1])
-    return _verdict_exit(kyfan_check(a, frame, tol), "kyfan")
+def _check_kyfan(args, tol) -> Verdict:
+    return kyfan_check(load_hermitian(args.files[0]), parse_matrix_file(args.files[1]), tol)
 
 
 _CHECKS = {
@@ -287,30 +237,30 @@ _CHECKS = {
 }
 
 
-def cmd_check(args) -> int:
-    handler, nfiles = _CHECKS[args.name]
-    if nfiles is not None and len(args.files) != nfiles:
-        print(f"check {args.name} takes exactly {nfiles} matrix files", file=sys.stderr)
-        return 2
-    if nfiles is None and not args.files:
-        print(f"check {args.name} needs at least one matrix file", file=sys.stderr)
-        return 2
-    try:
-        tol = Tolerance(rtol=args.rtol)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+def _run_check(handler, args, tol) -> Verdict:
+    """The handler's verdict; inputs that do not fit together or leave a domain are invalid."""
     try:
         return handler(args, tol)
-    except MatrixParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    except (InputMismatchError, SpectrumDomainError) as exc:
+        return verdict.invalid(str(exc))
+
+
+def _print_verdict(name: str, v: Verdict) -> int:
+    """Print the verdict's line; exit code 0 for a pass, 1 for a fail, 2 for invalid input."""
+    if v.invalid:
+        print(f"{name}: invalid input ({v.detail.get('reason', '')})")
         return 2
-    except InputMismatchError as exc:
-        print(f"{args.name}: invalid input ({exc})")
+    print(v.detail.get("line") or f"{name}: {v.status} gap={v.gap:.6g}")
+    return 0 if v.passed else 1
+
+
+def cmd_check(args) -> int:
+    handler, nfiles = _CHECKS[args.name]
+    if len(args.files) != nfiles if nfiles else not args.files:
+        need = f"exactly {nfiles} matrix files" if nfiles else "at least one matrix file"
+        print(f"check {args.name} takes {need}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 2
+    return _print_verdict(args.name, _run_check(handler, args, Tolerance(rtol=args.rtol)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,8 +294,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; every error exits 2 here, so only a failed check exits 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MatrixParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+    except (JacobiConvergenceError, JointDiagonalizationError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot write report: {exc}", file=sys.stderr)
+    except ValueError as exc:  # ConfigError, Tolerance, the --dim/--arity ranges among them
+        print(f"config error: {exc}", file=sys.stderr)
+    except Exception:  # a fault in the program: its traceback, and still no verdict
+        traceback.print_exc()
+    return 2
 
 
 if __name__ == "__main__":

@@ -15,17 +15,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import verdict
-from .abelian import AbelianTuple, Cube, CubeFunction, memberwise_leq, uniform_cube
+from .abelian import AbelianTuple, Cube, CubeFunction, uniform_cube
 from .linalg import (
     DEFAULT_TOL,
     HermitianMatrix,
     Tolerance,
     diagonal,
     eig_hermitian,
-    psd_margin,
 )
 from .majorization import check_corollary, check_thm5, check_thm6, kyfan_check
-from .means import check_lowner_heinz, check_trace_power_monotone, root_product_chain
+from .means import check_lowner_heinz, check_root_product_chain, check_trace_power_monotone
 from .pinching import (
     ColumnField,
     TupleField,
@@ -561,14 +560,6 @@ def _check_t3(a, tol) -> Verdict:
     )
 
 
-def _check_chain(a, tol) -> Verdict:
-    x, y = a["x"], a["y"]
-    if not memberwise_leq(x, y, tol):
-        return verdict.invalid("x <= y fails memberwise")
-    diff = root_product_chain(y, tol) - root_product_chain(x, tol)
-    return verdict.from_gap(*psd_margin(eig_hermitian(diff), tol))
-
-
 # ---------------------------------------------------------------------------
 # the theorem registry: one generator, one check and one payload codec per id
 # ---------------------------------------------------------------------------
@@ -656,7 +647,11 @@ _THEOREMS: dict[str, _Theorem] = {
         lambda a, tol: reproduce_example1(a["c"], a["t"], a["lam"], tol),
         {"c": _SCALAR, "t": _SCALAR, "lam": _SCALAR},
     ),
-    "CHAIN": _Theorem(_gen_chain, _check_chain, {"x": _TUPLE, "y": _TUPLE}),
+    "CHAIN": _Theorem(
+        _gen_chain,
+        lambda a, tol: check_root_product_chain(a["x"], a["y"], tol),
+        {"x": _TUPLE, "y": _TUPLE},
+    ),
 }
 
 THEOREM_IDS = tuple(_THEOREMS)

@@ -27,7 +27,7 @@ class JacobiConvergenceError(RuntimeError):
 
 
 class SpectrumDomainError(ValueError):
-    """An eigenvalue fell outside the domain of the scalar function being applied."""
+    """A spectrum fell outside the domain of the function, power or mean being applied."""
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,6 @@ from .verdict import Verdict
 _REGULARIZATION_FACTOR = 1e-10
 
 
-class SingularInputError(ValueError):
-    """The quadrature oracle needs strictly positive definite inputs."""
-
-
 def geometric_mean(
     x: HermitianMatrix, y: HermitianMatrix, tol: Tolerance = DEFAULT_TOL
 ) -> HermitianMatrix:
@@ -96,7 +92,7 @@ def geometric_mean_quadrature(
     for name, a in (("x", x), ("y", y)):
         lam, slack = psd_margin(eig_hermitian(a), tol)
         if lam <= slack:
-            raise SingularInputError(f"{name} is singular at tolerance; regularize first")
+            raise SpectrumDomainError(f"{name} is singular at tolerance; regularize first")
     tan2, coef = _quadrature_rule()
     x_inv = np.linalg.inv(x.entries)
     y_inv = np.linalg.inv(y.entries)
@@ -126,6 +122,21 @@ def root_product_chain(t: AbelianTuple, tol: Tolerance = DEFAULT_TOL) -> Hermiti
     return _power_product(t, (1.0 / 2.0 ** (t.n - 1),) * t.n, tol)
 
 
+def check_root_product_chain(
+    x: AbelianTuple, y: AbelianTuple, tol: Tolerance = DEFAULT_TOL
+) -> Verdict:
+    """Check ``root_product_chain(x) <= root_product_chain(y)``; invalid unless ``0 <= x <= y``."""
+    if x.n != y.n or x.dim != y.dim:
+        return verdict.invalid("shape mismatch")
+    if not memberwise_leq(x, y, tol):
+        return verdict.invalid("x <= y fails memberwise")
+    for name, t in (("x", x), ("y", y)):
+        if not _psd_members(t, tol):
+            return verdict.invalid(f"{name} is not PSD")
+    diff = root_product_chain(y, tol) - root_product_chain(x, tol)
+    return verdict.from_gap(*psd_margin(eig_hermitian(diff), tol))
+
+
 def check_lowner_heinz(
     x: HermitianMatrix,
     y: HermitianMatrix,
@@ -144,8 +155,9 @@ def check_lowner_heinz(
     if not alphas or not all(0.0 <= alpha <= 1.0 for alpha in alphas):
         raise ValueError(f"alphas must be a non-empty list in [0, 1], got {alphas}")
     d = y - x
-    ex, ed, _ = decompose([x, d, y])
-    for reason, es in (("x is not positive semidefinite", ex), ("x <= y fails", ed)):
+    ex, ed, ey = decompose([x, d, y])
+    for reason, es in (("x is not positive semidefinite", ex), ("x <= y fails", ed),
+                       ("y is not positive semidefinite", ey)):
         lam, slack = psd_margin(es, tol)
         if lam < -slack:
             return verdict.invalid(reason)
@@ -170,7 +182,7 @@ def check_trace_power_monotone(
 ) -> Verdict:
     """Check ``phi(x1^p1 ... xn^pn) <= phi(y1^p1 ... yn^pn)``.
 
-    Hypotheses: x PSD, memberwise Loewner order, all members in the
+    Hypotheses: x and y PSD, memberwise Loewner order, all members in the
     centralizer of the state, nonnegative exponents; both tuples are abelian
     by type.  A violated hypothesis produces an invalid verdict so campaign
     statistics never count a malformed instance as confirmation, with one
@@ -186,8 +198,9 @@ def check_trace_power_monotone(
         return verdict.invalid("dimension mismatch against the state")
     if not memberwise_leq(x, y, tol):
         return verdict.invalid("x <= y fails memberwise")
-    if not _psd_members(x, tol):
-        return verdict.invalid("x is not PSD")
+    for name, t in (("x", x), ("y", y)):
+        if not _psd_members(t, tol):
+            return verdict.invalid(f"{name} is not PSD")
     rho_m = rho.matrix()
     if not all(check_commuting([rho_m, a], tol) for a in xs + ys):
         return verdict.invalid("members leave the centralizer of the state")

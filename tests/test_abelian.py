@@ -12,6 +12,7 @@ from opineq.abelian import (
     check_commuting,
     check_compatible,
     joint_diagonalize,
+    memberwise_leq,
     spectrum_in_cube,
     uniform_cube,
 )
@@ -268,10 +269,10 @@ class TestCubeFunction:
             apply_cube_function(f, AbelianTuple((diagonal([0.5]), diagonal([0.5]))))
 
     def test_domain_violation_raises(self):
-        from opineq.abelian import CubeDomainError
+        from opineq.linalg import SpectrumDomainError
 
         f = CubeFunction("id", uniform_cube(1, 0, 1), lambda s: s[0])
-        with pytest.raises(CubeDomainError):
+        with pytest.raises(SpectrumDomainError, match="escapes the domain of 'id'"):
             apply_cube_function(f, AbelianTuple((diagonal([2.0, 0.0]),)))
 
 
@@ -335,6 +336,18 @@ class TestCompatibility:
         assert check_compatible(x, y)
         mid = [0.5 * (a + b) for a, b in zip(x.members, y.members)]
         assert check_commuting(mid)
+
+
+class TestMemberwiseLeq:
+    @pytest.mark.parametrize(
+        "y",
+        [(diagonal([2, 2]), diagonal([2, 2])), (diagonal([2, 2, 2]),)],
+        ids=["arity", "dim"],
+    )
+    def test_shape_mismatch_raises(self, y):
+        # a common prefix that is in order must not pass for the whole tuples
+        with pytest.raises(ValueError, match="shape mismatch"):
+            memberwise_leq(AbelianTuple((diagonal([1, 1]),)), AbelianTuple(y))
 
 
 class TestCube:

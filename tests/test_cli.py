@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from opineq.abelian import JointDiagonalizationError
 from opineq.cli import MatrixParseError, main, parse_matrix_text
+from opineq.harness import ConfigError
+from opineq.linalg import JacobiConvergenceError, SpectrumDomainError
 
 
 def write(tmp_path, name, text):
@@ -309,3 +313,126 @@ class TestRunCampaignsScript:
         )
         assert done.returncode == 0, done.stderr
         assert "--outdir" in done.stdout
+
+
+def _kyfan_files(tmp_path):
+    a = write(tmp_path, "a.mat", "dim: 3\n3 0 0 0 0 0\n0 0 2 0 0 0\n0 0 0 0 1 0\n")
+    u = write(tmp_path, "u.mat", "dim: 3 2\n0 0 0 0\n1 0 0 0\n0 0 1 0\n")
+    return a, u
+
+
+class TestExitCodeTable:
+    """Every error that reaches ``main`` exits 2 with its table line; only a fail exits 1."""
+
+    # (error, stderr prefix); an error outside the table prints its traceback
+    ERRORS = [
+        (lambda: ConfigError("bad config"), "config error: bad config"),
+        (lambda: ValueError("field is not unital"), "config error: field is not unital"),
+        (lambda: SpectrumDomainError("off the domain"), "config error: off the domain"),
+        (lambda: MatrixParseError("bad row", 3), "parse error: line 3, column 1: bad row"),
+        (lambda: JacobiConvergenceError("stuck"), "numerical error: stuck"),
+        (lambda: JointDiagonalizationError("residual"), "numerical error: residual"),
+        (lambda: OSError("disk full"), "cannot write report: disk full"),
+        (lambda: RuntimeError("boom"), "Traceback (most recent call last):"),
+    ]
+    IDS = ["config", "value", "domain", "parse", "jacobi", "joint", "os", "runtime"]
+
+    @staticmethod
+    def raiser(make):
+        def raise_it(*args):
+            raise make()
+
+        return raise_it
+
+    @pytest.mark.parametrize("make, prefix", ERRORS, ids=IDS)
+    def test_raised_inside_a_campaign(self, tmp_path, capsys, monkeypatch, make, prefix):
+        from opineq import harness
+
+        monkeypatch.setattr(harness, "kyfan_check", self.raiser(make))
+        out = tmp_path / "r.json"
+        assert main(["campaign", "--theorem", "KF", "--count", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(prefix)
+        assert captured.err.rstrip().endswith(str(make()))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("make, prefix", ERRORS, ids=IDS)
+    def test_raised_inside_a_check(self, tmp_path, capsys, monkeypatch, make, prefix):
+        from opineq import cli
+
+        monkeypatch.setattr(cli, "kyfan_check", self.raiser(make))
+        assert main(["check", "kyfan", *_kyfan_files(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        if isinstance(make(), SpectrumDomainError):  # a check's domain error is its verdict
+            assert (captured.out, captured.err) == ("kyfan: invalid input (off the domain)\n", "")
+        else:
+            assert captured.out == ""
+            assert captured.err.startswith(prefix)
+            assert captured.err.rstrip().endswith(str(make()))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "--theorem", "KF", "--rtol", "0.5"],
+            ["campaign", "--theorem", "KF", "--dim", "2..x"],
+            ["campaign", "--theorem", "KF", "--arity", "2..x"],
+            ["check", "loewner", "x.mat", "y.mat", "--rtol", "0.5"],
+        ],
+        ids=["campaign-rtol", "campaign-dim", "campaign-arity", "check-rtol"],
+    )
+    def test_bad_argument_value(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestRunCampaignsScriptExit:
+    @pytest.fixture
+    def script(self, monkeypatch):
+        import importlib.util
+
+        path = Path(__file__).resolve().parent.parent / "scripts" / "run_campaigns.py"
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+        spec = importlib.util.spec_from_file_location("run_campaigns", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_reports_and_summary_lines(self, tmp_path, capsys, monkeypatch, script):
+        monkeypatch.setattr(script, "STANDARD", [("KF", 3, "2..3", "1..3", 5)])
+        monkeypatch.setattr(sys, "argv", ["run_campaigns.py", "--outdir", str(tmp_path)])
+        assert script.main() == 0
+        report = tmp_path / "report-KF-seed5.json"
+        summary, total = capsys.readouterr().out.splitlines()
+        assert summary.startswith("KF: 3 instances | pass 3 fail 0 ")
+        assert summary.endswith(f"| report {report}")
+        assert re.fullmatch(r"1 campaigns in \d+\.\d s", total)
+        mine = tmp_path / "mine.json"
+        main(["campaign", "--theorem", "KF", "--count", "3", "--dim", "2..3", "--seed", "5",
+              "--out", str(mine)])
+        ja, jb = json.loads(report.read_text()), json.loads(mine.read_text())
+        ja.pop("wall_time_s"), jb.pop("wall_time_s")
+        assert ja == jb
+
+    @pytest.mark.parametrize(
+        "codes, worst", [([0, 0], 0), ([0, 1, 0], 1), ([1, 2, 0], 2), ([2, 1], 2)]
+    )
+    def test_exit_code_is_the_worst(self, tmp_path, monkeypatch, script, codes, worst):
+        returned = iter(codes)
+        monkeypatch.setattr(script, "opineq", lambda argv: next(returned))
+        monkeypatch.setattr(script, "STANDARD", script.STANDARD[: len(codes)])
+        monkeypatch.setattr(sys, "argv", ["run_campaigns.py", "--outdir", str(tmp_path)])
+        assert script.main() == worst
+
+    def test_numerical_dead_end_exits_2(self, tmp_path, capsys, monkeypatch, script):
+        from opineq import linalg
+
+        monkeypatch.setattr(linalg, "_SWEEP_CAP", 0)
+        monkeypatch.setattr(script, "STANDARD", [("KF", 2, "3..3", "1..3", 5)])
+        monkeypatch.setattr(sys, "argv", ["run_campaigns.py", "--outdir", str(tmp_path)])
+        assert script.main() == 2
+        assert capsys.readouterr().err.startswith("numerical error: no convergence")

@@ -10,6 +10,7 @@ from opineq.abelian import AbelianTuple
 from opineq.harness import CampaignConfig, instance_rng
 from opineq.linalg import (
     DEFAULT_QUADRATURE_NODES,
+    DEFAULT_TOL,
     HermitianMatrix,
     SpectrumDomainError,
     diagonal,
@@ -18,8 +19,8 @@ from opineq.linalg import (
     matrix_power,
 )
 from opineq.means import (
-    SingularInputError,
     check_lowner_heinz,
+    check_root_product_chain,
     check_trace_power_monotone,
     geometric_mean,
     geometric_mean_quadrature,
@@ -153,7 +154,7 @@ class TestQuadratureOracle:
             assert (gm - gq).norm() <= 1e-8 * (1 + gm.norm())
 
     def test_rejects_singular(self):
-        with pytest.raises(SingularInputError):
+        with pytest.raises(SpectrumDomainError, match="x is singular at tolerance"):
             geometric_mean_quadrature(diagonal([1.0, 0.0]), identity(2))
 
     @pytest.mark.parametrize("complex_entries", [False, True])
@@ -212,6 +213,42 @@ class TestRootProductChain:
     def test_rejects_an_indefinite_member(self):
         with pytest.raises(SpectrumDomainError):
             root_product_chain(AbelianTuple((diagonal([1.0, 2.0]), diagonal([1.0, -0.5]))))
+
+
+class TestGuardsCoverTheCalculus:
+    """Each check's guards admit only pairs whose powers and root products are defined.
+
+    x >= 0 and x <= y, each at its own slack, do not imply y >= 0 at the slack of
+    the calculus: here x and y - x pass and y fails by 0.89e-9.
+    """
+
+    X, Y = diagonal([-1.9e-9, 1.0]), diagonal([-2.89e-9, 1.0])
+
+    def test_trace_power_monotone(self):
+        x, y = AbelianTuple((self.X,)), AbelianTuple((self.Y,))
+        v = check_trace_power_monotone(x, y, (0.5,), DiagonalState.uniform(2))
+        assert v.invalid and v.detail["reason"] == "y is not PSD"
+
+    def test_lowner_heinz(self):
+        v = check_lowner_heinz(self.X, self.Y, (0.25, 0.5))
+        assert v.invalid and v.detail["reason"] == "y is not positive semidefinite"
+
+    def test_chain_registry_check(self):
+        args = {"x": AbelianTuple((self.X,)), "y": AbelianTuple((self.Y,))}
+        v = hz._THEOREMS["CHAIN"].check(args, DEFAULT_TOL)
+        assert v.invalid and v.detail["reason"] == "y is not PSD"
+
+    def test_chain_rejects_an_indefinite_x(self):
+        x = AbelianTuple((diagonal([-1.0, 1.0]),))
+        assert check_root_product_chain(x, x).detail["reason"] == "x is not PSD"
+
+    def test_chain_rejects_a_shape_mismatch(self):
+        # the member zip used to compare only the common prefix and pass
+        x = AbelianTuple((identity(2),))
+        y = AbelianTuple((2.0 * identity(2), 2.0 * identity(2)))
+        registry = hz._THEOREMS["CHAIN"].check({"x": x, "y": y}, DEFAULT_TOL)
+        for v in (check_root_product_chain(x, y), registry):
+            assert v.invalid and v.detail["reason"] == "shape mismatch"
 
 
 class TestLownerHeinz:
