@@ -24,10 +24,11 @@ from .linalg import (
     is_psd,
 )
 
-# Jacobi stops once the off-diagonal mass is below 1e-14 * ||x||_F, so its
-# eigenvectors at relative eigenvalue gap g are accurate to about 1e-14 / g,
-# and that error shows up in the other members' off-diagonal residuals,
-# which must stay under rtol = 1e-9.  Gaps below 1e-5 relative (a residual
+# Jacobi stops once the off-diagonal mass is below 1e-14 * ||x||_F, whether
+# it started from a LAPACK basis or cold, and that one stop test bounds the
+# eigenvector error: at relative eigenvalue gap g it is about 1e-14 / g, and
+# it shows up in the other members' off-diagonal residuals, which must stay
+# under rtol = 1e-9.  Gaps below 1e-5 relative (a residual
 # of at most ~1e-9 relative) are therefore merged into one cluster and left
 # for the next member to resolve.
 _CLUSTER_GAP_FACTOR = 1e-5
@@ -50,7 +51,7 @@ def check_commuting(members: Sequence[HermitianMatrix], tol: Tolerance = DEFAULT
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
             bound = tol.rtol * (1.0 + members[i].norm() * members[j].norm())
-            if commutator_norm(members[i], members[j]) > bound:
+            if not commutator_norm(members[i], members[j]) <= bound:
                 return False
     return True
 
@@ -197,7 +198,7 @@ def joint_diagonalize(t: AbelianTuple, tol: Tolerance = DEFAULT_TOL) -> JointSpe
         residuals = [np.linalg.norm(c - np.diag(np.diag(c))) for c in conj]
         js = JointSpectrum(u, np.column_stack([np.diag(c).real for c in conj]), residuals)
         object.__setattr__(t, "_joint", js)
-    if any(r > tol.rtol * (1.0 + x.norm()) for r, x in zip(js.residuals, members)):
+    if any(not r <= tol.rtol * (1.0 + x.norm()) for r, x in zip(js.residuals, members)):
         raise JointDiagonalizationError("a member's off-diagonal residual is above tolerance")
     return js
 
@@ -264,6 +265,6 @@ def check_compatible(x: AbelianTuple, y: AbelianTuple, tol: Tolerance = DEFAULT_
             lhs = xs[i].entries @ ys[j].entries - ys[j].entries @ xs[i].entries
             rhs = xs[j].entries @ ys[i].entries - ys[i].entries @ xs[j].entries
             scale = 1.0 + xs[i].norm() * ys[j].norm() + xs[j].norm() * ys[i].norm()
-            if np.linalg.norm(lhs - rhs) > tol.rtol * scale:
+            if not np.linalg.norm(lhs - rhs) <= tol.rtol * scale:
                 return False
     return True

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import verdict
 from .abelian import AbelianTuple, Cube, JointDiagonalizationError, joint_diagonalize
-from .harness import CampaignConfig, function_library, run_campaign
+from .harness import CampaignConfig, ConfigError, function_library, run_campaign
 from .linalg import (
     HermitianMatrix,
     JacobiConvergenceError,
@@ -136,11 +136,18 @@ def load_vector(path: str | Path) -> np.ndarray:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+    lo, sep, hi = text.partition("..")
+    try:
+        return int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise ConfigError(f"range {text!r} is not an integer or lo..hi") from None
+
+
+def _tolerance(rtol: float) -> Tolerance:
+    try:
+        return Tolerance(rtol=rtol)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _print_ex1_table(report) -> None:
@@ -164,7 +171,7 @@ def cmd_campaign(args) -> int:
         dim_range=_parse_range(args.dim),
         arity_range=_parse_range(args.arity),
         seed=args.seed,
-        tol=Tolerance(rtol=args.rtol),
+        tol=_tolerance(args.rtol),
         functions=tuple(args.functions.split(",")) if args.functions else None,
     )
     report = run_campaign(cfg)
@@ -260,7 +267,7 @@ def cmd_check(args) -> int:
         need = f"exactly {nfiles} matrix files" if nfiles else "at least one matrix file"
         print(f"check {args.name} takes {need}", file=sys.stderr)
         return 2
-    return _print_verdict(args.name, _run_check(handler, args, Tolerance(rtol=args.rtol)))
+    return _print_verdict(args.name, _run_check(handler, args, _tolerance(args.rtol)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,7 +311,7 @@ def main(argv=None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
     except OSError as exc:
         print(f"cannot write report: {exc}", file=sys.stderr)
-    except ValueError as exc:  # ConfigError, Tolerance, the --dim/--arity ranges among them
+    except ConfigError as exc:  # the campaign config, --rtol and the --dim/--arity ranges
         print(f"config error: {exc}", file=sys.stderr)
     except Exception:  # a fault in the program: its traceback, and still no verdict
         traceback.print_exc()

@@ -239,6 +239,51 @@ def _eigensystem(lam: np.ndarray, u: np.ndarray) -> EigenSystem:
     return EigenSystem(lam[order], u[:, order])
 
 
+def _lapack_basis(w: np.ndarray) -> np.ndarray:
+    """LAPACK's eigenvectors of each matrix in the ``(k, m, m)`` stack ``w``: only a proposal."""
+    return np.linalg.eigh(w)[1]
+
+
+def _warm_start(w: np.ndarray, u: np.ndarray, rows: list[int]) -> None:
+    """Move ``w[k]`` into a checked LAPACK basis ``q`` and set ``u[k] = q``, for ``k`` in ``rows``.
+
+    One stacked :func:`_lapack_basis` call proposes; after a ``LinAlgError``
+    each matrix is asked again alone, so one failure leaves the others'
+    bits as they are in any batch.  A proposal is kept only if it is finite
+    and ``||q* q - I||_F <= 1e-14``, the stop factor; any other matrix keeps
+    its cold start.  Why that bound suffices: every eigenvalue of ``q* q``
+    then lies within ``1 +- 1e-14``, so by Ostrowski's theorem each
+    eigenvalue of ``q* a q`` is ``theta * lambda`` with ``|theta - 1| <=
+    1e-14`` and moves by at most ``1e-14 * ||a||_F``, no more than the stop
+    test lets the off-diagonal mass move the diagonal (Weyl); and ``u``
+    starts no less unitary than the cold path's own ``u`` ends (1.4e-14 at
+    m = 16).  Whatever the start, the sweep loop's stop test then decides,
+    so a poor basis costs sweeps, never accuracy.
+    """
+    try:
+        proposals = list(_lapack_basis(w[rows]))
+    except np.linalg.LinAlgError:
+        proposals = []
+        for k in rows:
+            try:
+                proposals.append(_lapack_basis(w[k : k + 1])[0])
+            except np.linalg.LinAlgError:
+                proposals.append(None)
+    kept, bases = [], []
+    for k, q in zip(rows, proposals):
+        if q is None or not np.isfinite(q).all():
+            continue
+        d = q.conj().T @ q
+        d.flat[:: len(d) + 1] -= 1.0
+        if math.sqrt(np.vdot(d, d).real) <= _OFFDIAG_FACTOR:
+            kept.append(k)
+            bases.append(q)
+    if kept:
+        q = np.array(bases)
+        w[kept] = q.conj().transpose(0, 2, 1) @ w[kept] @ q
+        u[kept] = q
+
+
 def _jacobi(mats: Sequence[HermitianMatrix]) -> list[EigenSystem]:
     """Round-robin Jacobi kernel behind :func:`decompose`, run once over same-size matrices.
 
@@ -248,6 +293,14 @@ def _jacobi(mats: Sequence[HermitianMatrix]) -> list[EigenSystem]:
     round in which it has nothing to rotate, so its bits do not depend on
     the rest of the batch.  Converged matrices leave the stack at sweep
     boundaries.
+
+    A matrix of dimension 3 or more that fails the first stop test starts
+    from a checked LAPACK basis ``q`` (:func:`_warm_start`): ``w = (q* a)
+    q`` and ``u = q``.  The same stop test ends its run, so it converges in
+    few sweeps, usually none, and its result meets the same a-posteriori
+    bound as a cold one.  Without a kept ``q`` it starts cold, from ``a``
+    and ``I``.  A 2x2 cold run is one exact rotation, so it gets no
+    proposal, nor does a matrix that already passes (diagonal, zero, 1x1).
     """
     b, m = len(mats), mats[0].dim
     mm = m * m
@@ -268,6 +321,11 @@ def _jacobi(mats: Sequence[HermitianMatrix]) -> list[EigenSystem]:
     npairs = m // 2
     if b > 1:
         rounds, off = _stack_plan(m, b)
+    if m > 2:  # a 2x2 cold run is one exact rotation
+        v = w.take(off).reshape(b, -1)
+        rows = [k for k, t in enumerate(thresholds) if not math.sqrt(np.vdot(v[k], v[k]).real) <= t]
+        if rows:
+            _warm_start(w, u, rows)
     out: list = [None] * b
     live = list(range(b))  # the batch position of each stack entry
     skip = [threshold / m for threshold in thresholds for _ in range(npairs)]
@@ -364,7 +422,10 @@ def eig_hermitian(a: HermitianMatrix) -> EigenSystem:
     block-diagonal unitary.  Sweeps stop once the off-diagonal Frobenius
     mass drops below ``1e-14 * ||a||_F``; more than 100 sweeps, or a norm
     that is not finite, raises :class:`JacobiConvergenceError` (never returns
-    silently wrong output).
+    silently wrong output).  A matrix of dimension 3 or more that fails that
+    test at once starts from LAPACK's eigenbasis when it is unitary to
+    ``1e-14``, and cold otherwise; the same test ends either run, so LAPACK
+    can cost sweeps but cannot make the result less accurate.
 
     Deterministic for a fixed input.  The result is kept on ``a``, so each
     matrix object is decomposed once; its arrays are read-only.  The kernel

@@ -61,7 +61,7 @@ def kyfan_check(a: HermitianMatrix, u: np.ndarray, tol: Tolerance = DEFAULT_TOL)
         return verdict.invalid(f"frame shape {u.shape} does not fit dimension {a.dim}")
     k = u.shape[1]
     defect = float(np.linalg.norm(u.conj().T @ u - np.eye(k)))
-    if defect > tol.rtol * k:
+    if not defect <= tol.rtol * k:
         return verdict.invalid(f"frame is not orthonormal: defect {defect}")
     lhs = float(np.real(np.trace(u.conj().T @ a.entries @ u)))
     rhs = float(partial_sums(a)[k - 1])

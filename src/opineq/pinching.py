@@ -62,7 +62,7 @@ class ColumnField:
         object.__setattr__(self, "matrices", tuple(mats))
         gram = sum(w * a.conj().T @ a for w, a in zip(ws, mats))
         defect = np.linalg.norm(gram - np.eye(self.dim))
-        if defect > self.tol.rtol * len(ws):
+        if not defect <= self.tol.rtol * len(ws):
             raise ValueError(f"field is not unital: defect {defect}")
 
     @property
@@ -139,7 +139,7 @@ def build_mu_xi(
     xi = np.asarray(xi, dtype=complex).reshape(-1)
     if xi.shape[0] != field_.dim:
         raise ValueError("vector dimension does not match the field")
-    if abs(np.linalg.norm(xi) - 1.0) > tol.rtol:
+    if not abs(np.linalg.norm(xi) - 1.0) <= tol.rtol:
         raise ValueError("xi must be a unit vector")
     if field_.count != tf.count:
         raise ValueError("field and tuple field are misaligned")
@@ -152,7 +152,7 @@ def build_mu_xi(
         masses.append(w * np.abs(amp) ** 2)
     support, masses = np.vstack(rows), np.concatenate(masses)
     total, norm2 = float(masses.sum()), float(np.vdot(xi, xi).real)
-    if abs(total - norm2) > field_.tol.rtol * field_.count * norm2:
+    if not abs(total - norm2) <= field_.tol.rtol * field_.count * norm2:
         raise ValueError(f"total mass {total} exceeds the field's unitality defect")
     return support, masses
 
@@ -179,7 +179,7 @@ def check_jensen_expectation(
     if not tf.in_domain(f.domain, tol):
         return verdict.invalid("an atom leaves the domain cube")
     xi = np.asarray(xi, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(xi) - 1.0) > tol.rtol:
+    if not abs(np.linalg.norm(xi) - 1.0) <= tol.rtol:
         return verdict.invalid("xi is not a unit vector")
     lhs = f([_expectation(y, xi) for y in compress(field_, tf)])
     image = field_.conjugate_sum([apply_cube_function(f, t, tol) for t in tf.atoms])
@@ -208,7 +208,7 @@ def check_mond_pecaric(
     if not spectrum_in_cube(t, f.domain, tol):
         return verdict.invalid("tuple leaves the domain cube")
     xi = np.asarray(xi, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(xi) - 1.0) > tol.rtol:
+    if not abs(np.linalg.norm(xi) - 1.0) <= tol.rtol:
         return verdict.invalid("xi is not a unit vector")
     args = [_expectation(x, xi) for x in t.members]
     lhs = f(args)

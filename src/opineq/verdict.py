@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -45,7 +46,12 @@ def invalid(reason: str, **detail: Any) -> Verdict:
 
 
 def from_gap(gap: float, slack: float, /, **detail: Any) -> Verdict:
-    """Pass iff ``gap >= -slack``; the slack is recorded for audit."""
+    """Pass iff ``gap >= -slack``; the slack is recorded for audit.
+
+    A NaN gap or slack is no counterexample: it gives an invalid verdict.
+    """
+    if math.isnan(gap) or math.isnan(slack):
+        return invalid(f"gap {gap} or slack {slack} is not a number", **detail)
     detail["slack"] = slack
     status = PASS if gap >= -slack else FAIL
     return Verdict(status, gap, detail)

@@ -97,6 +97,10 @@ class TestCommuting:
         with pytest.raises(ValueError):
             AbelianTuple((diagonal([1, 0]), X_FLIP))
 
+    def test_nan_commutator_is_not_commuting(self):
+        # the commutator norm is NaN, which proves nothing
+        assert not check_commuting([diagonal([1, 2]), HermitianMatrix([[0, 1], [1, np.nan]])])
+
 
 class TestJointDiagonalize:
     def test_diagonal_tuple(self):

@@ -324,11 +324,12 @@ def _kyfan_files(tmp_path):
 class TestExitCodeTable:
     """Every error that reaches ``main`` exits 2 with its table line; only a fail exits 1."""
 
-    # (error, stderr prefix); an error outside the table prints its traceback
+    # (error, stderr prefix); an error outside the table prints its traceback, and only
+    # a ConfigError is a configuration error
     ERRORS = [
         (lambda: ConfigError("bad config"), "config error: bad config"),
-        (lambda: ValueError("field is not unital"), "config error: field is not unital"),
-        (lambda: SpectrumDomainError("off the domain"), "config error: off the domain"),
+        (lambda: ValueError("field is not unital"), "Traceback (most recent call last):"),
+        (lambda: SpectrumDomainError("off the domain"), "Traceback (most recent call last):"),
         (lambda: MatrixParseError("bad row", 3), "parse error: line 3, column 1: bad row"),
         (lambda: JacobiConvergenceError("stuck"), "numerical error: stuck"),
         (lambda: JointDiagonalizationError("residual"), "numerical error: residual"),

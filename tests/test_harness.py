@@ -1,6 +1,7 @@
 """Tests for generators, the function library and its audit, and campaign plumbing."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -38,6 +39,18 @@ from opineq.harness import (
 )
 from opineq.linalg import DEFAULT_TOL, JacobiConvergenceError, diagonal, eig_hermitian
 from opineq.means import check_lowner_heinz
+
+
+class TestFromGap:
+    def test_nan_gap_or_slack_is_invalid(self):
+        # a NaN compares False either way, so it must not reach the pass/fail test
+        for gap, slack in [(math.nan, 1e-9), (-1.0, math.nan), (math.nan, math.nan)]:
+            v = verdict.from_gap(gap, slack, k=1)
+            assert v.invalid and v.detail["k"] == 1, (gap, slack)
+
+    def test_no_links_still_pass(self):
+        assert verdict.from_gap(math.inf, 0.0).passed
+        assert verdict.from_gap(-2e-9, 1e-9).status == "fail"
 
 
 class TestGenerators:

@@ -99,7 +99,7 @@ class TestEig:
         with pytest.raises(ValueError):
             es.basis[0, 0] = 0.0
 
-    def test_sweep_cap_raises(self, monkeypatch):
+    def test_sweep_cap_raises(self, monkeypatch, cold_kernel):
         monkeypatch.setattr(linalg, "_SWEEP_CAP", 1)
         h = random_hermitian(np.random.default_rng(13), 6)
         message = "no convergence after 1 sweeps on a 6x6 matrix"
@@ -144,9 +144,9 @@ class TestEig:
         rng = np.random.default_rng(5)
         for _ in range(100):
             h = random_hermitian(rng, int(rng.integers(2, 8)))
-            mine = eig_hermitian(h).eigenvalues
             ref = np.linalg.eigvalsh(h.entries)[::-1]
-            assert np.allclose(mine, ref, atol=1e-11 * (1 + np.max(np.abs(ref))))
+            for es in both_starts(h):
+                assert np.allclose(es.eigenvalues, ref, atol=1e-11 * (1 + np.max(np.abs(ref))))
 
 
 def unitary(rng, dim):
@@ -160,15 +160,37 @@ def with_spectrum(rng, values):
     return HermitianMatrix((q * np.asarray(values, dtype=float)) @ q.conj().T)
 
 
-def assert_matches_eigvalsh(h):
+def refuse_proposal(w):
+    raise np.linalg.LinAlgError("no proposal")
+
+
+@pytest.fixture
+def cold_kernel(monkeypatch):
+    """The kernel with every LAPACK start refused: each run starts from ``a`` and ``I``."""
+    monkeypatch.setattr(linalg, "_lapack_basis", refuse_proposal)
+
+
+def both_starts(h):
+    """The kernel's decompositions of ``h`` from a LAPACK start and from a cold one.
+
+    On the first alone, a comparison with LAPACK would compare LAPACK with itself.
+    """
+    warm = eig_hermitian(HermitianMatrix(h.entries))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_lapack_basis", refuse_proposal)
+        cold = eig_hermitian(HermitianMatrix(h.entries))
+    return warm, cold
+
+
+def assert_matches_eigvalsh(h, starts=both_starts):
     """Eigenvalues against LAPACK, reconstruction and orthogonality, all to 1e-12 relative."""
-    es = eig_hermitian(h)
     scale = h.norm()
     ref = np.linalg.eigvalsh(h.entries)[::-1]
-    assert np.max(np.abs(es.eigenvalues - ref)) <= 1e-12 * scale
-    assert (es.reconstruct() - h).norm() <= 1e-12 * scale
-    gram = es.basis.conj().T @ es.basis
-    assert np.linalg.norm(gram - np.eye(h.dim)) <= 1e-12 * h.dim
+    for es in starts(h):
+        assert np.max(np.abs(es.eigenvalues - ref)) <= 1e-12 * scale
+        assert (es.reconstruct() - h).norm() <= 1e-12 * scale
+        gram = es.basis.conj().T @ es.basis
+        assert np.linalg.norm(gram - np.eye(h.dim)) <= 1e-12 * h.dim
 
 
 DIMS = range(1, 17)
@@ -327,6 +349,7 @@ def same_bits(es, lam, basis):
     return es.eigenvalues.tobytes() == lam.tobytes() and es.basis.tobytes() == basis.tobytes()
 
 
+@pytest.mark.usefixtures("cold_kernel")  # reference_jacobi is the cold path
 class TestStackedKernel:
     @settings(max_examples=60, deadline=None)
     @given(batches)
@@ -370,6 +393,106 @@ class TestStackedKernel:
         message = r"no convergence after 1 sweeps on a 3x3 matrix \(position 1 of a batch of 3\)"
         with pytest.raises(JacobiConvergenceError, match=message):
             decompose(batch)
+
+
+def proposing(fn):
+    """A ``_lapack_basis`` stand-in that proposes ``fn(q)`` for each of LAPACK's bases ``q``."""
+
+    def propose(w):
+        return np.array([fn(q) for q in np.linalg.eigh(w)[1]])
+
+    return propose
+
+
+def rotated(q, angle):
+    """``q`` with its first two columns turned by ``angle`` radians."""
+    q = q.copy()
+    c, s = math.cos(angle), math.sin(angle)
+    q[:, :2] = q[:, :2] @ np.array([[c, -s], [s, c]])
+    return q
+
+
+class TestLapackStart:
+    """A LAPACK basis only proposes a start: the kernel's own stop test decides."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches)
+    def test_batch_of_n_matches_batch_of_one_bit_for_bit(self, spec):
+        dim, items = spec
+        together = linalg._jacobi([kind_matrix(k, dim, seed) for k, seed in items])
+        for (k, seed), es in zip(items, together):
+            (alone,) = linalg._jacobi([kind_matrix(k, dim, seed)])
+            assert same_bits(es, alone.eigenvalues, alone.basis), (k, seed)
+
+    @pytest.mark.parametrize("m", range(3, 17))
+    @pytest.mark.parametrize(
+        "propose",
+        [
+            refuse_proposal,
+            proposing(lambda q: np.full_like(q, math.nan)),
+            proposing(lambda q: (1 + 1e-10) * q),
+        ],
+        ids=["linalg-error", "nan", "scaled"],
+    )
+    def test_refused_or_rejected_proposal_gives_the_cold_bits(self, monkeypatch, propose, m):
+        batch = [kind_matrix(k, m, 800 + m) for k in KINDS]
+        monkeypatch.setattr(linalg, "_lapack_basis", propose)
+        for a, es in zip(batch, linalg._jacobi(batch)):
+            assert same_bits(es, *reference_jacobi(a))
+
+    @pytest.mark.parametrize("m", range(3, 17))
+    @pytest.mark.parametrize("poor", ["random-unitary", "rotated"])
+    def test_poor_basis_costs_sweeps_not_accuracy(self, monkeypatch, poor, m):
+        rng = np.random.default_rng(900 + m)
+        fn = (lambda q: unitary(rng, m)) if poor == "random-unitary" else lambda q: rotated(q, 1e-4)
+        monkeypatch.setattr(linalg, "_lapack_basis", proposing(fn))
+        for k in ("rank-one", "clustered", "complex"):
+            h = kind_matrix(k, m, 900 + m)
+            (es,) = linalg._jacobi([h])
+            assert_matches_eigvalsh(h, starts=lambda h: [es])
+            assert not same_bits(es, *reference_jacobi(h)), k  # the start was kept
+
+    def test_failed_proposal_leaves_the_rest_of_the_batch(self, monkeypatch):
+        batch = [kind_matrix(k, 6, 950) for k in KINDS]
+        alone = [linalg._jacobi([a])[0] for a in batch]
+        poisoned = batch[KINDS.index("complex")]
+
+        def propose(w):
+            if any(np.array_equal(x, poisoned.entries) for x in w):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return np.linalg.eigh(w)[1]
+
+        monkeypatch.setattr(linalg, "_lapack_basis", propose)
+        for a, es, solo in zip(batch, linalg._jacobi(batch), alone):
+            if a is poisoned:
+                assert same_bits(es, *reference_jacobi(a))
+                assert not same_bits(es, solo.eigenvalues, solo.basis)
+            else:
+                assert same_bits(es, solo.eigenvalues, solo.basis)
+
+    def test_no_proposal_where_the_cold_run_is_exact(self, monkeypatch):
+        asked = []
+
+        def propose(w):
+            asked.append(len(w))
+            return np.linalg.eigh(w)[1]
+
+        monkeypatch.setattr(linalg, "_lapack_basis", propose)
+        rng = np.random.default_rng(34)
+        linalg._jacobi([random_hermitian(rng, 2) for _ in range(3)])  # one exact rotation each
+        for m in DIMS:  # these pass the first stop test
+            linalg._jacobi([zero(m), identity(m), diagonal(rng.standard_normal(m))])
+        assert asked == []
+        linalg._jacobi([diagonal([1.0, 2.0, 3.0]), *(random_hermitian(rng, 3) for _ in range(2))])
+        assert asked == [2]  # one stacked call for the two that fail it
+
+    def test_generic_matrices_need_no_sweep(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_SWEEP_CAP", 1)
+        rng = np.random.default_rng(35)
+        for m in range(3, 17):
+            for _ in range(10):
+                eig_hermitian(random_hermitian(rng, m, scale=float(rng.uniform(0.1, 10.0))))
+                eig_hermitian(HermitianMatrix(rng.standard_normal((m, m))))
 
 
 class TestPsdAndOrder:

@@ -132,6 +132,9 @@ class TestKyFan:
         u = np.array([[1.0], [1.0]], dtype=complex)
         assert kyfan_check(a, u).invalid
 
+    def test_nan_frame_invalid(self):
+        assert kyfan_check(diagonal([2, 1]), [[1], [math.nan]]).invalid
+
     def test_maximization_approached_near_top_frames(self):
         rng = np.random.default_rng(6)
         a = random_hermitian(rng, 5)

@@ -283,6 +283,11 @@ class TestMondPecaric:
         assert v.detail["rhs"] == pytest.approx(rhs, abs=1e-12)
         assert v.passed
 
+    def test_nan_xi_invalid(self):
+        t = AbelianTuple((diagonal([1.2, 0.4]),))
+        v = check_mond_pecaric(SUMSQ1, t, np.array([1.0, math.nan]))
+        assert v.invalid and v.detail["reason"] == "xi is not a unit vector"
+
     def test_equals_degenerate_field_jensen(self):
         rng = np.random.default_rng(11)
         for _ in range(25):

@@ -165,13 +165,18 @@ class TestNotFinite:
 
     @pytest.mark.parametrize("bad", ["overflow", "infinite"])
     def test_memberwise_leq_raises(self, bad):
-        # finite leading members, so the bad difference is the one that reaches is_psd
-        entries = {"overflow": [[0.0, 1e160], [1e160, 0.0]], "infinite": [[math.inf, 0.0], [0.0, 0.0]]}
-        # the commutation test meets the overflowing norm, or inf * 0 in a product
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = AbelianTuple((identity(2), zero(2)))
-            y = AbelianTuple((identity(2), HermitianMatrix(entries[bad])))
-        with np.errstate(over="ignore"):  # numpy 2 reports the overflow in the norm's dot
+        # finite members, so the bad difference is the one that reaches is_psd: its norm
+        # overflows, or its entry does (a member with an infinite entry is no tuple: inf * 0
+        # makes its commutator norm NaN, see test_abelian.py::TestCommuting)
+        lo, hi = {
+            "overflow": ([[0.0, 0.0], [0.0, 0.0]], [[0.0, 1e160], [1e160, 0.0]]),
+            "infinite": ([[-8e307, 0.0], [0.0, 0.0]], [[8e307, 0.0], [0.0, 0.0]]),
+        }[bad]
+        with np.errstate(over="ignore"):  # the commutation test meets the overflowing norm
+            x = AbelianTuple((identity(2), HermitianMatrix(lo)))
+            y = AbelianTuple((identity(2), HermitianMatrix(hi)))
+        # numpy 2 reports the overflow in the norm's dot, or in the subtraction
+        with np.errstate(over="ignore"):
             with pytest.raises(JacobiConvergenceError, match="norm not finite"):
                 memberwise_leq(x, y)
 
