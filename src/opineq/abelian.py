@@ -89,7 +89,7 @@ class Cube:
     def __post_init__(self) -> None:
         ivs = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
         for lo, hi in ivs:
-            if lo > hi:
+            if not lo <= hi:  # also rejects a NaN endpoint
                 raise ValueError(f"empty interval [{lo}, {hi}]")
         object.__setattr__(self, "intervals", ivs)
 
@@ -210,7 +210,7 @@ def spectrum_in_cube(t: AbelianTuple, cube: Cube, tol: Tolerance = DEFAULT_TOL) 
     js = joint_diagonalize(t, tol)
     for low, high, (lo, hi) in zip(js.lambda_min, js.lambda_max, cube.intervals):
         pad = tol.rtol * (1.0 + abs(lo) + abs(hi))
-        if low < lo - pad or high > hi + pad:
+        if not lo - pad <= low or not high <= hi + pad:  # a NaN bound is outside
             return False
     return True
 

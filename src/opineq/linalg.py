@@ -194,45 +194,6 @@ def _rounds(m: int) -> tuple:
     return sched
 
 
-_STACKS: dict[int, tuple] = {}
-
-
-def _stack_plan(m: int, b: int) -> tuple:
-    """The schedule of :func:`_rounds` repeated down a stack of ``b`` matrices.
-
-    Per round: the gather and scatter indices as flat indices into a
-    ``(b, m, m)`` stack, matrix after matrix, and the ``pq, qp`` pairs each
-    matrix's rotations zero; also the flat off-diagonal indices.  Built per
-    dimension for the largest batch seen so far and cut to ``b`` by
-    :func:`_fit`.
-    """
-    plan = _STACKS.get(m)
-    if plan is None or plan[0] < b:
-        rounds, off, _ = _rounds(m)
-        mm = m * m
-        starts = np.arange(0, b * mm, mm)[:, None]
-        stacked = [
-            (
-                (starts + gather).ravel(),
-                (starts + scatter).ravel(),
-                [(at + pq, at + qp) for at in range(0, b * mm, mm) for pq, qp in zeros],
-            )
-            for gather, scatter, zeros in rounds
-        ]
-        plan = _STACKS[m] = (b, stacked, (starts + off).ravel())
-    return _fit(plan[1], plan[2], b, m)
-
-
-def _fit(rounds, off, n: int, m: int) -> tuple:
-    """The share of a stacked plan that addresses its first ``n`` matrices."""
-    p = m // 2
-    fitted = [
-        (gather[: n * 3 * p], scatter[: n * 4 * p], zeros[: n * p])
-        for gather, scatter, zeros in rounds
-    ]
-    return fitted, off[: n * (m * m - m)]
-
-
 def _eigensystem(lam: np.ndarray, u: np.ndarray) -> EigenSystem:
     """``lam`` in non-increasing order (stable argsort) with the matching columns of ``u``."""
     order = (-lam).argsort(kind="stable")
@@ -257,8 +218,8 @@ def _warm_start(w: np.ndarray, u: np.ndarray, rows: list[int]) -> None:
     1e-14`` and moves by at most ``1e-14 * ||a||_F``, no more than the stop
     test lets the off-diagonal mass move the diagonal (Weyl); and ``u``
     starts no less unitary than the cold path's own ``u`` ends (1.4e-14 at
-    m = 16).  Whatever the start, the sweep loop's stop test then decides,
-    so a poor basis costs sweeps, never accuracy.
+    m = 16).  Whatever the start, the stop test of :func:`_sweeps` then
+    decides, so a poor basis costs sweeps, never accuracy.
     """
     try:
         proposals = list(_lapack_basis(w[rows]))
@@ -284,82 +245,30 @@ def _warm_start(w: np.ndarray, u: np.ndarray, rows: list[int]) -> None:
         u[kept] = q
 
 
-def _jacobi(mats: Sequence[HermitianMatrix]) -> list[EigenSystem]:
-    """Round-robin Jacobi kernel behind :func:`decompose`, run once over same-size matrices.
+def _sweeps(w: np.ndarray, u: np.ndarray, threshold: float, where: str) -> EigenSystem:
+    """Jacobi sweeps on the ``(1, m, m)`` matrix ``w`` in the basis ``u``, until the stop test.
 
-    ``w`` and ``u`` are ``(b, m, m)`` stacks, and a round's rotations reach
-    the whole stack through stacked matmuls.  Each matrix keeps its own stop
-    threshold, rotation formulas and convergence test, and sits out every
-    round in which it has nothing to rotate, so its bits do not depend on
-    the rest of the batch.  Converged matrices leave the stack at sweep
-    boundaries.
-
-    A matrix of dimension 3 or more that fails the first stop test starts
-    from a checked LAPACK basis ``q`` (:func:`_warm_start`): ``w = (q* a)
-    q`` and ``u = q``.  The same stop test ends its run, so it converges in
-    few sweeps, usually none, and its result meets the same a-posteriori
-    bound as a cold one.  Without a kept ``q`` it starts cold, from ``a``
-    and ``I``.  A 2x2 cold run is one exact rotation, so it gets no
-    proposal, nor does a matrix that already passes (diagonal, zero, 1x1).
+    Each sweep visits the rounds of :func:`_rounds`; a pair with ``|a_pq| <=
+    threshold / m`` is not rotated, and a round's rotations are applied as
+    one block-diagonal unitary.  The run ends once the off-diagonal
+    Frobenius mass is at most ``threshold``; not within :data:`_SWEEP_CAP`
+    sweeps raises :class:`JacobiConvergenceError`, naming ``where``.
     """
-    b, m = len(mats), mats[0].dim
-    mm = m * m
+    m = w.shape[1]
     rounds, off, eye = _rounds(m)
-    w = np.array([a.entries for a in mats])
-    if b == 1:
-        ident = eye[None]
-    else:
-        ident = np.empty_like(w)
-        ident[:] = eye
-    u = ident.copy()
-    thresholds = [_OFFDIAG_FACTOR * a.norm() for a in mats]
-    for k, threshold in enumerate(thresholds):
-        if not math.isfinite(threshold):
-            raise JacobiConvergenceError(f"norm not finite (position {k} of a batch of {b})")
-    if m == 1:
-        return [_eigensystem(x.diagonal().real, v) for x, v in zip(w, u)]
-    npairs = m // 2
-    if b > 1:
-        rounds, off = _stack_plan(m, b)
-    if m > 2:  # a 2x2 cold run is one exact rotation
-        v = w.take(off).reshape(b, -1)
-        rows = [k for k, t in enumerate(thresholds) if not math.sqrt(np.vdot(v[k], v[k]).real) <= t]
-        if rows:
-            _warm_start(w, u, rows)
-    out: list = [None] * b
-    live = list(range(b))  # the batch position of each stack entry
-    skip = [threshold / m for threshold in thresholds for _ in range(npairs)]
+    ident = eye[None]
+    skip = threshold / m
     for _ in range(_SWEEP_CAP):
         v = w.take(off)
-        if len(live) == 1:  # a stack of one needs no per-matrix views
-            keep = [] if math.sqrt(np.vdot(v, v).real) <= thresholds[0] else [0]
-        else:
-            v = v.reshape(len(live), -1)
-            keep = [
-                pos
-                for pos, threshold in enumerate(thresholds)
-                if not math.sqrt(np.vdot(v[pos], v[pos]).real) <= threshold
-            ]
-        if len(keep) < len(live):
-            for pos, k in enumerate(live):
-                if pos not in keep:
-                    out[k] = _eigensystem(w[pos].diagonal().real, u[pos])
-            if not keep:
-                return out
-            # converged matrices leave; the rest move up the stack
-            n = len(keep)
-            live = [live[pos] for pos in keep]
-            thresholds = [thresholds[pos] for pos in keep]
-            skip = [threshold / m for threshold in thresholds for _ in range(npairs)]
-            w, u, ident = w[keep], u[keep], ident[:n]
-            rounds, off = _fit(rounds, off, n, m)
+        if math.sqrt(np.vdot(v, v).real) <= threshold:
+            return _eigensystem(w[0].diagonal().real, u[0])
         for gather, scatter, zeros in rounds:
             g = w.take(gather).tolist()
             blocks, hit = [], []
             for i, pair in enumerate(zeros):
                 apq = g[3 * i]
                 r = abs(apq)
-                if r <= skip[i]:
+                if r <= skip:
                     blocks += (1.0, 0.0, 0.0, 1.0)
                     continue
                 hit += pair
@@ -375,22 +284,48 @@ def _jacobi(mats: Sequence[HermitianMatrix]) -> list[EigenSystem]:
                 continue
             j = ident.copy()
             j.put(scatter, blocks)
-            # skipped pairs may leave a matrix with nothing to rotate
-            idle = len(hit) < 2 * len(zeros) and len({h // mm for h in hit[::2]}) < len(ident)
-            if not idle:
-                w = j.conj().transpose(0, 2, 1) @ w @ j
-                w.put(hit, 0.0)
-                u = u @ j
-            else:  # such matrices sit the round out
-                rows = sorted({h // mm for h in hit[::2]})
-                j = j[rows]
-                w[rows] = j.conj().transpose(0, 2, 1) @ w[rows] @ j
-                w.put(hit, 0.0)
-                u[rows] = u[rows] @ j
+            w = j.conj().transpose(0, 2, 1) @ w @ j
+            w.put(hit, 0.0)
+            u = u @ j
     raise JacobiConvergenceError(
-        f"no convergence after {_SWEEP_CAP} sweeps on a {m}x{m} matrix "
-        f"(position {live[0]} of a batch of {b})"
+        f"no convergence after {_SWEEP_CAP} sweeps on a {m}x{m} matrix ({where})"
     )
+
+
+def _jacobi(mats: Sequence[HermitianMatrix]) -> list[EigenSystem]:
+    """Round-robin Jacobi kernel behind :func:`decompose`, run once over same-size matrices.
+
+    Each matrix's stop threshold is ``1e-14 * ||a||_F`` from its memoized
+    norm.  A matrix of dimension 3 or more that fails the first stop test
+    starts from a checked LAPACK basis ``q``: one stacked proposal
+    (:func:`_warm_start`) gives ``w = (q* a) q`` and ``u = q``.  Without a
+    kept ``q`` it starts cold, from ``a`` and ``I``.  A 2x2 cold run is one
+    exact rotation, so it gets no proposal, nor does a matrix that already
+    passes (diagonal, zero, 1x1).  Then each matrix runs its own
+    :func:`_sweeps` on its ``(1, m, m)`` slice, whose stop test ends the run
+    from either start; so its bits do not depend on the rest of the batch,
+    and a warm run meets the same a-posteriori bound as a cold one.
+    """
+    b, m = len(mats), mats[0].dim
+    _, off, eye = _rounds(m)
+    w = np.array([a.entries for a in mats])
+    u = np.empty_like(w)
+    u[:] = eye
+    thresholds = [_OFFDIAG_FACTOR * a.norm() for a in mats]
+    for k, threshold in enumerate(thresholds):
+        if not math.isfinite(threshold):
+            raise JacobiConvergenceError(f"norm not finite (position {k} of a batch of {b})")
+    if m == 1:
+        return [_eigensystem(x.diagonal().real, v) for x, v in zip(w, u)]
+    if m > 2:  # a 2x2 cold run is one exact rotation
+        v = w.reshape(b, -1)[:, off]
+        rows = [k for k, t in enumerate(thresholds) if not math.sqrt(np.vdot(v[k], v[k]).real) <= t]
+        if rows:
+            _warm_start(w, u, rows)
+    return [
+        _sweeps(w[k : k + 1], u[k : k + 1], threshold, f"position {k} of a batch of {b}")
+        for k, threshold in enumerate(thresholds)
+    ]
 
 
 def decompose(mats: Sequence[HermitianMatrix]) -> list[EigenSystem]:
@@ -398,7 +333,8 @@ def decompose(mats: Sequence[HermitianMatrix]) -> list[EigenSystem]:
 
     A carried pair is sorted as the kernel sorts its own output.  The kernel
     runs on the other matrices not decomposed yet, each object once however
-    often it is listed, and keeps every result on its matrix as
+    often it is listed: one stacked LAPACK proposal per dimension, then
+    each matrix's own sweeps.  Every result is kept on its matrix as
     :func:`eig_hermitian` does.  A matrix gets the same bits in any batch.
     """
     todo: dict[int, dict[int, HermitianMatrix]] = {}
@@ -428,8 +364,9 @@ def eig_hermitian(a: HermitianMatrix) -> EigenSystem:
     can cost sweeps but cannot make the result less accurate.
 
     Deterministic for a fixed input.  The result is kept on ``a``, so each
-    matrix object is decomposed once; its arrays are read-only.  The kernel
-    is the one :func:`decompose` runs, on a batch of one, with the same bits.
+    matrix object is decomposed once; its arrays are read-only.  This is
+    :func:`decompose` on a batch of one; a matrix sweeps alone in any
+    batch, so it gets the same bits either way.
     """
     return decompose([a])[0]
 

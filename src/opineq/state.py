@@ -11,7 +11,7 @@ from .linalg import HermitianMatrix, diagonal
 
 @dataclass(frozen=True)
 class DiagonalState:
-    """Nonnegative diagonal weights with positive total mass.
+    """Finite nonnegative diagonal weights with positive total mass.
 
     Defines the functional ``phi(a) = sum_s weights[s] * a[s, s]`` and, by
     duality against diagonal multipliers, the pinching expectation
@@ -24,8 +24,8 @@ class DiagonalState:
         w = np.asarray(self.weights, dtype=float).reshape(-1)
         if w.size < 1:
             raise ValueError("a diagonal state needs at least one weight")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all((w >= 0) & (w < np.inf)):  # False on NaN and inf
+            raise ValueError("weights must be nonnegative and finite")
         if w.sum() <= 0:
             raise ValueError("total mass must be positive")
         w.setflags(write=False)

@@ -1,6 +1,8 @@
 """Shared fixtures."""
 
+import importlib.util
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,3 +46,14 @@ def jacobi_runs(monkeypatch):
 
     monkeypatch.setattr(linalg, "_jacobi", counted)
     return runs
+
+
+@pytest.fixture
+def script(monkeypatch):
+    """``scripts/run_campaigns.py`` of this checkout, loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_campaigns.py"
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    spec = importlib.util.spec_from_file_location("run_campaigns", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -305,6 +305,13 @@ class TestSpectrumInCube:
         assert not spectrum_in_cube(t, Cube(((1.0, 9.0), (3.0, 4.0))), loose)
         assert spectrum_in_cube(t, Cube(((1.0, 9.0), (2.98, 4.02))), loose)
 
+    @pytest.mark.parametrize("interval", [(np.nan, 1.0), (-10.0, np.nan)])
+    def test_nan_endpoint_admits_no_spectrum(self, interval):
+        # a cube that got a NaN endpoint past its constructor still admits nothing
+        cube = uniform_cube(1, -10.0, 10.0)
+        object.__setattr__(cube, "intervals", (interval,))
+        assert not spectrum_in_cube(AbelianTuple((diagonal([5.0, -7.0]),)), cube)
+
 
 class TestCompatibility:
     def test_diagonal_tuples_compatible(self):
@@ -358,6 +365,11 @@ class TestCube:
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
             Cube(((1.0, 0.0),))
+
+    @pytest.mark.parametrize("interval", [(np.nan, 1.0), (0.0, np.nan), (np.nan, np.nan)])
+    def test_rejects_nan_endpoint(self, interval):
+        with pytest.raises(ValueError, match="empty interval"):
+            Cube((interval,))
 
     def test_clip(self):
         c = uniform_cube(2, 0, 1)

@@ -392,17 +392,6 @@ class TestExitCodeTable:
 
 
 class TestRunCampaignsScriptExit:
-    @pytest.fixture
-    def script(self, monkeypatch):
-        import importlib.util
-
-        path = Path(__file__).resolve().parent.parent / "scripts" / "run_campaigns.py"
-        monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
-        spec = importlib.util.spec_from_file_location("run_campaigns", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
     def test_reports_and_summary_lines(self, tmp_path, capsys, monkeypatch, script):
         monkeypatch.setattr(script, "STANDARD", [("KF", 3, "2..3", "1..3", 5)])
         monkeypatch.setattr(sys, "argv", ["run_campaigns.py", "--outdir", str(tmp_path)])

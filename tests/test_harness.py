@@ -305,6 +305,17 @@ class TestCampaigns:
         with pytest.raises(JacobiConvergenceError, match="norm not finite"):
             replay_instance(instance)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_state_weight_is_rejected_not_confirmed(self, bad):
+        # the state used to build, and the T4 replay passed
+        cfg = CampaignConfig("T4", 1, seed=17)
+        entry = hz._THEOREMS["T4"]
+        instance = {"theorem": "T4", **entry.encode(entry.generate(cfg, instance_rng(cfg.seed, 0), 0))}
+        assert replay_instance(instance).passed
+        instance["rho"][0] = bad
+        with pytest.raises(ValueError, match="weights must be nonnegative and finite"):
+            replay_instance(instance)
+
     def test_ex1_decomposes_each_matrix_once(self, eig_calls):
         # y - x and y^2 - pinch(x^2) per instance; the gap reuses order_margin
         run_campaign(CampaignConfig("EX1", 10, seed=7))

@@ -264,7 +264,7 @@ class TestRoundRobin:
 
 
 def reference_jacobi(a):
-    """The round-robin loop on one 2-D matrix: the bit-level reference for the stacked kernel."""
+    """The round-robin loop on one 2-D matrix: the bit-level reference for cold kernel runs."""
     m = a.dim
     w = np.array(a.entries, dtype=complex)
     rounds, off, eye = linalg._rounds(m)
@@ -363,7 +363,7 @@ class TestStackedKernel:
 
     @pytest.mark.parametrize("m", DIMS)
     def test_mixed_batch_matches_reference(self, m):
-        # items leave the stack after different sweep counts, and some sit out rounds
+        # items need different sweep counts, and some skip every pair of a round
         batch = [kind_matrix(k, m, 700 + m) for k in KINDS]
         for a, es in zip(batch, linalg._jacobi(batch)):
             assert same_bits(es, *reference_jacobi(a))

@@ -112,6 +112,16 @@ class TestPinch:
             pinch(DiagonalState.uniform(2), a)
 
 
+class TestDiagonalState:
+    @pytest.mark.parametrize(
+        "weights", [[np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan], [np.inf, 1.0], [1.0, np.inf]]
+    )
+    def test_rejects_non_finite_weight(self, weights):
+        # such a weight slips past `w < 0` and `sum <= 0`, and a check reading it can pass
+        with pytest.raises(ValueError, match="weights must be nonnegative and finite"):
+            DiagonalState(weights)
+
+
 class TestCompress:
     def test_identity_atom(self):
         rng = np.random.default_rng(2)
