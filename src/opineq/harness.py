@@ -71,6 +71,14 @@ class CampaignConfig:
         for name, (lo, hi) in (("dim", self.dim_range), ("arity", self.arity_range)):
             if lo < 1 or hi < lo:
                 raise ConfigError(f"empty {name} range {lo}..{hi}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.functions is not None:
+            # the names the library gives on a positive cube, where it holds them all
+            known = [f.name for f in function_library(uniform_cube(1, 1.0, 2.0))]
+            unknown = [name for name in self.functions if name not in known]
+            if unknown:
+                raise ConfigError(f"unknown function names {unknown}; expected some of {known}")
 
     def as_dict(self) -> dict:
         return {

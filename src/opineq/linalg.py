@@ -7,6 +7,7 @@ decomposition once computed; two threads racing on it compute the same bits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -162,36 +163,11 @@ def _spectral_matrix(basis: np.ndarray, values: np.ndarray) -> HermitianMatrix:
     return a
 
 
-_ROUNDS: dict[int, tuple] = {}
-
-
-def _rounds(m: int) -> tuple:
-    """Round-robin (circle method) schedule for an ``m x m`` sweep, built once per ``m``.
-
-    Each round is a set of disjoint pairs ``p < q``; over the ``m - 1``
-    rounds (``m`` when ``m`` is odd, with one idle index padded in) every
-    unordered pair comes up exactly once.  A round is stored as flat indices
-    into an ``m x m`` array, pair by pair: ``gather`` reads ``a_pq, a_pp,
-    a_qq``, ``scatter`` addresses ``pp, pq, qp, qq``, and ``zeros`` holds
-    the ``pq, qp`` entries each rotation annihilates.  Also returned: the
-    flat indices of all off-diagonal entries and the identity to copy from.
-    """
-    sched = _ROUNDS.get(m)
-    if sched is None:
-        n = m + m % 2
-        ring = list(range(n))
-        rounds = []
-        for _ in range(n - 1):
-            pairs = [sorted((ring[i], ring[n - 1 - i])) for i in range(n // 2)]
-            pairs = [(p, q) for p, q in pairs if q < m]
-            gather = [i for p, q in pairs for i in (p * m + q, p * m + p, q * m + q)]
-            scatter = [i for p, q in pairs for i in (p * m + p, p * m + q, q * m + p, q * m + q)]
-            zeros = [(p * m + q, q * m + p) for p, q in pairs]
-            rounds.append((np.array(gather), np.array(scatter), zeros))
-            ring = [ring[0], ring[-1]] + ring[1:-1]
-        eye = _freeze(np.eye(m, dtype=complex))
-        sched = _ROUNDS[m] = (tuple(rounds), np.flatnonzero(eye == 0), eye)
-    return sched
+@functools.cache
+def _cyclic(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the off-diagonal entries of an ``m x m`` array, and the identity."""
+    eye = _freeze(np.eye(m, dtype=complex))
+    return np.flatnonzero(eye == 0), eye
 
 
 def _eigensystem(lam: np.ndarray, u: np.ndarray) -> EigenSystem:
@@ -246,54 +222,49 @@ def _warm_start(w: np.ndarray, u: np.ndarray, rows: list[int]) -> None:
 
 
 def _sweeps(w: np.ndarray, u: np.ndarray, threshold: float, where: str) -> EigenSystem:
-    """Jacobi sweeps on the ``(1, m, m)`` matrix ``w`` in the basis ``u``, until the stop test.
+    """Cyclic Jacobi sweeps on the ``m x m`` matrix ``w`` in the basis ``u``, until the stop test.
 
-    Each sweep visits the rounds of :func:`_rounds`; a pair with ``|a_pq| <=
-    threshold / m`` is not rotated, and a round's rotations are applied as
-    one block-diagonal unitary.  The run ends once the off-diagonal
-    Frobenius mass is at most ``threshold``; not within :data:`_SWEEP_CAP`
-    sweeps raises :class:`JacobiConvergenceError`, naming ``where``.
+    Each sweep visits the pairs ``p < q`` row by row (the cyclic-by-row
+    order, which converges: Forsythe & Henrici, Trans. AMS 94, 1960); a pair
+    with ``|a_pq| <= threshold / m`` is not rotated.  Each rotation is one
+    ``m x m`` unitary ``J``, applied as ``w = (J* w) J`` and ``u = u J``.  The
+    run ends once the off-diagonal Frobenius mass is at most ``threshold``;
+    not within :data:`_SWEEP_CAP` sweeps raises
+    :class:`JacobiConvergenceError`, naming ``where``.
     """
-    m = w.shape[1]
-    rounds, off, eye = _rounds(m)
-    ident = eye[None]
+    m = len(w)
+    off, eye = _cyclic(m)
     skip = threshold / m
     for _ in range(_SWEEP_CAP):
         v = w.take(off)
         if math.sqrt(np.vdot(v, v).real) <= threshold:
-            return _eigensystem(w[0].diagonal().real, u[0])
-        for gather, scatter, zeros in rounds:
-            g = w.take(gather).tolist()
-            blocks, hit = [], []
-            for i, pair in enumerate(zeros):
-                apq = g[3 * i]
+            return _eigensystem(w.diagonal().real, u)
+        for p in range(m - 1):
+            for q in range(p + 1, m):
+                # Python scalars: numpy's complex division and hypot round differently
+                apq, app, aqq = w.take((p * m + q, p * m + p, q * m + q)).tolist()
                 r = abs(apq)
                 if r <= skip:
-                    blocks += (1.0, 0.0, 0.0, 1.0)
                     continue
-                hit += pair
                 phase = apq / r
-                tau = (g[3 * i + 2].real - g[3 * i + 1].real) / (2.0 * r)
+                tau = (aqq.real - app.real) / (2.0 * r)
                 t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
                 # unitary rotation J: (p,q) block [[c, s], [-s*conj(phase), c*conj(phase)]]
                 cph = phase.conjugate()
-                blocks += (c, s, -s * cph, c * cph)
-            if not hit:
-                continue
-            j = ident.copy()
-            j.put(scatter, blocks)
-            w = j.conj().transpose(0, 2, 1) @ w @ j
-            w.put(hit, 0.0)
-            u = u @ j
+                j = eye.copy()
+                j[p, p], j[p, q], j[q, p], j[q, q] = c, s, -s * cph, c * cph
+                w = j.conj().T @ w @ j
+                w[p, q] = w[q, p] = 0.0
+                u = u @ j
     raise JacobiConvergenceError(
         f"no convergence after {_SWEEP_CAP} sweeps on a {m}x{m} matrix ({where})"
     )
 
 
 def _jacobi(mats: Sequence[HermitianMatrix]) -> list[EigenSystem]:
-    """Round-robin Jacobi kernel behind :func:`decompose`, run once over same-size matrices.
+    """Cyclic Jacobi kernel behind :func:`decompose`, run once over same-size matrices.
 
     Each matrix's stop threshold is ``1e-14 * ||a||_F`` from its memoized
     norm.  A matrix of dimension 3 or more that fails the first stop test
@@ -302,12 +273,12 @@ def _jacobi(mats: Sequence[HermitianMatrix]) -> list[EigenSystem]:
     kept ``q`` it starts cold, from ``a`` and ``I``.  A 2x2 cold run is one
     exact rotation, so it gets no proposal, nor does a matrix that already
     passes (diagonal, zero, 1x1).  Then each matrix runs its own
-    :func:`_sweeps` on its ``(1, m, m)`` slice, whose stop test ends the run
+    :func:`_sweeps` on its ``m x m`` slice, whose stop test ends the run
     from either start; so its bits do not depend on the rest of the batch,
     and a warm run meets the same a-posteriori bound as a cold one.
     """
     b, m = len(mats), mats[0].dim
-    _, off, eye = _rounds(m)
+    off, eye = _cyclic(m)
     w = np.array([a.entries for a in mats])
     u = np.empty_like(w)
     u[:] = eye
@@ -315,15 +286,13 @@ def _jacobi(mats: Sequence[HermitianMatrix]) -> list[EigenSystem]:
     for k, threshold in enumerate(thresholds):
         if not math.isfinite(threshold):
             raise JacobiConvergenceError(f"norm not finite (position {k} of a batch of {b})")
-    if m == 1:
-        return [_eigensystem(x.diagonal().real, v) for x, v in zip(w, u)]
     if m > 2:  # a 2x2 cold run is one exact rotation
         v = w.reshape(b, -1)[:, off]
         rows = [k for k, t in enumerate(thresholds) if not math.sqrt(np.vdot(v[k], v[k]).real) <= t]
         if rows:
             _warm_start(w, u, rows)
     return [
-        _sweeps(w[k : k + 1], u[k : k + 1], threshold, f"position {k} of a batch of {b}")
+        _sweeps(w[k], u[k], threshold, f"position {k} of a batch of {b}")
         for k, threshold in enumerate(thresholds)
     ]
 
@@ -351,11 +320,10 @@ def decompose(mats: Sequence[HermitianMatrix]) -> list[EigenSystem]:
 
 
 def eig_hermitian(a: HermitianMatrix) -> EigenSystem:
-    """Eigendecomposition by round-robin Jacobi rotations with complex phase handling.
+    """Eigendecomposition by cyclic Jacobi rotations with complex phase handling.
 
-    Each sweep visits every off-diagonal pair once, in rounds of disjoint
-    pairs (Brent-Luk ordering); a round's rotations are applied as one
-    block-diagonal unitary.  Sweeps stop once the off-diagonal Frobenius
+    Each sweep visits every off-diagonal pair once, row by row, and applies
+    each rotation as it comes.  Sweeps stop once the off-diagonal Frobenius
     mass drops below ``1e-14 * ||a||_F``; more than 100 sweeps, or a norm
     that is not finite, raises :class:`JacobiConvergenceError` (never returns
     silently wrong output).  A matrix of dimension 3 or more that fails that

@@ -378,9 +378,15 @@ class TestExitCodeTable:
             ["campaign", "--theorem", "KF", "--rtol", "0.5"],
             ["campaign", "--theorem", "KF", "--dim", "2..x"],
             ["campaign", "--theorem", "KF", "--arity", "2..x"],
+            ["campaign", "--theorem", "T1", "--seed", "-1"],
+            ["campaign", "--theorem", "T6", "--functions", "max,sum-of-sqares"],
+            ["campaign", "--theorem", "KF", "--functions", "nonsense"],
             ["check", "loewner", "x.mat", "y.mat", "--rtol", "0.5"],
         ],
-        ids=["campaign-rtol", "campaign-dim", "campaign-arity", "check-rtol"],
+        ids=[
+            "campaign-rtol", "campaign-dim", "campaign-arity", "campaign-negative-seed",
+            "campaign-misspelt-function", "campaign-unknown-function", "check-rtol",
+        ],
     )
     def test_bad_argument_value(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)

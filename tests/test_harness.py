@@ -254,6 +254,11 @@ class TestCampaigns:
         with pytest.raises(ConfigError):
             run_campaign(CampaignConfig("T6", 5, seed=1, functions=("no-such-function",)))
 
+    def test_every_library_name_is_a_known_function(self):
+        # a misspelt name is a config error (tests/test_cli.py); no real one is
+        names = tuple(f.name for f in function_library(uniform_cube(2, 0.5, 3.0)))
+        assert CampaignConfig("T6", 5, functions=names).functions == names
+
     def test_failure_records_replay_identically(self, monkeypatch):
         # force failures by breaking the checked inequality's sign inside the
         # runner, then confirm the serialized instances replay deterministically

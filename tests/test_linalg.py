@@ -198,19 +198,6 @@ DIMS = range(1, 17)
 
 class TestRoundRobin:
     @pytest.mark.parametrize("m", DIMS)
-    def test_rounds_are_disjoint_and_cover_every_pair_once(self, m):
-        rounds, _, _ = linalg._rounds(m)
-        seen = []
-        for _, _, zeros in rounds:
-            pairs = [divmod(pq, m) for pq, _ in zeros]
-            touched = [i for pair in pairs for i in pair]
-            assert len(set(touched)) == len(touched)
-            assert all(p < q for p, q in pairs)
-            seen += pairs
-        assert sorted(seen) == list(itertools.combinations(range(m), 2))
-        assert len(rounds) == (m - 1 if m % 2 == 0 else m)
-
-    @pytest.mark.parametrize("m", DIMS)
     def test_random_real_and_complex(self, m):
         rng = np.random.default_rng(100 + m)
         for _ in range(3):
@@ -264,44 +251,32 @@ class TestRoundRobin:
 
 
 def reference_jacobi(a):
-    """The round-robin loop on one 2-D matrix: the bit-level reference for cold kernel runs."""
+    """The cyclic-by-row loop on one 2-D matrix: the bit-level reference for cold kernel runs."""
     m = a.dim
     w = np.array(a.entries, dtype=complex)
-    rounds, off, eye = linalg._rounds(m)
-    u = eye.copy()
-    if m > 1:
-        threshold = linalg._OFFDIAG_FACTOR * float(np.linalg.norm(w))
-        skip_level = threshold / m
-        for _ in range(linalg._SWEEP_CAP):
-            v = w.take(off)
-            if math.sqrt(np.vdot(v, v).real) <= threshold:
-                break
-            for gather, scatter, zeros in rounds:
-                g = w.take(gather).tolist()
-                blocks, hit = [], []
-                for i, pair in enumerate(zeros):
-                    apq = g[3 * i]
-                    r = abs(apq)
-                    if r <= skip_level:
-                        blocks += (1.0, 0.0, 0.0, 1.0)
-                        continue
-                    hit += pair
-                    phase = apq / r
-                    tau = (g[3 * i + 2].real - g[3 * i + 1].real) / (2.0 * r)
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                    c = 1.0 / math.sqrt(1.0 + t * t)
-                    s = t * c
-                    cph = phase.conjugate()
-                    blocks += (c, s, -s * cph, c * cph)
-                if not hit:
-                    continue
-                j = eye.copy()
-                j.put(scatter, blocks)
-                w = j.conj().T @ w @ j
-                w.put(hit, 0.0)
-                u = u @ j
-        else:
-            raise JacobiConvergenceError("sweep cap")
+    u = np.eye(m, dtype=complex)
+    threshold = linalg._OFFDIAG_FACTOR * float(np.linalg.norm(w))
+    for _ in range(linalg._SWEEP_CAP):
+        off = w[~np.eye(m, dtype=bool)]
+        if math.sqrt(np.vdot(off, off).real) <= threshold:
+            break
+        for p, q in itertools.combinations(range(m), 2):
+            apq = w.item(p, q)
+            r = abs(apq)
+            if r <= threshold / m:
+                continue
+            phase = apq / r
+            tau = (w.item(q, q).real - w.item(p, p).real) / (2.0 * r)
+            t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            j = np.eye(m, dtype=complex)
+            j[p, p], j[p, q], j[q, p], j[q, q] = c, s, -s * phase.conjugate(), c * phase.conjugate()
+            w = j.conj().T @ w @ j
+            w[p, q] = w[q, p] = 0.0
+            u = u @ j
+    else:
+        raise JacobiConvergenceError("sweep cap")
     lam = np.diag(w).real.copy()
     order = np.argsort(-lam, kind="stable")
     return lam[order], u[:, order]
@@ -363,7 +338,7 @@ class TestStackedKernel:
 
     @pytest.mark.parametrize("m", DIMS)
     def test_mixed_batch_matches_reference(self, m):
-        # items need different sweep counts, and some skip every pair of a round
+        # items need different sweep counts, and some skip every pair of a row
         batch = [kind_matrix(k, m, 700 + m) for k in KINDS]
         for a, es in zip(batch, linalg._jacobi(batch)):
             assert same_bits(es, *reference_jacobi(a))

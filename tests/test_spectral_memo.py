@@ -262,35 +262,26 @@ def test_no_trailing_member_reaches_the_kernel(theorem, monkeypatch, jacobi_runs
     assert trailing and not [a for a in jacobi_runs if id(a) in ids]
 
 
-class _CountedSchedule:
-    """A sweep schedule that adds one to ``passes[m]`` each time a sweep walks it."""
-
-    def __init__(self, rounds, m, passes):
-        self.rounds, self.m, self.passes = rounds, m, passes
-
-    def __iter__(self):
-        self.passes[self.m] += 1
-        return iter(self.rounds)
-
-
 def test_campaign_matrices_sweep_only_at_dim_two(monkeypatch, script):
     # every matrix of dimension 3 or more that campaigns build passes the stop
     # test right after its checked LAPACK start; a start that stopped being
     # kept would leave every verdict as it is and run about 5x slower
-    original = linalg._rounds
-    passes = Counter()
+    original = linalg._sweeps
+    swept = Counter()
 
-    def counted(m):
-        rounds, off, eye = original(m)
-        return _CountedSchedule(rounds, m, passes), off, eye
+    def counted(w, u, threshold, where):
+        off = w[~np.eye(len(w), dtype=bool)]
+        if not math.sqrt(np.vdot(off, off).real) <= threshold:
+            swept[len(w)] += 1
+        return original(w, u, threshold, where)
 
-    monkeypatch.setattr(linalg, "_rounds", counted)
+    monkeypatch.setattr(linalg, "_sweeps", counted)
     for theorem, _, dims, arity, seed in script.STANDARD:
         dim_range, arity_range = (tuple(int(v) for v in r.split("..")) for r in (dims, arity))
         cfg = CampaignConfig(theorem, 20, dim_range=dim_range, arity_range=arity_range, seed=seed)
         run_campaign(cfg)
-    assert passes[2] > 0  # the counter sees the sweeps that do run
-    assert {m: n for m, n in passes.items() if m >= 3} == {}
+    assert swept[2] > 0  # the counter sees the sweeps that do run
+    assert {m: n for m, n in swept.items() if m >= 3} == {}
 
 
 @pytest.fixture
