@@ -19,7 +19,7 @@ from .linalg import (
     Tolerance,
     _freeze,
     _spectral_matrix,
-    decompose,
+    _unitary_defect,
     eig_hermitian,
     is_psd,
 )
@@ -32,10 +32,13 @@ from .linalg import (
 # of at most ~1e-9 relative) are therefore merged into one cluster and left
 # for the next member to resolve.
 _CLUSTER_GAP_FACTOR = 1e-5
+# the joint basis must be unitary to 1e-14 m (see AbelianTuple)
+_BASIS_DEFECT_FACTOR = 1e-14
 
 
 class JointDiagonalizationError(RuntimeError):
-    """A member's off-diagonal residual stayed above tolerance after block refinement."""
+    """No certified joint spectrum: the joint basis is not unitary to rounding (a
+    kernel fault), or a member's residual is above a stricter caller's tolerance."""
 
 
 def commutator_norm(a: HermitianMatrix, b: HermitianMatrix) -> float:
@@ -58,18 +61,64 @@ def check_commuting(members: Sequence[HermitianMatrix], tol: Tolerance = DEFAULT
 
 @dataclass(frozen=True)
 class AbelianTuple:
-    """Ordered family of pairwise-commuting Hermitian matrices of one dimension."""
+    """Ordered family of pairwise-commuting Hermitian matrices of one dimension.
+
+    A tuple is admitted by its joint spectrum, built once here and read by
+    every check through :func:`joint_diagonalize`.  The basis ``u`` starts as
+    member 0's eigenbasis (memoized on the member); each cluster of nearly
+    equal eigenvalues is then refined by diagonalizing the next member inside
+    it, recursively (Bunse-Gerstner, Byers & Mehrmann, SIAM J. Matrix Anal.
+    Appl. 14(4), 1993).  Each member's residual ``r_i``, the Frobenius norm of
+    the off-diagonal part of ``c_i = u* x_i u``, must be at most ``rtol * (1 +
+    ||x_i||_F)`` at the tuple's own ``tol``; otherwise, or when a later
+    member's norm is not finite, ``ValueError``.  A member 0 that is not
+    finite raises the kernel's ``JacobiConvergenceError``.
+
+    Admission is a certificate that does not trust the kernel: the basis
+    must also be unitary, ``d = ||u* u - I||_F <= eta = 1e-14 m``, or
+    :class:`JointDiagonalizationError` is raised (a kernel fault; Jacobi's
+    own basis ends near ``1.4e-15 m`` at m <= 64, cold or from LAPACK).
+    Then, with ``||.||`` the spectral norm, the admitted members satisfy
+
+        (1 - d) ||[x_i, x_j]||_F <= 2 (1 + d) (||x_i|| r_j + ||x_j|| r_i)
+                                    + 2 r_i r_j + 2 d (1 + d) ||x_i|| ||x_j||.
+
+    Why: the diagonal parts ``e_i`` of the ``c_i`` commute, so ``[c_i, c_j] =
+    [e_i, c_j - e_j] + [c_i - e_i, e_j] + [c_i - e_i, c_j - e_j]``, with
+    ``||e_i|| <= ||c_i|| <= (1 + d) ||x_i||``.  Next ``u u* = I + F`` with
+    ``||F||_F = d`` (it has the spectrum of ``u* u``), so ``[c_i, c_j] = u*
+    [x_i, x_j] u + u* (x_i F x_j - x_j F x_i) u``, and ``||u* M u||_F >=
+    (1 - d) ||M||_F``.  The computed ``d`` and ``r_i`` differ from the exact
+    ones by at most about ``m^2 eps`` and ``2 m^2 eps ||x_i||_F`` (one and two
+    products; Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+    3.5), so the bound moves by far less than ``rtol`` at campaign sizes.
+    """
 
     members: tuple[HermitianMatrix, ...]
     tol: Tolerance = field(default=DEFAULT_TOL, compare=False)
+    joint: JointSpectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         members = tuple(self.members)
         if not members:
             raise ValueError("an abelian tuple needs at least one member")
+        if len({m.dim for m in members}) > 1:
+            raise ValueError(f"members have mixed dimensions: {sorted({m.dim for m in members})}")
         object.__setattr__(self, "members", members)
-        if not check_commuting(members, self.tol):
+        es = eig_hermitian(members[0])
+        if not all(np.isfinite(x.norm()) for x in members[1:]):
             raise ValueError("members do not commute within tolerance")
+        u = es.basis.copy()
+        _refine_blocks(members, u, np.arange(self.dim), 0, es.eigenvalues)
+        defect = _unitary_defect(u)
+        if not defect <= _BASIS_DEFECT_FACTOR * self.dim:
+            raise JointDiagonalizationError(f"joint basis is not unitary: defect {defect:.3g}")
+        conj = [u.conj().T @ x.entries @ u for x in members]
+        residuals = [np.linalg.norm(c - np.diag(np.diag(c))) for c in conj]
+        js = JointSpectrum(u, np.column_stack([np.diag(c).real for c in conj]), residuals)
+        if not js.within(members, self.tol):  # a NaN residual proves nothing
+            raise ValueError("members do not commute within tolerance")
+        object.__setattr__(self, "joint", js)
 
     @property
     def n(self) -> int:
@@ -154,6 +203,10 @@ class JointSpectrum:
     def op_norm(self) -> np.ndarray:
         return np.maximum(np.abs(self.lambda_max), np.abs(self.lambda_min))
 
+    def within(self, members: Sequence[HermitianMatrix], tol: Tolerance) -> bool:
+        """True iff each member's residual is at most ``rtol * (1 + ||x_i||_F)``."""
+        return all(r <= tol.rtol * (1.0 + x.norm()) for r, x in zip(self.residuals, members))
+
 
 def _refine_blocks(members, u, cols, k, lam) -> None:
     """Split ``cols`` into clusters of member k's eigenvalues ``lam`` and
@@ -179,28 +232,16 @@ def _refine_blocks(members, u, cols, k, lam) -> None:
 
 
 def joint_diagonalize(t: AbelianTuple, tol: Tolerance = DEFAULT_TOL) -> JointSpectrum:
-    """Simultaneous diagonalization of a commuting tuple by block refinement.
+    """The joint spectrum ``t`` was admitted by (see :class:`AbelianTuple`).
 
-    The basis starts as member 0's eigenbasis (memoized on the member); each
-    cluster of nearly equal eigenvalues is then refined by diagonalizing the
-    next member inside it, recursively (Bunse-Gerstner, Byers & Mehrmann,
-    SIAM J. Matrix Anal. Appl. 14(4), 1993).  Deterministic, and kept on
-    ``t`` for any ``tol``; raises :class:`JointDiagonalizationError` when a
-    member's off-diagonal residual exceeds this call's ``rtol * (1 + ||x||_F)``.
+    Deterministic and built once per tuple, whatever the ``tol``; raises
+    :class:`JointDiagonalizationError` when a member's residual exceeds this
+    call's ``rtol * (1 + ||x||_F)``, which only a tol stricter than the
+    tuple's own can do.
     """
-    members = t.members
-    js = t.__dict__.get("_joint")
-    if js is None:
-        es = eig_hermitian(members[0])
-        u = es.basis.copy()
-        _refine_blocks(members, u, np.arange(t.dim), 0, es.eigenvalues)
-        conj = [u.conj().T @ x.entries @ u for x in members]
-        residuals = [np.linalg.norm(c - np.diag(np.diag(c))) for c in conj]
-        js = JointSpectrum(u, np.column_stack([np.diag(c).real for c in conj]), residuals)
-        object.__setattr__(t, "_joint", js)
-    if any(not r <= tol.rtol * (1.0 + x.norm()) for r, x in zip(js.residuals, members)):
+    if not t.joint.within(t.members, tol):
         raise JointDiagonalizationError("a member's off-diagonal residual is above tolerance")
-    return js
+    return t.joint
 
 
 def spectrum_in_cube(t: AbelianTuple, cube: Cube, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -218,14 +259,12 @@ def spectrum_in_cube(t: AbelianTuple, cube: Cube, tol: Tolerance = DEFAULT_TOL) 
 def memberwise_leq(x: AbelianTuple, y: AbelianTuple, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``x_i <= y_i`` in the Loewner order for every member index i.
 
-    The two leading members go through the kernel in one batch, so the joint
-    spectra of both tuples start from the memo.  The differences are read
-    only by :func:`is_psd`, whose Cholesky certificate settles them without
-    the kernel unless it cannot prove the order.  Unequal shapes raise ``ValueError``.
+    The differences are read only by :func:`is_psd`, whose Cholesky
+    certificate settles them without the kernel unless it cannot prove the
+    order.  Unequal shapes raise ``ValueError``.
     """
     if x.n != y.n or x.dim != y.dim:
         raise ValueError(f"shape mismatch: arity {x.n}, dim {x.dim} vs arity {y.n}, dim {y.dim}")
-    decompose([x.members[0], y.members[0]])
     return all(is_psd(b - a, tol) for a, b in zip(x.members, y.members))
 
 
@@ -255,10 +294,8 @@ def check_compatible(x: AbelianTuple, y: AbelianTuple, tol: Tolerance = DEFAULT_
     abelian tuple.
     """
     xs, ys = x.members, y.members
-    if len(xs) != len(ys):
-        raise ValueError(f"arity mismatch: {len(xs)} vs {len(ys)}")
-    if x.dim != y.dim:
-        raise ValueError("dimension mismatch between tuples")
+    if x.n != y.n or x.dim != y.dim:
+        raise ValueError(f"shape mismatch: arity {x.n}, dim {x.dim} vs arity {y.n}, dim {y.dim}")
     # [x_i, y_j] == [x_j, y_i] for all pairs, at the bilinear scale
     for i in range(len(xs)):
         for j in range(i + 1, len(xs)):

@@ -74,11 +74,13 @@ class CampaignConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.functions is not None:
-            # the names the library gives on a positive cube, where it holds them all
-            known = [f.name for f in function_library(uniform_cube(1, 1.0, 2.0))]
-            unknown = [name for name in self.functions if name not in known]
-            if unknown:
-                raise ConfigError(f"unknown function names {unknown}; expected some of {known}")
+            if _THEOREMS[self.theorem].picks is None:
+                raise ConfigError(f"{self.theorem} picks no library function, so it takes no list")
+            # neither the flags nor the library depend on the arity
+            picks = [f.name for f in _pickable(self.theorem, _function_cube(self.theorem, 1))]
+            never = [name for name in self.functions if name not in picks]
+            if never or not self.functions:  # a misspelt name too
+                raise ConfigError(f"{self.theorem} cannot pick {never}; it picks some of {picks}")
 
     def as_dict(self) -> dict:
         return {
@@ -117,18 +119,31 @@ def random_frame(dim: int, k: int, rng: np.random.Generator) -> np.ndarray:
 # instance generators
 # ---------------------------------------------------------------------------
 
-def _spectral_tuple(rng, q: np.ndarray, intervals) -> AbelianTuple:
+def _spectral_members(rng, q: np.ndarray, intervals) -> tuple[HermitianMatrix, ...]:
     """Members diagonal in the basis ``q``, eigenvalues uniform per interval."""
-    dim = q.shape[0]
-    return AbelianTuple(
-        tuple(HermitianMatrix((q * rng.uniform(lo, hi, dim)) @ q.conj().T) for lo, hi in intervals)
+    return tuple(
+        HermitianMatrix((q * rng.uniform(lo, hi, len(q))) @ q.conj().T) for lo, hi in intervals
     )
+
+
+def _diag_members(rng, dim: int, intervals) -> tuple[HermitianMatrix, ...]:
+    """Diagonal members, entries uniform per interval."""
+    return tuple(diagonal(rng.uniform(lo, hi, dim)) for lo, hi in intervals)
 
 
 def gen_abelian_tuple(dim: int, cube: Cube, seed) -> AbelianTuple:
     """Commuting tuple sharing one random eigenbasis, eigenvalues uniform per interval."""
     rng = np.random.default_rng(seed)
-    return _spectral_tuple(rng, random_unitary(dim, rng), cube.intervals)
+    return AbelianTuple(_spectral_members(rng, random_unitary(dim, rng), cube.intervals))
+
+
+def _dominated_members(dim: int, cube: Cube, rng) -> tuple[tuple[HermitianMatrix, ...], ...]:
+    """Members of a memberwise-ordered pair, x's then y's (see :func:`gen_dominated_pair`)."""
+    if any(hi <= lo for lo, hi in cube.intervals):
+        raise ValueError("cube needs headroom in every interval")
+    lower = [(lo, lo + 0.3 * (hi - lo)) for lo, hi in cube.intervals]
+    upper = [(lo + 0.4 * (hi - lo), hi) for lo, hi in cube.intervals]
+    return tuple(_spectral_members(rng, random_unitary(dim, rng), ivs) for ivs in (lower, upper))
 
 
 def gen_dominated_pair(dim: int, cube: Cube, seed) -> tuple[AbelianTuple, AbelianTuple]:
@@ -139,12 +154,7 @@ def gen_dominated_pair(dim: int, cube: Cube, seed) -> tuple[AbelianTuple, Abelia
     separation while the two tuples generically fail to commute with each
     other.  Checks that consume the pair keep their own order guard.
     """
-    rng = np.random.default_rng(seed)
-    if any(hi <= lo for lo, hi in cube.intervals):
-        raise ValueError("cube needs headroom in every interval")
-    lower = Cube(tuple((lo, lo + 0.3 * (hi - lo)) for lo, hi in cube.intervals))
-    upper = Cube(tuple((lo + 0.4 * (hi - lo), hi) for lo, hi in cube.intervals))
-    return gen_abelian_tuple(dim, lower, rng), gen_abelian_tuple(dim, upper, rng)
+    return tuple(map(AbelianTuple, _dominated_members(dim, cube, np.random.default_rng(seed))))
 
 
 def gen_centralizer_pair(
@@ -167,14 +177,13 @@ def gen_centralizer_pair(
     weights = np.empty(dim)
     offset = 0
     for b in blocks:
-        bx, by = gen_dominated_pair(b, cube, rng)
+        bxs, bys = _dominated_members(b, cube, rng)
         for i in range(n):
-            xs[i][offset : offset + b, offset : offset + b] = bx.members[i].entries
-            ys[i][offset : offset + b, offset : offset + b] = by.members[i].entries
+            xs[i][offset : offset + b, offset : offset + b] = bxs[i].entries
+            ys[i][offset : offset + b, offset : offset + b] = bys[i].entries
         weights[offset : offset + b] = rng.uniform(0.2, 2.0)
         offset += b
-    x = AbelianTuple(tuple(HermitianMatrix(m) for m in xs))
-    y = AbelianTuple(tuple(HermitianMatrix(m) for m in ys))
+    x, y = (AbelianTuple(tuple(HermitianMatrix(m) for m in ms)) for ms in (xs, ys))
     return x, y, DiagonalState(weights)
 
 
@@ -215,15 +224,10 @@ def gen_tuple_field(dim: int, count: int, cube: Cube, seed, kind: str = "generic
     """Aligned atoms for a column field; ``diagonal``/``common`` restrict the bases."""
     rng = np.random.default_rng(seed)
     if kind == "diagonal":
-        atoms = tuple(
-            AbelianTuple(
-                tuple(diagonal(rng.uniform(lo, hi, dim)) for lo, hi in cube.intervals)
-            )
-            for _ in range(count)
-        )
+        atoms = tuple(AbelianTuple(_diag_members(rng, dim, cube.intervals)) for _ in range(count))
     elif kind == "common":
         q = random_unitary(dim, rng)
-        atoms = tuple(_spectral_tuple(rng, q, cube.intervals) for _ in range(count))
+        atoms = tuple(AbelianTuple(_spectral_members(rng, q, cube.intervals)) for _ in range(count))
     else:
         atoms = tuple(gen_abelian_tuple(dim, cube, rng) for _ in range(count))
     return TupleField(atoms)
@@ -233,7 +237,7 @@ def gen_compatible_pair(dim: int, cube: Cube, seed) -> tuple[AbelianTuple, Abeli
     """Compatible pair by construction: both tuples diagonal in one common basis."""
     rng = np.random.default_rng(seed)
     q = random_unitary(dim, rng)
-    return _spectral_tuple(rng, q, cube.intervals), _spectral_tuple(rng, q, cube.intervals)
+    return tuple(AbelianTuple(_spectral_members(rng, q, cube.intervals)) for _ in range(2))
 
 
 # ---------------------------------------------------------------------------
@@ -409,17 +413,19 @@ def _draw(rng, lohi) -> int:
     return int(rng.integers(lohi[0], lohi[1] + 1))
 
 
-def _pick_function(cfg, rng, cube, need: tuple[str, ...]) -> CubeFunction:
-    pool = [
-        f
-        for f in function_library(cube)
-        if all(getattr(f, flag) for flag in need)
-        and (cfg.functions is None or f.name in cfg.functions)
-    ]
-    if not pool:
-        raise ConfigError(
-            f"no library function with flags {need} matches the sweep list {cfg.functions}"
-        )
+def _function_cube(theorem: str, n: int) -> Cube:
+    return uniform_cube(n, *_THEOREMS[theorem].picks[1])
+
+
+def _pickable(theorem: str, cube: Cube) -> list[CubeFunction]:
+    """The library functions on ``cube`` that declare every flag ``theorem`` needs."""
+    flags = _THEOREMS[theorem].picks[0]
+    return [f for f in function_library(cube) if all(getattr(f, g) for g in flags)]
+
+
+def _pick_function(cfg, rng, cube) -> CubeFunction:
+    pool = _pickable(cfg.theorem, cube)
+    pool = [f for f in pool if cfg.functions is None or f.name in cfg.functions]
     return pool[int(rng.integers(len(pool)))]
 
 
@@ -434,20 +440,21 @@ def _random_partition(rng, dim) -> tuple[int, ...]:
 
 
 def _field_instance(cfg, rng):
+    """Dimension, function, field and atoms, in the draw order T3 and T4 share."""
     dim, n = _draw(rng, cfg.dim_range), _draw(rng, cfg.arity_range)
     count = int(rng.integers(1, 5))
-    cube = uniform_cube(n, 0.05, 2.0)
+    cube = _function_cube(cfg.theorem, n)
     field_ = gen_unital_field(dim, count, rng)
     tf = gen_tuple_field(dim, field_.count, cube, rng)
-    return dim, cube, field_, tf
+    return dim, _pick_function(cfg, rng, cube), field_, tf
 
 
 def _gen_t1(cfg, rng, index) -> dict:
     dim, n = _draw(rng, cfg.dim_range), _draw(rng, cfg.arity_range)
-    cube = uniform_cube(n, 0.0, 2.0)
-    f = _pick_function(cfg, rng, cube, ("concave", "separately_increasing"))
+    cube = _function_cube(cfg.theorem, n)
+    f = _pick_function(cfg, rng, cube)
     x = gen_abelian_tuple(dim, uniform_cube(n, 0.0, 0.6), rng)
-    y = AbelianTuple(tuple(diagonal(rng.uniform(0.8, 2.0, dim)) for _ in range(n)))
+    y = AbelianTuple(_diag_members(rng, dim, [(0.8, 2.0)] * n))
     rho = DiagonalState(rng.uniform(0.1, 2.0, dim))
     return {"function": f, "x": x, "y": y, "rho": rho}
 
@@ -463,16 +470,14 @@ def _gen_t2(cfg, rng, index) -> dict:
 
 
 def _gen_t3(cfg, rng, index) -> dict:
-    dim, cube, field_, tf = _field_instance(cfg, rng)
-    f = _pick_function(cfg, rng, cube, ("convex",))
+    dim, f, field_, tf = _field_instance(cfg, rng)
     xi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     xi /= np.linalg.norm(xi)
     return {"function": f, "field": field_, "atoms": tf, "xi": xi}
 
 
 def _gen_t4(cfg, rng, index) -> dict:
-    dim, cube, field_, tf = _field_instance(cfg, rng)
-    f = _pick_function(cfg, rng, cube, ("convex",))
+    dim, f, field_, tf = _field_instance(cfg, rng)
     rho = DiagonalState(rng.uniform(0.1, 2.0, dim))
     return {"function": f, "field": field_, "atoms": tf, "rho": rho}
 
@@ -491,18 +496,18 @@ def _gen_t5(cfg, rng, index) -> dict:
     field_kind, atom_kind, draws_arity = _T5_KINDS[int(rng.integers(len(_T5_KINDS)))]
     dim = _draw(rng, cfg.dim_range)
     n = _draw(rng, cfg.arity_range) if draws_arity else 1
-    cube = uniform_cube(n, 0.05, 2.0)
+    cube = _function_cube(cfg.theorem, n)
     field_ = gen_unital_field(dim, int(rng.integers(1, 5)), rng, field_kind)
     tf = gen_tuple_field(dim, field_.count, cube, rng, atom_kind)
-    f = _pick_function(cfg, rng, cube, ("convex",))
+    f = _pick_function(cfg, rng, cube)
     return {"function": f, "field": field_, "atoms": tf}
 
 
 def _gen_t6(cfg, rng, index) -> dict:
     dim, n = _draw(rng, cfg.dim_range), _draw(rng, cfg.arity_range)
-    cube = uniform_cube(n, 0.0, 2.0)
+    cube = _function_cube(cfg.theorem, n)
     x, y = gen_dominated_pair(dim, cube, rng)
-    f = _pick_function(cfg, rng, cube, ("convex", "separately_increasing"))
+    f = _pick_function(cfg, rng, cube)
     return {"function": f, "x": x, "y": y}
 
 
@@ -510,7 +515,7 @@ def _gen_cor(cfg, rng, index) -> dict:
     dim = _draw(rng, cfg.dim_range)
     general = rng.integers(2) == 0
     n = 1 if general else _draw(rng, cfg.arity_range)
-    cube = uniform_cube(n, 0.0, 2.0)
+    cube = _function_cube(cfg.theorem, n)
     if general:
         x = gen_abelian_tuple(dim, cube, rng)
         y = gen_abelian_tuple(dim, cube, rng)
@@ -519,7 +524,7 @@ def _gen_cor(cfg, rng, index) -> dict:
     lam = float(rng.uniform(0.0, 1.0))
     if rng.integers(10) == 0:
         lam = float(rng.integers(0, 2))
-    f = _pick_function(cfg, rng, cube, ("convex",))
+    f = _pick_function(cfg, rng, cube)
     return {"function": f, "x": x, "y": y, "lam": lam}
 
 
@@ -589,12 +594,16 @@ class _Theorem:
 
     ``generate(cfg, rng, index)`` returns the check's named arguments;
     ``check(args, tol)`` gives the verdict; ``codecs`` maps each argument
-    name, which is also its payload key, to an (encode, decode) pair.
+    name, which is also its payload key, to an (encode, decode) pair.  An id
+    that picks a library function ``picks`` it by the flags it must declare
+    and the interval of each coordinate of its cube; the campaign config
+    reads the same pair.
     """
 
     generate: Callable[[CampaignConfig, np.random.Generator, int], dict]
     check: Callable[[dict, Tolerance], Verdict]
     codecs: dict[str, tuple[Callable, Callable]]
+    picks: tuple[tuple[str, ...], tuple[float, float]] | None = None
 
     def encode(self, args: dict) -> dict:
         return {name: enc(args[name]) for name, (enc, _) in self.codecs.items()}
@@ -608,6 +617,7 @@ _THEOREMS: dict[str, _Theorem] = {
         _gen_t1,
         lambda a, tol: check_phi_monotone_chain(a["function"], a["x"], a["y"], a["rho"], tol),
         {"function": _FUNCTION, "x": _TUPLE, "y": _TUPLE, "rho": _STATE},
+        (("concave", "separately_increasing"), (0.0, 2.0)),
     ),
     "T2": _Theorem(
         _gen_t2,
@@ -617,6 +627,7 @@ _THEOREMS: dict[str, _Theorem] = {
     "T3": _Theorem(
         _gen_t3, _check_t3,
         {"function": _FUNCTION, "field": _FIELD, "atoms": _ATOMS, "xi": _ARRAY},
+        (("convex",), (0.05, 2.0)),
     ),
     "T4": _Theorem(
         _gen_t4,
@@ -624,21 +635,25 @@ _THEOREMS: dict[str, _Theorem] = {
             a["function"], a["field"], a["atoms"], a["rho"], tol
         ),
         {"function": _FUNCTION, "field": _FIELD, "atoms": _ATOMS, "rho": _STATE},
+        (("convex",), (0.05, 2.0)),
     ),
     "T5": _Theorem(
         _gen_t5,
         lambda a, tol: check_thm5(a["function"], a["field"], a["atoms"], tol),
         {"function": _FUNCTION, "field": _FIELD, "atoms": _ATOMS},
+        (("convex",), (0.05, 2.0)),
     ),
     "T6": _Theorem(
         _gen_t6,
         lambda a, tol: check_thm6(a["function"], a["x"], a["y"], tol),
         {"function": _FUNCTION, "x": _TUPLE, "y": _TUPLE},
+        (("convex", "separately_increasing"), (0.0, 2.0)),
     ),
     "COR": _Theorem(
         _gen_cor,
         lambda a, tol: check_corollary(a["function"], a["x"], a["y"], a["lam"], tol),
         {"function": _FUNCTION, "x": _TUPLE, "y": _TUPLE, "lam": _SCALAR},
+        (("convex",), (0.0, 2.0)),
     ),
     "LH": _Theorem(
         _gen_lh,

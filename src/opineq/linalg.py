@@ -176,6 +176,13 @@ def _eigensystem(lam: np.ndarray, u: np.ndarray) -> EigenSystem:
     return EigenSystem(lam[order], u[:, order])
 
 
+def _unitary_defect(q: np.ndarray) -> float:
+    """``||q* q - I||_F``; not a finite number for a basis that is not finite."""
+    d = q.conj().T @ q
+    d.flat[:: len(d) + 1] -= 1.0
+    return math.sqrt(np.vdot(d, d).real)
+
+
 def _lapack_basis(w: np.ndarray) -> np.ndarray:
     """LAPACK's eigenvectors of each matrix in the ``(k, m, m)`` stack ``w``: only a proposal."""
     return np.linalg.eigh(w)[1]
@@ -208,11 +215,7 @@ def _warm_start(w: np.ndarray, u: np.ndarray, rows: list[int]) -> None:
                 proposals.append(None)
     kept, bases = [], []
     for k, q in zip(rows, proposals):
-        if q is None or not np.isfinite(q).all():
-            continue
-        d = q.conj().T @ q
-        d.flat[:: len(d) + 1] -= 1.0
-        if math.sqrt(np.vdot(d, d).real) <= _OFFDIAG_FACTOR:
+        if q is not None and _unitary_defect(q) <= _OFFDIAG_FACTOR:  # False on NaN
             kept.append(k)
             bases.append(q)
     if kept:

@@ -17,7 +17,6 @@ from .linalg import (
     DEFAULT_TOL,
     HermitianMatrix,
     Tolerance,
-    decompose,
     eig_hermitian,
     worst_gap,
 )
@@ -116,19 +115,16 @@ def check_corollary(
         return verdict.invalid(f"{f.name!r} is not flagged convex")
     if not check_compatible(x, y, tol):
         return verdict.invalid("tuples are not compatible")
-    mixed = ()
-    if 0.0 < lam < 1.0:
-        mixed = tuple(
-            HermitianMatrix(lam * a.entries + (1 - lam) * b.entries)
-            for a, b in zip(x.members, y.members)
-        )
-    decompose([x.members[0], y.members[0], *mixed[:1]])
     if not (spectrum_in_cube(x, f.domain, tol) and spectrum_in_cube(y, f.domain, tol)):
         return verdict.invalid("a tuple leaves the domain cube")
-    if not mixed:
+    if not 0.0 < lam < 1.0:
         # at lam = 1 (0) the mix is x (y) itself, and both sides are its f
         lhs = rhs = apply_cube_function(f, x if lam else y, tol)
         return wmaj_verdict(lhs, rhs, tol, lam=lam)
+    mixed = tuple(
+        HermitianMatrix(lam * a.entries + (1 - lam) * b.entries)
+        for a, b in zip(x.members, y.members)
+    )
     try:
         mix = AbelianTuple(mixed, tol)
     except ValueError:

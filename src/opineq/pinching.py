@@ -27,7 +27,6 @@ from .linalg import (
     DEFAULT_TOL,
     HermitianMatrix,
     Tolerance,
-    decompose,
     diagonal,
     eig_hermitian,
     psd_margin,
@@ -108,7 +107,7 @@ class TupleField:
         return len(self.atoms)
 
     def in_domain(self, cube: Cube, tol: Tolerance = DEFAULT_TOL) -> bool:
-        decompose([t.members[0] for t in self.atoms])
+        """True iff every atom's joint spectrum, read as admitted, lies in ``cube``."""
         return all(spectrum_in_cube(t, cube, tol) for t in self.atoms)
 
 

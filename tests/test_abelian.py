@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from opineq import linalg
 from opineq.abelian import (
     AbelianTuple,
     Cube,
@@ -17,7 +20,15 @@ from opineq.abelian import (
     uniform_cube,
 )
 from opineq.harness import CampaignConfig, run_campaign
-from opineq.linalg import HermitianMatrix, Tolerance, diagonal, eig_hermitian, identity
+from opineq.linalg import (
+    EigenSystem,
+    HermitianMatrix,
+    JacobiConvergenceError,
+    Tolerance,
+    diagonal,
+    eig_hermitian,
+    identity,
+)
 
 X_FLIP = HermitianMatrix(np.array([[0, 1], [1, 0]], dtype=complex))
 
@@ -100,6 +111,90 @@ class TestCommuting:
     def test_nan_commutator_is_not_commuting(self):
         # the commutator norm is NaN, which proves nothing
         assert not check_commuting([diagonal([1, 2]), HermitianMatrix([[0, 1], [1, np.nan]])])
+
+
+def random_unitary(rng, dim):
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return np.linalg.qr(z)[0]
+
+
+class TestAdmission:
+    """An AbelianTuple is admitted by its joint spectrum, built once in the constructor."""
+
+    def test_repeated_leading_eigenvalue_resolved_by_a_later_member(self, jacobi_runs):
+        # member 0 repeats its eigenvalue 1; only the block refinement of
+        # member 1 inside that cluster pairs 5 and 7 with it
+        q = random_unitary(np.random.default_rng(21), 4)
+        spectra = ([1.0, 1.0, 2.0, 3.0], [5.0, 7.0, 6.0, 8.0])
+        t = AbelianTuple(tuple(HermitianMatrix((q * np.array(s)) @ q.conj().T) for s in spectra))
+        assert [a.dim for a in jacobi_runs] == [4, 2]  # member 0, then the 2x2 cluster block
+        got = sorted(map(tuple, t.joint.points.round(9)))
+        assert got == [(1.0, 5.0), (1.0, 7.0), (2.0, 6.0), (3.0, 8.0)]
+        assert_reconstructs(t, t.joint)
+
+    def test_kernel_basis_defect_is_far_below_eta(self):
+        rng = np.random.default_rng(22)
+        for dim in range(2, 17):
+            for _ in range(4):
+                u = random_commuting_tuple(rng, dim, 3).joint.basis
+                defect = np.linalg.norm(u.conj().T @ u - np.eye(dim))
+                assert defect <= 1e-14 * dim / 5
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_non_unitary_basis_is_a_numerical_error(self, monkeypatch, n):
+        # a kernel whose bases are off unitarity by 2e-9: admission refuses the
+        # tuple as a kernel fault, never as a non-commuting (invalid) instance
+        original = linalg._jacobi
+
+        def skewed(mats):
+            return [EigenSystem(e.eigenvalues, e.basis * (1.0 + 1e-9)) for e in original(mats)]
+
+        monkeypatch.setattr(linalg, "_jacobi", skewed)
+        members = (diagonal([1.0, 2.0, 3.0]), diagonal([3.0, 1.0, 2.0]))[:n]
+        with pytest.raises(JointDiagonalizationError, match="joint basis is not unitary") as info:
+            AbelianTuple(members)
+        assert not isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_member_0_raises_the_kernel_error(self, bad):
+        with pytest.raises(JacobiConvergenceError, match="norm not finite"):
+            AbelianTuple((HermitianMatrix([[bad, 0.0], [0.0, 1.0]]), diagonal([1.0, 2.0])))
+
+    @pytest.mark.parametrize("lead", [diagonal([1.0, 2.0]), identity(2)], ids=["split", "repeated"])
+    @pytest.mark.parametrize(
+        "bad",
+        [[[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]], [[8e307, 0.0], [0.0, 0.0]]],
+        ids=["nan", "inf", "norm-overflow"],
+    )
+    def test_non_finite_later_member_is_refused(self, lead, bad):
+        # refused before the refinement, so a repeated leading eigenvalue that
+        # would hand the member to the kernel gives the same ValueError
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="members do not commute within tolerance"):
+                AbelianTuple((lead, HermitianMatrix(bad)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6), n=st.integers(1, 3),
+           log_eps=st.floats(-14.0, -2.0), log_rtol=st.floats(-12.0, -2.5))
+    def test_joint_diagonalize_never_raises_at_the_tuples_own_tol(
+        self, seed, dim, n, log_eps, log_rtol
+    ):
+        # commuting members plus a perturbation of relative size eps: some are
+        # admitted at rtol and some refused, and an admitted tuple's spectrum
+        # is always readable at its own tol
+        rng = np.random.default_rng(seed)
+        q = random_unitary(rng, dim)
+        tol = Tolerance(10.0**log_rtol)
+        members = []
+        for _ in range(n):
+            z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            noise = 10.0**log_eps * z
+            members.append(HermitianMatrix((q * rng.uniform(-1, 1, dim)) @ q.conj().T + noise))
+        try:
+            t = AbelianTuple(tuple(members), tol)
+        except ValueError:
+            return
+        assert joint_diagonalize(t, tol) is t.joint
 
 
 class TestJointDiagonalize:

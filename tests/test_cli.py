@@ -381,11 +381,15 @@ class TestExitCodeTable:
             ["campaign", "--theorem", "T1", "--seed", "-1"],
             ["campaign", "--theorem", "T6", "--functions", "max,sum-of-sqares"],
             ["campaign", "--theorem", "KF", "--functions", "nonsense"],
+            ["campaign", "--theorem", "KF", "--functions", "max"],
+            ["campaign", "--theorem", "T1", "--functions", "affine,max"],
             ["check", "loewner", "x.mat", "y.mat", "--rtol", "0.5"],
         ],
         ids=[
             "campaign-rtol", "campaign-dim", "campaign-arity", "campaign-negative-seed",
-            "campaign-misspelt-function", "campaign-unknown-function", "check-rtol",
+            "campaign-misspelt-function", "campaign-unknown-function",
+            "campaign-functions-for-an-id-that-picks-none", "campaign-function-never-picked",
+            "check-rtol",
         ],
     )
     def test_bad_argument_value(self, tmp_path, capsys, monkeypatch, argv):

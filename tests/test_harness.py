@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -255,9 +256,51 @@ class TestCampaigns:
             run_campaign(CampaignConfig("T6", 5, seed=1, functions=("no-such-function",)))
 
     def test_every_library_name_is_a_known_function(self):
-        # a misspelt name is a config error (tests/test_cli.py); no real one is
+        # a misspelt name is a config error (tests/test_cli.py); a real one is
+        # accepted by every id that can pick it
         names = tuple(f.name for f in function_library(uniform_cube(2, 0.5, 3.0)))
-        assert CampaignConfig("T6", 5, functions=names).functions == names
+        accepted = set()
+        for theorem in ("T1", "T3", "T4", "T5", "T6", "COR"):
+            picks = {f.name for f in hz._pickable(theorem, hz._function_cube(theorem, 2))}
+            for name in names:
+                try:
+                    assert CampaignConfig(theorem, 5, functions=(name,)).functions == (name,)
+                    accepted.add(name)
+                except ConfigError as exc:
+                    assert name not in picks
+                    assert str(exc).startswith(f"{theorem} cannot pick ['{name}']")
+        # the monomial is neither convex nor concave, so no campaign picks it
+        assert set(names) - accepted == {"monomial"}
+
+    @pytest.mark.parametrize("theorem", ["T2", "LH", "KF", "EX1", "CHAIN"])
+    def test_function_list_for_an_id_that_picks_none_is_config_error(self, theorem):
+        with pytest.raises(ConfigError, match=f"^{theorem} picks no library function"):
+            CampaignConfig(theorem, 5, functions=("max",))
+
+    @pytest.mark.parametrize(
+        "theorem, functions, never",
+        [
+            ("T1", ("affine", "max"), ["max"]),  # max is not concave
+            ("T6", ("max", "sum-of-squares"), ["sum-of-squares"]),  # not increasing
+            ("COR", ("neg-log-product",), ["neg-log-product"]),  # not on COR's cube [0, 2]
+            ("T3", ("geometric-mean",), ["geometric-mean"]),  # concave, not convex
+        ],
+    )
+    def test_name_the_id_cannot_pick_is_config_error(self, theorem, functions, never):
+        with pytest.raises(ConfigError, match=re.escape(f"{theorem} cannot pick {never}")):
+            CampaignConfig(theorem, 5, functions=functions)
+
+    def test_every_listed_name_is_picked(self):
+        # the config admits a list only if each name can be picked, so a
+        # campaign over it runs every name it echoes
+        for theorem, names in (("T1", ("affine", "geometric-mean")), ("COR", ("affine", "max"))):
+            rep = run_campaign(CampaignConfig(theorem, 40, seed=3, functions=names))
+            assert rep.config["functions"] == list(names)
+            assert {r["function"] for r in rep.verdicts} == set(names)
+
+    def test_empty_function_list_is_config_error(self):
+        with pytest.raises(ConfigError, match=re.escape("T6 cannot pick []")):
+            CampaignConfig("T6", 5, functions=())
 
     def test_failure_records_replay_identically(self, monkeypatch):
         # force failures by breaking the checked inequality's sign inside the

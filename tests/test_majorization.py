@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opineq import abelian, majorization
+from opineq import abelian
 from opineq.abelian import AbelianTuple, CubeFunction, uniform_cube
 from opineq.harness import gen_compatible_pair
-from opineq.linalg import DEFAULT_TOL, HermitianMatrix, diagonal, eig_hermitian, identity
+from opineq.linalg import HermitianMatrix, diagonal, eig_hermitian, identity
 from opineq.majorization import (
     check_corollary,
     check_thm5,
@@ -20,7 +20,7 @@ from opineq.majorization import (
     weak_majorize,
     wmaj_verdict,
 )
-from opineq.pinching import ColumnField, TupleField
+from opineq.pinching import ColumnField, TupleField, compress
 
 MAX2 = CubeFunction("max", uniform_cube(2, 0, 2), max, convex=True, separately_increasing=True)
 SQ1 = CubeFunction("sq", uniform_cube(1, -3, 3), lambda s: s[0] ** 2, convex=True)
@@ -212,18 +212,22 @@ class TestThm5:
             for _ in range(3)
         )
         field = ColumnField((0.5, 0.3, 0.2), (np.eye(3, dtype=complex),) * 3)
-        calls = []
-        original = abelian.check_commuting
+        admitted = []
+        original = AbelianTuple.__post_init__
 
-        def counted(members, tol=DEFAULT_TOL):
-            calls.append(members)
-            return original(members, tol)
+        def counted(self):
+            original(self)
+            admitted.append(self)
 
-        for module in (abelian, majorization):
-            if getattr(module, "check_commuting", None) is original:
-                monkeypatch.setattr(module, "check_commuting", counted)
-        assert check_thm5(MAX2, field, TupleField(atoms)).passed
-        assert len(calls) == 1
+        monkeypatch.setattr(AbelianTuple, "__post_init__", counted)
+        tf = TupleField(atoms)
+        assert check_thm5(MAX2, field, tf).passed
+        # the compressed tuple is admitted once; the atoms were admitted when built
+        assert len(admitted) == 1 and all(admitted[0] is not t for t in tf.atoms)
+        expected = compress(field, tf)
+        assert [m.entries.tobytes() for m in admitted[0].members] == [
+            m.entries.tobytes() for m in expected
+        ]
 
 
 class TestCorollary:
@@ -261,18 +265,36 @@ class TestCorollary:
         v = check_corollary(MAX2, x, y, 0.5)
         assert v.invalid
 
-    def test_near_miss_pair_raises_the_documented_error(self):
+    def test_near_miss_mix_is_invalid_not_a_dead_end(self):
         # compatible at tolerance, yet the midpoint's members are not jointly
-        # diagonalizable at it: a numerical dead end, never a bare RuntimeError
-        a, e, g = np.diag([5.0, 6.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
-        eps = 1.18e-4
-        x = AbelianTuple((HermitianMatrix(a), HermitianMatrix(a)))
-        y = AbelianTuple((HermitianMatrix(-a + eps * e), HermitianMatrix(-a + eps * (e + g))))
+        # diagonalizable at it: its leading member splits its eigenvalues by
+        # only 1e-4, so a commutator of 2.1e-10 leaves member 1 a residual of
+        # 2.1e-6 in that basis.  The mix is refused as a tuple, so the verdict
+        # is invalid, never a numerical dead end
+        gamma, eta = 1e-4, 3e-6
+        flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+        x = AbelianTuple((diagonal([1.0, 1.0 + 2 * gamma]), diagonal([0.0, 0.0])))
+        y = AbelianTuple((identity(2), HermitianMatrix(eta * flip)))
         assert abelian.check_compatible(x, y)
         f = CubeFunction("sumsq", uniform_cube(2, -10, 10), lambda s: s[0] ** 2 + s[1] ** 2,
                          convex=True)
-        with pytest.raises(abelian.JointDiagonalizationError):
-            check_corollary(f, x, y, 0.5)
+        v = check_corollary(f, x, y, 0.5)
+        assert v.invalid
+        assert v.detail["reason"] == "convex combination fails the commutation check"
+        # the commutator test alone would have admitted the mix
+        mix = [0.5 * (a + b) for a, b in zip(x.members, y.members)]
+        assert abelian.check_commuting(mix)
+
+    def test_near_miss_pair_is_refused_at_construction(self):
+        # this pair's members commute to 3.9e-8, under the bilinear scale 6.2e-8,
+        # but member 1 keeps a residual of 3.9e-8 in member 0's eigenbasis,
+        # above rtol (1 + ||y_1||_F) = 8.8e-9
+        a, e, g = np.diag([5.0, 6.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+        eps = 1.18e-4
+        members = (HermitianMatrix(-a + eps * e), HermitianMatrix(-a + eps * (e + g)))
+        assert abelian.check_commuting(members)
+        with pytest.raises(ValueError, match="members do not commute within tolerance"):
+            AbelianTuple(members)
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     def test_endpoint_decomposes_no_matrix_twice(self, jacobi_runs, lam):

@@ -20,6 +20,7 @@ from opineq.linalg import (
     HermitianMatrix,
     JacobiConvergenceError,
     Tolerance,
+    diagonal,
     eig_hermitian,
     identity,
     is_psd,
@@ -71,9 +72,12 @@ class TestFallback:
     def test_memberwise_leq_falls_back_to_the_kernel(self, factor, expected, jacobi_runs):
         a = with_spectrum(np.random.default_rng(3), [2.0, 1.0, 0.5, factor * self.SLACK])
         x, y = AbelianTuple((zero(4),)), AbelianTuple((a,))
+        # each tuple's admission decomposed its leading member
+        assert jacobi_runs == [x.members[0], a]
+        del jacobi_runs[:]
         assert memberwise_leq(x, y) is expected
-        # the leading members in one batch, then the difference alone
-        assert jacobi_runs.batches == [2, 1]
+        # then the difference alone, after the certificate declined it
+        assert [d.entries.tobytes() for d in jacobi_runs] == [(a - zero(4)).entries.tobytes()]
 
     def test_rtol_zero_never_certifies(self, jacobi_runs):
         rng = np.random.default_rng(4)
@@ -114,11 +118,13 @@ class TestCertified:
         def members(first):
             return tuple(HermitianMatrix((q * lam) @ q.conj().T) for lam in (first, beta))
 
-        x, y = AbelianTuple(members(alpha)), AbelianTuple(members(bump))
+        x, y, copy = (AbelianTuple(members(first)) for first in (alpha, bump, bump))
+        # the leading members only, each at its tuple's admission
+        assert jacobi_runs == [t.members[0] for t in (x, y, copy)]
+        del jacobi_runs[:]
         assert memberwise_leq(x, y)
-        assert memberwise_leq(y, AbelianTuple(members(bump)))  # every difference is zero
-        # the leading members only: x's and y's, then the copy's (y's is memoized)
-        assert jacobi_runs.batches == [2, 1]
+        assert memberwise_leq(y, copy)  # every difference is zero
+        assert jacobi_runs == []
 
 
 LAPACK_CHOLESKY = np.linalg.cholesky
@@ -165,18 +171,21 @@ class TestNotFinite:
 
     @pytest.mark.parametrize("bad", ["overflow", "infinite"])
     def test_memberwise_leq_raises(self, bad):
-        # finite members, so the bad difference is the one that reaches is_psd: its norm
-        # overflows, or its entry does (a member with an infinite entry is no tuple: inf * 0
-        # makes its commutator norm NaN, see test_abelian.py::TestCommuting)
+        # members of finite norm, so the bad difference is the one that reaches is_psd: its
+        # norm overflows.  A difference with an infinite entry needs members whose norm
+        # overflows too, and admission refuses those: their residual bound certifies nothing
         lo, hi = {
-            "overflow": ([[0.0, 0.0], [0.0, 0.0]], [[0.0, 1e160], [1e160, 0.0]]),
+            "overflow": ([[-1e154, 0.0], [0.0, 0.0]], [[1e154, 0.0], [0.0, 0.0]]),
             "infinite": ([[-8e307, 0.0], [0.0, 0.0]], [[8e307, 0.0], [0.0, 0.0]]),
         }[bad]
-        with np.errstate(over="ignore"):  # the commutation test meets the overflowing norm
-            x = AbelianTuple((identity(2), HermitianMatrix(lo)))
-            y = AbelianTuple((identity(2), HermitianMatrix(hi)))
-        # numpy 2 reports the overflow in the norm's dot, or in the subtraction
-        with np.errstate(over="ignore"):
+        lead = diagonal([1.0, 2.0])
+        with np.errstate(over="ignore"):  # numpy 2 reports the overflow in the norm's dot
+            if bad == "infinite":
+                with pytest.raises(ValueError, match="members do not commute within tolerance"):
+                    AbelianTuple((lead, HermitianMatrix(hi)))
+                return
+            x = AbelianTuple((lead, HermitianMatrix(lo)))
+            y = AbelianTuple((lead, HermitianMatrix(hi)))
             with pytest.raises(JacobiConvergenceError, match="norm not finite"):
                 memberwise_leq(x, y)
 

@@ -129,20 +129,26 @@ class TestExactIdentity:
 
 class TestKernelRuns:
     def test_thm6_runs_the_kernel_once(self, jacobi_runs):
-        # the two leading members in one batch; the joint spectra start from
-        # them, the Cholesky certificate settles the differences, and f(x)
-        # and f(y) carry their spectra
+        # once per tuple: each admission decomposes its leading member, and
+        # the check then runs none; the Cholesky certificate settles the
+        # differences, and f(x) and f(y) carry their spectra
         x, y = gen_dominated_pair(4, uniform_cube(2, 0.0, 2.0), 61)
+        assert jacobi_runs == [x.members[0], y.members[0]]
+        del jacobi_runs[:]
         assert check_thm6(SUMEXP2, x, y).passed
-        assert jacobi_runs.batches == [2]
+        assert jacobi_runs == []
 
     def test_corollary_runs_the_kernel_on_the_right_side_only(self, jacobi_runs):
-        # the leading members of x, y and the mix in one batch; f(mix) carries
-        # its spectrum, the mixed right-hand side lam f(x) + (1 - lam) f(y) is
-        # the one new matrix
+        # past the admissions of x, y and the mix, each of its leading member,
+        # f(mix) carries its spectrum; the mixed right-hand side
+        # lam f(x) + (1 - lam) f(y) is the one new matrix
         x, y = gen_compatible_pair(4, uniform_cube(2, 0.0, 2.0), 21)
+        assert jacobi_runs == [x.members[0], y.members[0]]
+        del jacobi_runs[:]
         assert check_corollary(MAX2, x, y, 0.5).passed
-        assert jacobi_runs.batches == [3, 1]
+        mix_lead = 0.5 * (x.members[0] + y.members[0])
+        assert len(jacobi_runs) == 2
+        assert jacobi_runs[0].entries.tobytes() == mix_lead.entries.tobytes()
 
     def test_geometric_mean_regularized_pair_is_not_decomposed(self, jacobi_runs):
         rng = np.random.default_rng(62)
@@ -209,18 +215,34 @@ def _matrices(value):
         yield from t.members
 
 
+def _memo_state(args):
+    """Which matrices of the arguments hold a decomposition, in argument order."""
+    return [
+        "_eigensystem" in m.__dict__ for v in args.values() for m in _matrices(v)
+    ]
+
+
 @pytest.mark.parametrize("theorem", THEOREM_IDS)
-def test_generators_never_produce_a_carried_matrix(theorem):
+def test_generators_never_produce_a_carried_matrix(theorem, jacobi_runs):
+    # a generated matrix carries no pair, and holds a decomposition only where
+    # the replayed one does (a tuple's leading member, from its admission);
+    # so a campaign's check and its replay's run the same kernel matrices
     cfg = CampaignConfig(theorem, 12, dim_range=(2, 6), arity_range=(1, 3), seed=43)
     entry = hz._THEOREMS[theorem]
     seen = 0
     for i in range(cfg.count):
         args = entry.generate(cfg, instance_rng(cfg.seed, i), i)
+        replayed = entry.decode(entry.encode(args), cfg.tol)
         for m in (m for v in args.values() for m in _matrices(v)):
             seen += 1
-            assert not {"_carried", "_eigensystem"} & m.__dict__.keys(), (theorem, i)
-        for t in (t for v in args.values() for t in _tuples(v)):
-            assert "_joint" not in t.__dict__, (theorem, i)
+            assert "_carried" not in m.__dict__, (theorem, i)
+        assert _memo_state(args) == _memo_state(replayed), (theorem, i)
+        runs = []
+        for a in (args, replayed):
+            del jacobi_runs[:]
+            verdict = entry.check(a, cfg.tol)
+            runs.append((verdict.status, verdict.gap, [r.entries.tobytes() for r in jacobi_runs]))
+        assert runs[0] == runs[1], (theorem, i)
     assert seen > 0 or theorem == "EX1"
 
 
