@@ -55,7 +55,6 @@ from .linalg import (
     JacobiConvergenceError,
     SpectrumDomainError,
     Tolerance,
-    decompose,
     diagonal,
     eig_hermitian,
     hermitian_function,
@@ -132,7 +131,6 @@ __all__ = [
     "check_thm6",
     "check_trace_power_monotone",
     "compress",
-    "decompose",
     "diagonal",
     "eig_hermitian",
     "function_library",

@@ -147,6 +147,8 @@ class Cube:
         return len(self.intervals)
 
     def clip(self, point: Sequence[float]) -> tuple[float, ...]:
+        if len(point) != self.arity:
+            raise ValueError(f"a point of {len(point)} coordinates on a cube of arity {self.arity}")
         return tuple(
             min(max(float(s), lo), hi) for s, (lo, hi) in zip(point, self.intervals)
         )

@@ -283,13 +283,6 @@ def function_library(cube: Cube) -> list[CubeFunction]:
                 concave=True, separately_increasing=True,
             )
         )
-        out.append(
-            CubeFunction(
-                "monomial", cube,
-                lambda s: float(np.prod([v ** (0.5 + 0.25 * i) for i, v in enumerate(s)])),
-                separately_increasing=True,
-            )
-        )
     if min(lows) > 0:
         out.append(
             CubeFunction(

@@ -1,8 +1,10 @@
 """Dense Hermitian linear algebra: Jacobi eigensolver, Loewner order, functional calculus.
 
 Everything here is a pure function of immutable values; matrices are frozen
-after construction and safe to share between threads.  A matrix keeps its
-decomposition once computed; two threads racing on it compute the same bits.
+after construction and safe to share between threads.  The eigensolver runs
+on one matrix at a time, entered only through :func:`eig_hermitian`, which
+keeps the decomposition on the matrix; two threads racing on it compute the
+same bits.
 """
 
 from __future__ import annotations
@@ -152,8 +154,8 @@ class EigenSystem:
 def _spectral_matrix(basis: np.ndarray, values: np.ndarray) -> HermitianMatrix:
     """``basis @ diag(values) @ basis*``, carrying the pair it was built from.
 
-    :func:`decompose` sorts the pair into the matrix's eigensystem when it is
-    first read, so no kernel runs for it.  The pair keeps its own copy of
+    :func:`eig_hermitian` sorts the pair into the matrix's eigensystem when
+    it is first read, so no kernel runs for it.  The pair keeps its own copy of
     ``values``: a caller's later writes to its array change nothing.  Only a
     basis unitary to rounding, a kernel or joint eigenbasis, may seed it.
     """
@@ -183,48 +185,12 @@ def _unitary_defect(q: np.ndarray) -> float:
     return math.sqrt(np.vdot(d, d).real)
 
 
-def _lapack_basis(w: np.ndarray) -> np.ndarray:
-    """LAPACK's eigenvectors of each matrix in the ``(k, m, m)`` stack ``w``: only a proposal."""
-    return np.linalg.eigh(w)[1]
+def _lapack_basis(a: np.ndarray) -> np.ndarray:
+    """LAPACK's eigenvectors of the ``m x m`` matrix ``a``: only a proposal."""
+    return np.linalg.eigh(a)[1]
 
 
-def _warm_start(w: np.ndarray, u: np.ndarray, rows: list[int]) -> None:
-    """Move ``w[k]`` into a checked LAPACK basis ``q`` and set ``u[k] = q``, for ``k`` in ``rows``.
-
-    One stacked :func:`_lapack_basis` call proposes; after a ``LinAlgError``
-    each matrix is asked again alone, so one failure leaves the others'
-    bits as they are in any batch.  A proposal is kept only if it is finite
-    and ``||q* q - I||_F <= 1e-14``, the stop factor; any other matrix keeps
-    its cold start.  Why that bound suffices: every eigenvalue of ``q* q``
-    then lies within ``1 +- 1e-14``, so by Ostrowski's theorem each
-    eigenvalue of ``q* a q`` is ``theta * lambda`` with ``|theta - 1| <=
-    1e-14`` and moves by at most ``1e-14 * ||a||_F``, no more than the stop
-    test lets the off-diagonal mass move the diagonal (Weyl); and ``u``
-    starts no less unitary than the cold path's own ``u`` ends (1.4e-14 at
-    m = 16).  Whatever the start, the stop test of :func:`_sweeps` then
-    decides, so a poor basis costs sweeps, never accuracy.
-    """
-    try:
-        proposals = list(_lapack_basis(w[rows]))
-    except np.linalg.LinAlgError:
-        proposals = []
-        for k in rows:
-            try:
-                proposals.append(_lapack_basis(w[k : k + 1])[0])
-            except np.linalg.LinAlgError:
-                proposals.append(None)
-    kept, bases = [], []
-    for k, q in zip(rows, proposals):
-        if q is not None and _unitary_defect(q) <= _OFFDIAG_FACTOR:  # False on NaN
-            kept.append(k)
-            bases.append(q)
-    if kept:
-        q = np.array(bases)
-        w[kept] = q.conj().transpose(0, 2, 1) @ w[kept] @ q
-        u[kept] = q
-
-
-def _sweeps(w: np.ndarray, u: np.ndarray, threshold: float, where: str) -> EigenSystem:
+def _sweeps(w: np.ndarray, u: np.ndarray, threshold: float) -> EigenSystem:
     """Cyclic Jacobi sweeps on the ``m x m`` matrix ``w`` in the basis ``u``, until the stop test.
 
     Each sweep visits the pairs ``p < q`` row by row (the cyclic-by-row
@@ -233,7 +199,7 @@ def _sweeps(w: np.ndarray, u: np.ndarray, threshold: float, where: str) -> Eigen
     ``m x m`` unitary ``J``, applied as ``w = (J* w) J`` and ``u = u J``.  The
     run ends once the off-diagonal Frobenius mass is at most ``threshold``;
     not within :data:`_SWEEP_CAP` sweeps raises
-    :class:`JacobiConvergenceError`, naming ``where``.
+    :class:`JacobiConvergenceError`.
     """
     m = len(w)
     off, eye = _cyclic(m)
@@ -261,65 +227,45 @@ def _sweeps(w: np.ndarray, u: np.ndarray, threshold: float, where: str) -> Eigen
                 w = j.conj().T @ w @ j
                 w[p, q] = w[q, p] = 0.0
                 u = u @ j
-    raise JacobiConvergenceError(
-        f"no convergence after {_SWEEP_CAP} sweeps on a {m}x{m} matrix ({where})"
-    )
+    raise JacobiConvergenceError(f"no convergence after {_SWEEP_CAP} sweeps on a {m}x{m} matrix")
 
 
-def _jacobi(mats: Sequence[HermitianMatrix]) -> list[EigenSystem]:
-    """Cyclic Jacobi kernel behind :func:`decompose`, run once over same-size matrices.
+def _jacobi(a: HermitianMatrix) -> EigenSystem:
+    """Cyclic Jacobi kernel behind :func:`eig_hermitian`, run on one matrix.
 
-    Each matrix's stop threshold is ``1e-14 * ||a||_F`` from its memoized
-    norm.  A matrix of dimension 3 or more that fails the first stop test
-    starts from a checked LAPACK basis ``q``: one stacked proposal
-    (:func:`_warm_start`) gives ``w = (q* a) q`` and ``u = q``.  Without a
-    kept ``q`` it starts cold, from ``a`` and ``I``.  A 2x2 cold run is one
-    exact rotation, so it gets no proposal, nor does a matrix that already
-    passes (diagonal, zero, 1x1).  Then each matrix runs its own
-    :func:`_sweeps` on its ``m x m`` slice, whose stop test ends the run
-    from either start; so its bits do not depend on the rest of the batch,
-    and a warm run meets the same a-posteriori bound as a cold one.
+    The stop threshold is ``1e-14 * ||a||_F`` from the memoized norm; a norm
+    that is not finite raises :class:`JacobiConvergenceError` first.  A
+    matrix of dimension 3 or more that fails the first stop test asks
+    :func:`_lapack_basis` for a proposal ``q``, kept only if it is finite and
+    ``||q* q - I||_F <= 1e-14``, the stop factor; then it starts from ``w =
+    (q* a) q`` and ``u = q``.  A ``LinAlgError`` or any other proposal starts
+    cold, from ``a`` and ``I``, as does a 2x2 matrix (its cold run is one
+    exact rotation) or one that already passes (diagonal, zero, 1x1).
+
+    Why that bound suffices: every eigenvalue of ``q* q`` then lies within
+    ``1 +- 1e-14``, so by Ostrowski's theorem each eigenvalue of ``q* a q``
+    is ``theta * lambda`` with ``|theta - 1| <= 1e-14`` and moves by at most
+    ``1e-14 * ||a||_F``, no more than the stop test lets the off-diagonal
+    mass move the diagonal (Weyl); and ``u`` starts no less unitary than the
+    cold path's own ``u`` ends (1.4e-14 at m = 16).  Whatever the start,
+    the stop test of :func:`_sweeps` then decides, so a poor basis costs
+    sweeps, never accuracy.
     """
-    b, m = len(mats), mats[0].dim
-    off, eye = _cyclic(m)
-    w = np.array([a.entries for a in mats])
-    u = np.empty_like(w)
-    u[:] = eye
-    thresholds = [_OFFDIAG_FACTOR * a.norm() for a in mats]
-    for k, threshold in enumerate(thresholds):
-        if not math.isfinite(threshold):
-            raise JacobiConvergenceError(f"norm not finite (position {k} of a batch of {b})")
-    if m > 2:  # a 2x2 cold run is one exact rotation
-        v = w.reshape(b, -1)[:, off]
-        rows = [k for k, t in enumerate(thresholds) if not math.sqrt(np.vdot(v[k], v[k]).real) <= t]
-        if rows:
-            _warm_start(w, u, rows)
-    return [
-        _sweeps(w[k], u[k], threshold, f"position {k} of a batch of {b}")
-        for k, threshold in enumerate(thresholds)
-    ]
-
-
-def decompose(mats: Sequence[HermitianMatrix]) -> list[EigenSystem]:
-    """Eigendecompositions of ``mats``, in order, with one kernel run per dimension.
-
-    A carried pair is sorted as the kernel sorts its own output.  The kernel
-    runs on the other matrices not decomposed yet, each object once however
-    often it is listed: one stacked LAPACK proposal per dimension, then
-    each matrix's own sweeps.  Every result is kept on its matrix as
-    :func:`eig_hermitian` does.  A matrix gets the same bits in any batch.
-    """
-    todo: dict[int, dict[int, HermitianMatrix]] = {}
-    for a in mats:
-        if "_carried" in a.__dict__ and "_eigensystem" not in a.__dict__:
-            object.__setattr__(a, "_eigensystem", _eigensystem(*a.__dict__["_carried"]))
-        if "_eigensystem" not in a.__dict__:
-            todo.setdefault(a.dim, {})[id(a)] = a
-    for group in todo.values():
-        batch = list(group.values())
-        for a, es in zip(batch, _jacobi(batch)):
-            object.__setattr__(a, "_eigensystem", es)
-    return [a.__dict__["_eigensystem"] for a in mats]
+    threshold = _OFFDIAG_FACTOR * a.norm()
+    if not math.isfinite(threshold):
+        raise JacobiConvergenceError(f"norm not finite on a {a.dim}x{a.dim} matrix")
+    off, eye = _cyclic(a.dim)
+    w, u = a.entries, eye
+    if a.dim > 2:  # a 2x2 cold run is one exact rotation
+        v = w.take(off)
+        if not math.sqrt(np.vdot(v, v).real) <= threshold:
+            try:
+                q = _lapack_basis(w)
+            except np.linalg.LinAlgError:
+                q = None
+            if q is not None and _unitary_defect(q) <= _OFFDIAG_FACTOR:  # False on NaN
+                w, u = q.conj().T @ w @ q, q
+    return _sweeps(w, u, threshold)
 
 
 def eig_hermitian(a: HermitianMatrix) -> EigenSystem:
@@ -335,11 +281,16 @@ def eig_hermitian(a: HermitianMatrix) -> EigenSystem:
     can cost sweeps but cannot make the result less accurate.
 
     Deterministic for a fixed input.  The result is kept on ``a``, so each
-    matrix object is decomposed once; its arrays are read-only.  This is
-    :func:`decompose` on a batch of one; a matrix sweeps alone in any
-    batch, so it gets the same bits either way.
+    matrix object is decomposed once; its arrays are read-only.  A matrix
+    that carries its pair (:func:`_spectral_matrix`) has it sorted as the
+    kernel sorts its own output, and runs no kernel.
     """
-    return decompose([a])[0]
+    es = a.__dict__.get("_eigensystem")
+    if es is None:
+        carried = a.__dict__.get("_carried")
+        es = _jacobi(a) if carried is None else _eigensystem(*carried)
+        object.__setattr__(a, "_eigensystem", es)
+    return es
 
 
 def psd_margin(es: EigenSystem, tol: Tolerance) -> tuple[float, float]:

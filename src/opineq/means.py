@@ -17,7 +17,6 @@ from .linalg import (
     SpectrumDomainError,
     Tolerance,
     _spectral_matrix,
-    decompose,
     eig_hermitian,
     matrix_power,
     psd_eigensystem,
@@ -42,7 +41,6 @@ def geometric_mean(
     """
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    decompose([x, y])
     ex = psd_eigensystem(x, tol, "first argument")
     ey = psd_eigensystem(y, tol, "second argument")
     eps = _REGULARIZATION_FACTOR * (1.0 + ex.op_norm + ey.op_norm)
@@ -155,7 +153,7 @@ def check_lowner_heinz(
     if not alphas or not all(0.0 <= alpha <= 1.0 for alpha in alphas):
         raise ValueError(f"alphas must be a non-empty list in [0, 1], got {alphas}")
     d = y - x
-    ex, ed, ey = decompose([x, d, y])
+    ex, ed, ey = map(eig_hermitian, (x, d, y))
     for reason, es in (("x is not positive semidefinite", ex), ("x <= y fails", ed),
                        ("y is not positive semidefinite", ey)):
         lam, slack = psd_margin(es, tol)
@@ -163,8 +161,8 @@ def check_lowner_heinz(
             return verdict.invalid(reason)
     diffs = [d if a == 1.0 else matrix_power(y, a, tol) - matrix_power(x, a, tol) for a in alphas]
     links = []
-    for alpha, es in zip(alphas, decompose(diffs)):
-        gap, slack = psd_margin(es, tol)
+    for alpha, diff in zip(alphas, diffs):
+        gap, slack = psd_margin(eig_hermitian(diff), tol)
         links.append(verdict.from_gap(gap, slack, alpha=alpha, gap=gap))
     # the endpoint links are I - I and the hypothesis y - x itself, so the
     # reported gap is the tightest interior link's when there is one

@@ -74,6 +74,8 @@ class ColumnField:
 
     def conjugate_sum(self, mats: Sequence[HermitianMatrix]) -> HermitianMatrix:
         """The field's unital map ``sum_t w_t a_t* m_t a_t``, one ``m_t`` per atom."""
+        if len(mats) != self.count:
+            raise ValueError(f"{len(mats)} matrices for a field of {self.count} atoms")
         acc = np.zeros((self.dim, self.dim), dtype=complex)
         for w, a, m in zip(self.weights, self.matrices, mats):
             acc += w * a.conj().T @ m.entries @ a

@@ -25,24 +25,15 @@ def eig_calls(monkeypatch):
     return calls
 
 
-class KernelRuns(list):
-    """Matrices the Jacobi kernel decomposed, in run order; ``batches`` holds each call's size."""
-
-    def __init__(self):
-        super().__init__()
-        self.batches = []
-
-
 @pytest.fixture
 def jacobi_runs(monkeypatch):
     """Matrices the Jacobi kernel actually decomposed (memo misses), in run order."""
     original = linalg._jacobi
-    runs = KernelRuns()
+    runs = []
 
-    def counted(mats):
-        runs.extend(mats)
-        runs.batches.append(len(mats))
-        return original(mats)
+    def counted(a):
+        runs.append(a)
+        return original(a)
 
     monkeypatch.setattr(linalg, "_jacobi", counted)
     return runs

@@ -146,8 +146,9 @@ class TestAdmission:
         # tuple as a kernel fault, never as a non-commuting (invalid) instance
         original = linalg._jacobi
 
-        def skewed(mats):
-            return [EigenSystem(e.eigenvalues, e.basis * (1.0 + 1e-9)) for e in original(mats)]
+        def skewed(a):
+            es = original(a)
+            return EigenSystem(es.eigenvalues, es.basis * (1.0 + 1e-9))
 
         monkeypatch.setattr(linalg, "_jacobi", skewed)
         members = (diagonal([1.0, 2.0, 3.0]), diagonal([3.0, 1.0, 2.0]))[:n]
@@ -469,3 +470,12 @@ class TestCube:
     def test_clip(self):
         c = uniform_cube(2, 0, 1)
         assert c.clip((-0.5, 2.0)) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("point", [[1.0], [1.0, 1.0, 5.0]], ids=["short", "long"])
+    def test_point_of_another_arity_raises(self, point):
+        # zipping would drop or ignore coordinates: [1.0, 1.0, 5.0] read as (1.0, 1.0)
+        f = CubeFunction("sum", uniform_cube(2, 0.0, 2.0), sum)
+        with pytest.raises(ValueError, match=f"a point of {len(point)} coordinates"):
+            f.domain.clip(point)
+        with pytest.raises(ValueError, match="on a cube of arity 2"):
+            f(point)

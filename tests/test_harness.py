@@ -38,7 +38,7 @@ from opineq.harness import (
     run_campaign,
     verify_flags,
 )
-from opineq.linalg import DEFAULT_TOL, JacobiConvergenceError, diagonal, eig_hermitian
+from opineq.linalg import DEFAULT_TOL, JacobiConvergenceError, diagonal, eig_hermitian, matrix_power
 from opineq.means import check_lowner_heinz
 
 
@@ -177,7 +177,7 @@ class TestFunctionLibrary:
 
     def test_positive_cube_extends_library(self):
         names = {f.name for f in function_library(uniform_cube(2, 0.05, 2))}
-        assert {"geometric-mean", "monomial", "square-of-sum", "neg-log-product"} <= names
+        assert {"geometric-mean", "square-of-sum", "neg-log-product"} <= names
         names_signed = {f.name for f in function_library(uniform_cube(2, -1, 2))}
         assert "geometric-mean" not in names_signed
 
@@ -269,8 +269,8 @@ class TestCampaigns:
                 except ConfigError as exc:
                     assert name not in picks
                     assert str(exc).startswith(f"{theorem} cannot pick ['{name}']")
-        # the monomial is neither convex nor concave, so no campaign picks it
-        assert set(names) - accepted == {"monomial"}
+        # every library function is convex or concave, so some id picks it
+        assert accepted == set(names)
 
     @pytest.mark.parametrize("theorem", ["T2", "LH", "KF", "EX1", "CHAIN"])
     def test_function_list_for_an_id_that_picks_none_is_config_error(self, theorem):
@@ -370,12 +370,16 @@ class TestCampaigns:
         assert len(eig_calls) == 20
 
     def test_lh_tests_the_order_once_per_pair(self, jacobi_runs):
-        # x, y - x and y in one kernel call, then y^alpha - x^alpha at the four
-        # alphas below 1 in another; at alpha 1 the difference is y - x itself
-        rep = run_campaign(CampaignConfig("LH", 1, dim_range=(3, 3), seed=5))
+        # x, y - x and y, then y^alpha - x^alpha at the four alphas below 1;
+        # at alpha 1 the difference is y - x itself
+        cfg = CampaignConfig("LH", 1, dim_range=(3, 3), seed=5)
+        rep = run_campaign(cfg)
         assert rep.summary["pass"] == 1
-        assert len(jacobi_runs) == 7
-        assert jacobi_runs.batches == [3, 4]
+        runs = [a.entries.tobytes() for a in jacobi_runs]
+        args = hz._THEOREMS["LH"].generate(cfg, instance_rng(cfg.seed, 0), 0)
+        x, y = args["x"], args["y"]
+        powers = [matrix_power(y, a) - matrix_power(x, a) for a in hz.LH_ALPHAS if a < 1.0]
+        assert runs == [a.entries.tobytes() for a in (x, y - x, y, *powers)]
 
     def test_t1_applies_f_once_per_tuple(self, monkeypatch):
         # the chain's first link is the pinching-Jensen inequality, so T1 runs

@@ -15,7 +15,6 @@ from opineq.linalg import (
     JacobiConvergenceError,
     SpectrumDomainError,
     Tolerance,
-    decompose,
     diagonal,
     eig_hermitian,
     hermitian_function,
@@ -112,8 +111,8 @@ class TestEig:
         z = np.eye(3, dtype=complex)
         z[at] = value
         h = HermitianMatrix(z)
-        with pytest.raises(JacobiConvergenceError, match="position 1 of a batch of 2"):
-            decompose([identity(3), h])
+        with pytest.raises(JacobiConvergenceError, match="norm not finite"):
+            eig_hermitian(h)
 
     def test_infinite_entry_stays_real(self):
         # complex halving by 2 + 0j would give inf+nanj (and warn)
@@ -160,7 +159,7 @@ def with_spectrum(rng, values):
     return HermitianMatrix((q * np.asarray(values, dtype=float)) @ q.conj().T)
 
 
-def refuse_proposal(w):
+def refuse_proposal(a):
     raise np.linalg.LinAlgError("no proposal")
 
 
@@ -250,12 +249,17 @@ class TestRoundRobin:
             assert_matches_eigvalsh(HermitianMatrix(np.triu(z, 1) + np.triu(z, 1).conj().T))
 
 
-def reference_jacobi(a):
-    """The cyclic-by-row loop on one 2-D matrix: the bit-level reference for cold kernel runs."""
+def reference_jacobi(a, start=None):
+    """The cyclic-by-row loop on one 2-D matrix: the bit-level reference for kernel runs.
+
+    It starts cold, from ``a`` and ``I``, or from ``start* a start`` and ``start``.
+    """
     m = a.dim
     w = np.array(a.entries, dtype=complex)
     u = np.eye(m, dtype=complex)
     threshold = linalg._OFFDIAG_FACTOR * float(np.linalg.norm(w))
+    if start is not None:
+        w, u = start.conj().T @ w @ start, start
     for _ in range(linalg._SWEEP_CAP):
         off = w[~np.eye(m, dtype=bool)]
         if math.sqrt(np.vdot(off, off).real) <= threshold:
@@ -310,71 +314,43 @@ def kind_matrix(kind, dim, seed):
     return random_hermitian(rng, dim, scale=float(rng.uniform(0.1, 10.0)))
 
 
-batches = st.integers(1, 9).flatmap(
-    lambda dim: st.tuples(
-        st.just(dim),
-        st.lists(
-            st.tuples(st.sampled_from(KINDS), st.integers(0, 2**32 - 1)), min_size=2, max_size=6
-        ),
-    )
-)
-
-
 def same_bits(es, lam, basis):
     return es.eigenvalues.tobytes() == lam.tobytes() and es.basis.tobytes() == basis.tobytes()
 
 
-@pytest.mark.usefixtures("cold_kernel")  # reference_jacobi is the cold path
 class TestStackedKernel:
-    @settings(max_examples=60, deadline=None)
-    @given(batches)
-    def test_batch_of_n_matches_batch_of_one_bit_for_bit(self, spec):
-        dim, items = spec
-        together = linalg._jacobi([kind_matrix(k, dim, seed) for k, seed in items])
-        for (k, seed), es in zip(items, together):
-            (alone,) = linalg._jacobi([kind_matrix(k, dim, seed)])
-            assert same_bits(es, alone.eigenvalues, alone.basis), (k, seed)
-            assert same_bits(es, *reference_jacobi(kind_matrix(k, dim, seed))), (k, seed)
+    """One kernel run against :func:`reference_jacobi`, bit for bit."""
 
     @pytest.mark.parametrize("m", DIMS)
-    def test_mixed_batch_matches_reference(self, m):
-        # items need different sweep counts, and some skip every pair of a row
-        batch = [kind_matrix(k, m, 700 + m) for k in KINDS]
-        for a, es in zip(batch, linalg._jacobi(batch)):
-            assert same_bits(es, *reference_jacobi(a))
+    def test_mixed_batch_matches_reference(self, monkeypatch, m):
+        # the kinds need different sweep counts, and some skip every pair of a
+        # row; each runs from its kept LAPACK start, then from a cold one
+        proposals = []
 
-    def test_decompose_groups_by_dimension_and_skips_known_matrices(self, jacobi_runs):
-        rng = np.random.default_rng(31)
-        a3, b3, c3, a5 = (random_hermitian(rng, d) for d in (3, 3, 3, 5))
-        known = eig_hermitian(b3)
-        out = decompose([a3, a5, a3, b3, c3, a5])
-        # b3 was decomposed alone; then one run per dimension, duplicates dropped
-        assert jacobi_runs.batches == [1, 2, 1]
-        assert [id(a) for a in jacobi_runs] == [id(b3), id(a3), id(c3), id(a5)]
-        assert out[0] is out[2] is eig_hermitian(a3)
-        assert out[1] is out[5] is eig_hermitian(a5)
-        assert out[3] is known
-        for a, es in zip([a3, a5, a3, b3, c3, a5], out):
-            assert same_bits(es, *reference_jacobi(a))
-        again = decompose([a5, c3])
-        assert again[0] is out[1] and again[1] is out[4]
-        assert jacobi_runs.batches == [1, 2, 1]
+        def recorded(a):
+            proposals.append(np.linalg.eigh(a)[1])
+            return proposals[-1]
 
-    def test_sweep_cap_names_the_matrix(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_SWEEP_CAP", 1)
-        rng = np.random.default_rng(32)
-        # the diagonal matrix converges before any sweep, the random one does not
-        batch = [diagonal([1.0, 2.0, 3.0]), random_hermitian(rng, 3), diagonal([4.0, 5.0, 6.0])]
-        message = r"no convergence after 1 sweeps on a 3x3 matrix \(position 1 of a batch of 3\)"
-        with pytest.raises(JacobiConvergenceError, match=message):
-            decompose(batch)
+        monkeypatch.setattr(linalg, "_lapack_basis", recorded)
+        for k in KINDS:
+            a = kind_matrix(k, m, 700 + m)
+            proposals.clear()
+            es = linalg._jacobi(a)
+            kept = [q for q in proposals if linalg._unitary_defect(q) <= linalg._OFFDIAG_FACTOR]
+            if m > 2 and k in ("rank-one", "complex"):
+                assert kept, k  # the warm start is exercised
+            assert same_bits(es, *reference_jacobi(a, *kept)), k
+        monkeypatch.setattr(linalg, "_lapack_basis", refuse_proposal)
+        for k in KINDS:
+            a = kind_matrix(k, m, 700 + m)
+            assert same_bits(linalg._jacobi(a), *reference_jacobi(a)), k
 
 
 def proposing(fn):
-    """A ``_lapack_basis`` stand-in that proposes ``fn(q)`` for each of LAPACK's bases ``q``."""
+    """A ``_lapack_basis`` stand-in that proposes ``fn(q)`` for LAPACK's basis ``q``."""
 
-    def propose(w):
-        return np.array([fn(q) for q in np.linalg.eigh(w)[1]])
+    def propose(a):
+        return fn(np.linalg.eigh(a)[1])
 
     return propose
 
@@ -390,15 +366,6 @@ def rotated(q, angle):
 class TestLapackStart:
     """A LAPACK basis only proposes a start: the kernel's own stop test decides."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(batches)
-    def test_batch_of_n_matches_batch_of_one_bit_for_bit(self, spec):
-        dim, items = spec
-        together = linalg._jacobi([kind_matrix(k, dim, seed) for k, seed in items])
-        for (k, seed), es in zip(items, together):
-            (alone,) = linalg._jacobi([kind_matrix(k, dim, seed)])
-            assert same_bits(es, alone.eigenvalues, alone.basis), (k, seed)
-
     @pytest.mark.parametrize("m", range(3, 17))
     @pytest.mark.parametrize(
         "propose",
@@ -410,10 +377,10 @@ class TestLapackStart:
         ids=["linalg-error", "nan", "scaled"],
     )
     def test_refused_or_rejected_proposal_gives_the_cold_bits(self, monkeypatch, propose, m):
-        batch = [kind_matrix(k, m, 800 + m) for k in KINDS]
         monkeypatch.setattr(linalg, "_lapack_basis", propose)
-        for a, es in zip(batch, linalg._jacobi(batch)):
-            assert same_bits(es, *reference_jacobi(a))
+        for k in KINDS:
+            a = kind_matrix(k, m, 800 + m)
+            assert same_bits(linalg._jacobi(a), *reference_jacobi(a)), k
 
     @pytest.mark.parametrize("m", range(3, 17))
     @pytest.mark.parametrize("poor", ["random-unitary", "rotated"])
@@ -423,43 +390,28 @@ class TestLapackStart:
         monkeypatch.setattr(linalg, "_lapack_basis", proposing(fn))
         for k in ("rank-one", "clustered", "complex"):
             h = kind_matrix(k, m, 900 + m)
-            (es,) = linalg._jacobi([h])
+            es = linalg._jacobi(h)
             assert_matches_eigvalsh(h, starts=lambda h: [es])
             assert not same_bits(es, *reference_jacobi(h)), k  # the start was kept
-
-    def test_failed_proposal_leaves_the_rest_of_the_batch(self, monkeypatch):
-        batch = [kind_matrix(k, 6, 950) for k in KINDS]
-        alone = [linalg._jacobi([a])[0] for a in batch]
-        poisoned = batch[KINDS.index("complex")]
-
-        def propose(w):
-            if any(np.array_equal(x, poisoned.entries) for x in w):
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return np.linalg.eigh(w)[1]
-
-        monkeypatch.setattr(linalg, "_lapack_basis", propose)
-        for a, es, solo in zip(batch, linalg._jacobi(batch), alone):
-            if a is poisoned:
-                assert same_bits(es, *reference_jacobi(a))
-                assert not same_bits(es, solo.eigenvalues, solo.basis)
-            else:
-                assert same_bits(es, solo.eigenvalues, solo.basis)
 
     def test_no_proposal_where_the_cold_run_is_exact(self, monkeypatch):
         asked = []
 
-        def propose(w):
-            asked.append(len(w))
-            return np.linalg.eigh(w)[1]
+        def propose(a):
+            asked.append(len(a))
+            return np.linalg.eigh(a)[1]
 
         monkeypatch.setattr(linalg, "_lapack_basis", propose)
         rng = np.random.default_rng(34)
-        linalg._jacobi([random_hermitian(rng, 2) for _ in range(3)])  # one exact rotation each
+        for _ in range(3):
+            linalg._jacobi(random_hermitian(rng, 2))  # one exact rotation each
         for m in DIMS:  # these pass the first stop test
-            linalg._jacobi([zero(m), identity(m), diagonal(rng.standard_normal(m))])
+            for a in (zero(m), identity(m), diagonal(rng.standard_normal(m))):
+                linalg._jacobi(a)
         assert asked == []
-        linalg._jacobi([diagonal([1.0, 2.0, 3.0]), *(random_hermitian(rng, 3) for _ in range(2))])
-        assert asked == [2]  # one stacked call for the two that fail it
+        for a in (diagonal([1.0, 2.0, 3.0]), random_hermitian(rng, 3), random_hermitian(rng, 4)):
+            linalg._jacobi(a)
+        assert asked == [3, 4]  # one proposal for each matrix that fails it
 
     def test_generic_matrices_need_no_sweep(self, monkeypatch):
         monkeypatch.setattr(linalg, "_SWEEP_CAP", 1)

@@ -156,6 +156,13 @@ class TestCompress:
         got = ColumnField((1.0,), (u,)).conjugate_sum([m])
         assert np.allclose(got.entries, u.conj().T @ m.entries @ u)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_conjugate_sum_rejects_a_misaligned_list(self, count):
+        # zipping would drop atoms: one matrix for two atoms gave 0.5 I
+        field = ColumnField((0.5, 0.5), (np.eye(2), np.eye(2)))
+        with pytest.raises(ValueError, match=f"{count} matrices for a field of 2 atoms"):
+            field.conjugate_sum([identity(2)] * count)
+
     def test_nonunital_rejected(self):
         with pytest.raises(ValueError):
             ColumnField((1.0,), (2.0 * np.eye(2, dtype=complex),))

@@ -2,7 +2,7 @@
 
 ``EigenSystem.reconstruct`` (and so ``hermitian_function`` and
 ``matrix_power``) and ``apply_cube_function`` build a matrix from a known
-eigensystem and carry the pair it was built from; the first ``decompose``
+eigensystem and carry the pair it was built from; the first ``eig_hermitian``
 sorts that pair into the matrix's eigensystem, so no kernel run recovers a
 spectrum the code just assembled, and a result never read costs no sort.
 Generators never produce such a matrix: replay decodes raw entries, which
@@ -10,6 +10,7 @@ carry no memo.
 """
 
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -156,7 +157,8 @@ class TestKernelRuns:
         y = random_psd(rng, 3)
         geometric_mean(x, y)
         # x and y, then the inner matrix; the lifted pair reuses their bases
-        assert jacobi_runs.batches == [2, 1]
+        assert jacobi_runs[:2] == [x, y]
+        assert len(jacobi_runs) == 3
 
 
 @pytest.fixture
@@ -284,6 +286,36 @@ def test_no_trailing_member_reaches_the_kernel(theorem, monkeypatch, jacobi_runs
     assert trailing and not [a for a in jacobi_runs if id(a) in ids]
 
 
+def test_every_kernel_run_enters_through_eig_hermitian(monkeypatch):
+    # the kernel runs only on the matrix of an eig_hermitian call reached
+    # through a module binding, so wrapping those bindings sees every run
+    original, kernel = linalg.eig_hermitian, linalg._jacobi
+    entered, runs, outside = [], [], []
+
+    def entry(a):
+        entered.append(a)
+        try:
+            return original(a)
+        finally:
+            entered.pop()
+
+    def counted(a):
+        runs.append(a)
+        if not (entered and entered[-1] is a):
+            outside.append(a)
+        return kernel(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("opineq") and getattr(module, "eig_hermitian", None) is original:
+            monkeypatch.setattr(module, "eig_hermitian", entry)
+    monkeypatch.setattr(linalg, "_jacobi", counted)
+    for theorem in THEOREM_IDS:
+        _small_campaign(theorem)
+    rng = np.random.default_rng(65)
+    geometric_mean(random_psd(rng, 4), random_psd(rng, 4))
+    assert runs and outside == []
+
+
 def test_campaign_matrices_sweep_only_at_dim_two(monkeypatch, script):
     # every matrix of dimension 3 or more that campaigns build passes the stop
     # test right after its checked LAPACK start; a start that stopped being
@@ -291,11 +323,11 @@ def test_campaign_matrices_sweep_only_at_dim_two(monkeypatch, script):
     original = linalg._sweeps
     swept = Counter()
 
-    def counted(w, u, threshold, where):
+    def counted(w, u, threshold):
         off = w[~np.eye(len(w), dtype=bool)]
         if not math.sqrt(np.vdot(off, off).real) <= threshold:
             swept[len(w)] += 1
-        return original(w, u, threshold, where)
+        return original(w, u, threshold)
 
     monkeypatch.setattr(linalg, "_sweeps", counted)
     for theorem, _, dims, arity, seed in script.STANDARD:
