@@ -323,6 +323,30 @@ def psd_eigensystem(a: HermitianMatrix, tol: Tolerance, what: str) -> EigenSyste
     return es
 
 
+def _residual_bound(d: np.ndarray, scale: float) -> float:
+    """Upper bound on the exact ``||P Q - C||_F`` of m x m matrices, from ``d = fl(P Q - C)``.
+
+    ``scale`` bounds ``||P||_F ||Q||_F + ||C||_F``.  Error terms after
+    Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, 3.1 and
+    3.6 (``u = eps/2``, ``g_k = k u / (1 - k u)``):
+
+    * each entry of ``fl(P Q)`` is a complex inner product of length m, so
+      ``||fl(P Q) - P Q||_F <= sqrt(2) g_(m+2) ||P||_F ||Q||_F``, in any
+      summation order;
+    * a ``C`` stored with rounding on its diagonal, as ``a + sigma I`` is,
+      is off by at most ``u ||C||_F``;
+    * the subtraction and the sum of ``2 m^2`` squares behind the computed
+      norm ``r`` of ``d`` move it by a relative ``g_(m^2+2)`` at most.
+
+    So ``||P Q - C||_F <= r + (m^2 + 2m + 8) eps (r + scale)``, whose
+    coefficient covers each term above twice over.  This is a soundness
+    bound, not a tuned tolerance; a non-finite ``d`` gives NaN or inf.
+    """
+    m = len(d)
+    r = math.sqrt(np.vdot(d, d).real)
+    return r + (m * m + 2 * m + 8) * _EPS * (r + scale)
+
+
 def _cholesky_certifies(a: HermitianMatrix, rtol: float) -> bool:
     """True only if a checked Cholesky factor proves ``lambda_min(a) >= -s/2``.
 
@@ -330,24 +354,9 @@ def _cholesky_certifies(a: HermitianMatrix, rtol: float) -> bool:
     slack since ``||a||_op >= ||a||_F / sqrt(m)``.  LAPACK factors
     ``c = a + sigma I`` with ``sigma = s/4`` and stays untrusted: ``L L*`` is
     PSD for any ``L`` it returns, so by Weyl ``lambda_min(a) >= -sigma -
-    ||L L* - c||_F``, and the claim holds once ``||L L* - c||_F <= sigma``.
-    That exact residual is bounded from computed values (Rump, BIT 46, 2006;
-    error terms after Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2002, 3.1 and 3.6; ``u = eps/2``, ``g_k = k u / (1 - k u)``):
-
-    * the stored ``c`` differs from ``a + sigma I`` by at most
-      ``u ||c||_F``, rounding on the diagonal only; ``||c||_F <=
-      ||a||_F + sigma sqrt(m)``;
-    * each entry of ``fl(L L*)`` is a complex inner product of length m, so
-      ``||fl(L L*) - L L*||_F <= sqrt(2) g_(m+2) ||L||_F^2``, in any
-      summation order;
-    * the subtraction and the sums of at most ``2 m^2`` squares behind the
-      residual ``r`` and ``||L||_F^2`` move them by a relative
-      ``g_(m^2+2)`` at most.
-
-    So ``||L L* - c||_F <= r + (m^2 + 2m + 8) eps (r + ||L||_F^2 +
-    ||a||_F + sigma sqrt(m))``, whose coefficient covers each term above
-    twice over.  This is a soundness bound, not a tuned tolerance.  ``False``
+    ||L L* - c||_F``, and the claim holds once that exact residual, bounded
+    from computed values by :func:`_residual_bound` (Rump, BIT 46, 2006),
+    is at most ``sigma``; ``||c||_F <= ||a||_F + sigma sqrt(m)``.  ``False``
     means unknown: ``rtol = 0``, a norm that is not finite, a
     ``LinAlgError``, a non-finite value or too large a residual.
     """
@@ -361,10 +370,47 @@ def _cholesky_certifies(a: HermitianMatrix, rtol: float) -> bool:
         low = np.linalg.cholesky(c)
     except np.linalg.LinAlgError:
         return False
-    d = low @ low.conj().T - c
-    r = math.sqrt(np.vdot(d, d).real)
-    scale = r + float(np.vdot(low, low).real) + a.norm() + sigma * math.sqrt(m)
-    return r + (m * m + 2 * m + 8) * _EPS * scale <= sigma  # False on NaN
+    scale = float(np.vdot(low, low).real) + a.norm() + sigma * math.sqrt(m)
+    return _residual_bound(low @ low.conj().T - c, scale) <= sigma  # False on NaN
+
+
+def _cholesky_certificate(a: HermitianMatrix) -> tuple:
+    """``(L, X, floor)``: factor ``a ~ L L*``, ``X ~ L^-1``, proven ``floor <= lambda_min(a)``.
+
+    LAPACK's factor and inverse stay untrusted.  With ``rho`` the
+    :func:`_residual_bound` of ``L X - I``, ``rho < 1`` proves ``L``
+    invertible with ``||L^-1||_2 <= ||X||_F / (1 - rho)``, so ``sigma_min(L)
+    >= (1 - rho) / ||X||_F``; ``L L*`` has ``sigma_min(L)^2`` as its
+    smallest eigenvalue, and by Weyl ``lambda_min(a) >= sigma_min(L)^2 -
+    delta`` with ``delta`` the bound on ``||L L* - a||_F``.  The factor
+    ``1 - (m^2 + 2m + 8) eps`` on the square covers the rounding of
+    ``||X||_F`` (a sum of ``2 m^2`` squares) and of the scalar steps.  Kept
+    on ``a``, so each matrix is factored once.  A norm that is not finite, a
+    ``LinAlgError``, a non-finite value or ``rho >= 1`` gives ``(None,
+    None, -inf)``.
+    """
+    cert = a.__dict__.get("_cholesky")
+    if cert is None:
+        cert = None, None, -math.inf
+        try:
+            low = np.linalg.cholesky(a.entries)
+            inv = np.linalg.inv(low)
+        except np.linalg.LinAlgError:
+            low = None
+        if low is not None:
+            m = a.dim
+            with np.errstate(all="ignore"):  # a non-finite value fails a test below
+                lf2 = float(np.vdot(low, low).real)
+                xf = math.sqrt(np.vdot(inv, inv).real)
+                rho = _residual_bound(low @ inv - _cyclic(m)[1], math.sqrt(lf2) * xf + math.sqrt(m))
+                delta = _residual_bound(low @ low.conj().T - a.entries, lf2 + a.norm())
+            if rho < 1.0:  # False on NaN
+                t = (1.0 - rho) / xf
+                floor = t * t * (1.0 - (m * m + 2 * m + 8) * _EPS) - delta
+                if math.isfinite(floor):
+                    cert = _freeze(low), _freeze(inv), floor
+        object.__setattr__(a, "_cholesky", cert)
+    return cert
 
 
 def is_psd(a: HermitianMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -16,6 +16,7 @@ from .linalg import (
     HermitianMatrix,
     SpectrumDomainError,
     Tolerance,
+    _cholesky_certificate,
     _spectral_matrix,
     eig_hermitian,
     matrix_power,
@@ -34,13 +35,24 @@ def geometric_mean(
 ) -> HermitianMatrix:
     """Operator geometric mean ``x^(1/2) (x^(-1/2) y x^(-1/2))^(1/2) x^(1/2)``.
 
-    Near-singular inputs are lifted by ``eps = 1e-10 (1 + ||x|| + ||y||)``
-    on both arguments before the closed form; the mean extends continuously
-    to the PSD cone, so this realizes the extension within tolerance while
-    leaving well-conditioned inputs untouched.
+    By congruence invariance it equals ``L (L^-1 y L^-*)^(1/2) L*`` for any
+    factor ``x = L L*`` (Bhatia, *Positive Definite Matrices*, 2007, ch. 4).
+    When the checked Cholesky floors of both arguments exceed ``1e-10 (1 +
+    ||x||_F + ||y||_F)``, the mean takes that form, and the kernel runs on
+    the inner matrix alone.  Every other pair is decomposed: each argument
+    must be PSD at tolerance, and one whose smallest eigenvalue is at most
+    ``eps = 1e-10 (1 + ||x||_op + ||y||_op)`` has both arguments lifted by
+    ``eps`` before the closed form.  The mean extends continuously to the
+    PSD cone, so this realizes the extension within tolerance while leaving
+    well-conditioned inputs untouched; the Frobenius norms bound the
+    operator norms, so a certified pair is one that would not be lifted.
     """
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
+    low, low_inv, floor = _cholesky_certificate(x)
+    bound = _REGULARIZATION_FACTOR * (1.0 + x.norm() + y.norm())
+    if floor > bound and _cholesky_certificate(y)[2] > bound:
+        return _congruence_mean(low, low_inv, y.entries)
     ex = psd_eigensystem(x, tol, "first argument")
     ey = psd_eigensystem(y, tol, "second argument")
     eps = _REGULARIZATION_FACTOR * (1.0 + ex.op_norm + ey.op_norm)
@@ -49,10 +61,17 @@ def geometric_mean(
         ex, ey = (EigenSystem(np.maximum(es.eigenvalues, 0.0) + eps, es.basis) for es in (ex, ey))
     rx = ex.reconstruct(np.sqrt(ex.eigenvalues)).entries
     rx_inv = ex.reconstruct(1.0 / np.sqrt(ex.eigenvalues)).entries
-    inner = HermitianMatrix(rx_inv @ ey.reconstruct().entries @ rx_inv)
-    ei = eig_hermitian(inner)
-    core = ei.reconstruct(np.sqrt(np.maximum(ei.eigenvalues, 0.0))).entries
-    return HermitianMatrix(rx @ core @ rx)
+    return _congruence_mean(rx, rx_inv, ey.reconstruct().entries)
+
+
+def _congruence_mean(f: np.ndarray, g: np.ndarray, y: np.ndarray) -> HermitianMatrix:
+    """``f (g y g*)^(1/2) f*`` for ``g = f^-1``: the mean of ``f f*`` and ``y``; one kernel run.
+
+    With ``g y g* = U diag(mu) U*`` it is ``h h*`` for ``h = f U diag(mu^(1/4))``.
+    """
+    ei = eig_hermitian(HermitianMatrix(g @ y @ g.conj().T))
+    h = (f @ ei.basis) * np.maximum(ei.eigenvalues, 0.0) ** 0.25
+    return HermitianMatrix(h @ h.conj().T)
 
 
 @functools.cache
@@ -81,13 +100,20 @@ def geometric_mean_quadrature(
     substituting ``t = tan(theta)^2`` turns this into a smooth integral over
     ``[0, pi/2]``, evaluated with ``DEFAULT_QUADRATURE_NODES`` Gauss-Legendre
     nodes (the rule is built once per process).  Requires strictly positive
-    definite inputs.  All nodes go through one stacked inversion of
-    ``x^-1 + t_k y^-1``, one LAPACK solve per node, so the integral stays
-    independent of the closed form and never runs the Jacobi eigensolver.
+    definite inputs: an argument whose smallest eigenvalue is at most
+    ``rtol (1 + ||a||_op)`` is refused.  Its checked Cholesky floor, shared
+    with :func:`geometric_mean`, admits an argument whose floor exceeds
+    ``rtol (1 + ||a||_F)``; only an argument it leaves unproven is
+    decomposed.  All nodes go through one stacked inversion of ``x^-1 + t_k
+    y^-1``, one LAPACK solve per node, so the integral stays independent of
+    the closed form and never runs the Jacobi eigensolver on a certified
+    argument.
     """
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     for name, a in (("x", x), ("y", y)):
+        if _cholesky_certificate(a)[2] > tol.rtol * (1.0 + a.norm()):
+            continue  # the floor clears the slack below, since ||a||_F >= ||a||_op
         lam, slack = psd_margin(eig_hermitian(a), tol)
         if lam <= slack:
             raise SpectrumDomainError(f"{name} is singular at tolerance; regularize first")

@@ -129,11 +129,12 @@ class TestCheckCommand:
         assert "oracle-deviation" in out
 
     def test_gmean_oracle_decomposes_each_matrix_once(self, tmp_path, jacobi_runs):
-        # x, y and the mean's inner matrix; the quadrature's guard reuses x's and y's
+        # the mean's inner matrix alone: x and y are certified by their checked
+        # Cholesky floors, which the quadrature's guard reads again
         x = write(tmp_path, "x.mat", "dim: 2\n2.0 0.0  0.4 0.0\n0.4 0.0  1.5 0.0\n")
         y = write(tmp_path, "y.mat", "dim: 2\n1.0 0.0  0.0 -0.3\n0.0 0.3  2.0 0.0\n")
         assert main(["check", "gmean", x, y, "--oracle"]) == 0
-        assert len(jacobi_runs) == 3
+        assert len(jacobi_runs) == 1
 
     def test_jensen_decomposes_each_matrix_once(self, tmp_path, capsys, jacobi_runs):
         a = write(tmp_path, "a.mat", "dim: 2\n0 0 1 0\n1 0 0 0\n")
@@ -143,6 +144,15 @@ class TestCheckCommand:
         # member 0 only: the cube comes from the joint spectrum's bounds
         distinct = {m.entries.tobytes() for m in jacobi_runs}
         assert len(jacobi_runs) == len(distinct) == 1
+
+    def test_gmean_singular_x(self, tmp_path, capsys):
+        # the oracle's guard refuses x; the mean alone lifts the pair
+        x = write(tmp_path, "x.mat", "dim: 2\n1 0 0 0\n0 0 0 0\n")
+        y = write(tmp_path, "y.mat", "dim: 2\n1.0 0.0  0.0 -0.3\n0.0 0.3  2.0 0.0\n")
+        assert main(["check", "gmean", x, y, "--oracle"]) == 2
+        assert "x is singular at tolerance" in capsys.readouterr().out
+        assert main(["check", "gmean", x, y]) == 0
+        assert capsys.readouterr().out.startswith("gmean: pass norm=")
 
     def test_gmean_indefinite_input(self, tmp_path):
         x = write(tmp_path, "x.mat", "dim: 2\n-1 0 0 0\n0 0 1 0\n")

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from opineq import harness as hz
+from opineq import linalg, means
 from opineq.abelian import AbelianTuple
-from opineq.harness import CampaignConfig, instance_rng
+from opineq.harness import CampaignConfig, instance_rng, random_unitary
 from opineq.linalg import (
     DEFAULT_QUADRATURE_NODES,
     DEFAULT_TOL,
@@ -135,6 +136,79 @@ class TestGeometricMean:
             assert loewner_leq(geometric_mean(x1, x2), geometric_mean(y1, y2))
 
 
+def commuting(q, values):
+    return HermitianMatrix((q * np.asarray(values, dtype=float)) @ q.conj().T)
+
+
+def spectral_route(monkeypatch, x, y):
+    """``geometric_mean`` of fresh copies of x and y with every Cholesky certificate refused."""
+    with monkeypatch.context() as patch:
+        patch.setattr(means, "_cholesky_certificate", lambda a: (None, None, -math.inf))
+        return geometric_mean(HermitianMatrix(x.entries), HermitianMatrix(y.entries))
+
+
+class TestGeometricMeanRoutes:
+    """A pair whose checked Cholesky floors clear ``1e-10 (1 + ||x||_F + ||y||_F)`` takes the
+    congruence route, one kernel run; every other pair is decomposed and lifted as before."""
+
+    def test_positive_definite_pair_runs_the_kernel_once(self, jacobi_runs):
+        rng = np.random.default_rng(60)
+        for dim in range(1, 7):
+            x, y = random_pd(rng, dim), random_pd(rng, dim)
+            del jacobi_runs[:]
+            geometric_mean(x, y)
+            # the inner matrix L^-1 y L^-* alone; x and y are never decomposed
+            assert len(jacobi_runs) == 1 and jacobi_runs[0] is not x and jacobi_runs[0] is not y
+            assert "_eigensystem" not in x.__dict__ and "_eigensystem" not in y.__dict__
+
+    # commuting pairs in a random basis, with the limit the lift realizes
+    # within tolerance: the mean of the PSD parts, sqrt(max(lx, 0) * max(ly, 0))
+    DECOMPOSED = {
+        "x-singular": ([2.0, 1.0, 0.0], [1.0, 4.0, 9.0]),
+        "y-singular": ([1.0, 4.0, 9.0], [2.0, 1.0, 0.0]),
+        "x-below-eps": ([2.0, 1.0, 1e-12], [1.0, 4.0, 9.0]),
+        "x-negative-rounding": ([2.0, 1.0, -1e-12], [1.0, 4.0, 9.0]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DECOMPOSED))
+    def test_other_pairs_are_decomposed_and_lifted(self, case, jacobi_runs):
+        lx, ly = self.DECOMPOSED[case]
+        q = random_unitary(3, np.random.default_rng(61))
+        x, y = commuting(q, lx), commuting(q, ly)
+        gm = geometric_mean(x, y)
+        # x and y, then the inner matrix of the lifted pair
+        assert jacobi_runs[:2] == [x, y] and len(jacobi_runs) == 3
+        limit = commuting(q, np.sqrt(np.maximum(lx, 0.0) * np.maximum(ly, 0.0)))
+        assert np.allclose(gm.entries, limit.entries, atol=1e-4)
+
+    def test_routes_agree_across_the_threshold(self, monkeypatch):
+        # x + t I for a rank-3 x, t swept from above the spectral route's lift
+        # threshold 1e-10 (1 + ||x||_op + ||y||_op) = 4e-10 across the
+        # certificate's 1e-10 (1 + ||x||_F + ||y||_F) = 5.5e-10.  There both
+        # routes form an inner matrix of norm ~4e9 and each deviates from a
+        # 40-digit reference by up to 1e-7 (1 + ||gm||), so they are compared
+        # at 5e-7; the lift both must skip moves the mean by more than five
+        # times that
+        rng = np.random.default_rng(62)
+        q, u = random_unitary(4, rng), random_unitary(4, rng)
+        x0 = commuting(q, [1.0, 1.0, 1.0, 0.0])
+        y = commuting(u, [2.0, 1.5, 1.0, 0.5])
+        routes = set()
+        for t in np.geomspace(4.5e-10, 1e-8, 24):
+            x = HermitianMatrix(x0.entries + t * np.eye(4))
+            bound = 1e-10 * (1.0 + x.norm() + y.norm())
+            routes.add(linalg._cholesky_certificate(x)[2] > bound)
+            gm = geometric_mean(x, y)
+            tol = 5e-7 * (1.0 + gm.norm())
+            assert (gm - spectral_route(monkeypatch, x, y)).norm() <= tol, t
+        assert routes == {False, True}
+        x = HermitianMatrix(x0.entries + 4.5e-10 * np.eye(4))
+        eps = 1e-10 * (1.0 + (1.0 + 4.5e-10) + 2.0)  # the lift: ||x||_op = 1 + t, ||y||_op = 2
+        gm = geometric_mean(x, y)
+        lifted = geometric_mean(x + eps * identity(4), y + eps * identity(4))
+        assert (gm - lifted).norm() > 5 * 5e-7 * (1.0 + gm.norm())
+
+
 class TestQuadratureOracle:
     def test_scalar_one(self):
         gm = geometric_mean_quadrature(identity(1), identity(1))
@@ -156,6 +230,27 @@ class TestQuadratureOracle:
     def test_rejects_singular(self):
         with pytest.raises(SpectrumDomainError, match="x is singular at tolerance"):
             geometric_mean_quadrature(diagonal([1.0, 0.0]), identity(2))
+
+    @pytest.mark.parametrize("case", ["zero-eigenvalue", "half-the-slack"])
+    def test_an_uncertified_argument_reaches_the_exact_check(self, case, jacobi_runs):
+        if case == "zero-eigenvalue":
+            x = diagonal([1.0, 0.0])
+        else:
+            # slack rtol (1 + ||x||_op) = 2e-9; the floor, about 1e-9, is below
+            # the guard's rtol (1 + ||x||_F), so the kernel decides
+            q = random_unitary(3, np.random.default_rng(63))
+            x = commuting(q, [1.0, 0.5, DEFAULT_TOL.rtol])
+            assert 0.0 < linalg._cholesky_certificate(x)[2] <= DEFAULT_TOL.rtol * (1 + x.norm())
+        with pytest.raises(SpectrumDomainError, match="x is singular at tolerance"):
+            geometric_mean_quadrature(x, identity(x.dim))
+        assert jacobi_runs == [x]
+
+    def test_certified_arguments_run_no_kernel(self, jacobi_runs):
+        rng = np.random.default_rng(64)
+        for _ in range(40):
+            dim = int(rng.integers(1, 7))
+            geometric_mean_quadrature(random_pd(rng, dim), random_pd(rng, dim))
+        assert jacobi_runs == []
 
     @pytest.mark.parametrize("complex_entries", [False, True])
     @pytest.mark.parametrize("dim", range(1, 9))

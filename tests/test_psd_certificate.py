@@ -128,6 +128,7 @@ class TestCertified:
 
 
 LAPACK_CHOLESKY = np.linalg.cholesky
+LAPACK_INV = np.linalg.inv
 GARBAGE = {
     "zeros": lambda c: np.zeros_like(c),
     "identity": lambda c: np.eye(len(c), dtype=complex),
@@ -230,3 +231,84 @@ def test_certificate_sweep_against_kernel_and_lapack():
         elif ref[0] >= 0.0:
             raise AssertionError(f"PSD matrix not certified (dim {a.dim}, min eigenvalue {ref[0]})")
     assert accepted >= 1000
+
+
+def floor(a):
+    return linalg._cholesky_certificate(a)[2]
+
+
+class TestFloor:
+    """``_cholesky_certificate``'s lower bound on lambda_min, read by the geometric mean
+    and its quadrature oracle: never above the spectrum, whatever LAPACK returns."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 12, 16])
+    def test_floor_never_exceeds_lambda_min(self, m):
+        rng = np.random.default_rng(70 + m)
+        for lam_min in 10.0 ** np.arange(-14.0, 1.0):
+            for cond in (1.0, 1e3, 1e6, 1e12):
+                values = lam_min * np.geomspace(1.0, cond, m)[::-1]
+                a = with_spectrum(rng, values)
+                f = floor(a)
+                assert f <= lam_min + 2 * m * linalg._EPS * values[0], (lam_min, cond)
+                if cond <= 1e6:
+                    # ||L^-1||_F^2 = trace(a^-1) <= m / lambda_min
+                    assert f >= lam_min / (2 * m), (lam_min, cond)
+
+    def test_memoized_and_read_only(self, monkeypatch):
+        a = with_spectrum(np.random.default_rng(80), [3.0, 2.0, 1.0])
+        low, inv, f = linalg._cholesky_certificate(a)
+
+        def refuse(c):
+            raise AssertionError("factored twice")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        assert linalg._cholesky_certificate(a) == (low, inv, f)
+        assert not low.flags.writeable and not inv.flags.writeable
+        assert np.allclose(low @ low.conj().T, a.entries) and np.allclose(low @ inv, np.eye(3))
+
+    @pytest.mark.parametrize("values", [[2.0, 1.0, 0.0], [2.0, 1.0, -1e-12]])
+    def test_singular_or_rounding_negative_floor_is_not_positive(self, values):
+        # LAPACK may factor these through a rounding-sized pivot; the floor stays at 0 or below
+        a = with_spectrum(np.random.default_rng(81), values)
+        assert floor(a) <= 2 * a.dim * linalg._EPS * 2.0
+
+    def test_no_factor_gives_minus_infinity(self):
+        a = with_spectrum(np.random.default_rng(81), [1.0, -1.0])
+        assert linalg._cholesky_certificate(a) == (None, None, -math.inf)
+
+    def test_not_finite_gives_minus_infinity(self):
+        with np.errstate(over="ignore"):  # numpy 2 reports the overflow in the norm's dot
+            big = HermitianMatrix([[1e160, 0.0], [0.0, 1e160]])
+            assert floor(big) == -math.inf
+        for bad in (math.inf, math.nan):
+            assert floor(HermitianMatrix([[bad, 0.0], [0.0, 1.0]])) == -math.inf
+
+    CASES = ([3.0, 2.0, 1.0, 0.5], [3.0, 2.0, 1.0, 1e-6], [3.0, 2.0, 1.0, 0.0], [3.0, 2.0, 1.0, -0.5])
+
+    @pytest.mark.parametrize("garbage", sorted(GARBAGE))
+    def test_garbage_factor_cannot_raise_the_floor(self, garbage, monkeypatch):
+        rng = np.random.default_rng(82)
+        cases = [(with_spectrum(rng, v), v[-1]) for v in self.CASES]
+        monkeypatch.setattr(np.linalg, "cholesky", GARBAGE[garbage])
+        for a, lam_min in cases:
+            assert floor(a) <= lam_min + 8 * linalg._EPS * 3.0, (garbage, lam_min)
+
+    @pytest.mark.parametrize(
+        "garbage",
+        [
+            lambda low: LAPACK_INV(low) * (1.0 + 1e-3),
+            lambda low: LAPACK_INV(low) * (1.0 - 1e-3),
+            lambda low: 2.0 * LAPACK_INV(low),
+            lambda low: np.eye(len(low), dtype=complex),
+            lambda low: np.full_like(low, np.nan),
+            lambda low: LAPACK_INV(low).conj().T,
+        ],
+        ids=["grown", "shrunk", "doubled", "identity", "nan", "adjoint"],
+    )
+    def test_garbage_inverse_cannot_raise_the_floor(self, garbage, monkeypatch):
+        rng = np.random.default_rng(83)
+        cases = [(with_spectrum(rng, v), v[-1]) for v in self.CASES[:2]]
+        monkeypatch.setattr(np.linalg, "inv", garbage)
+        for a, lam_min in cases:
+            assert floor(a) <= lam_min + 8 * linalg._EPS * 3.0, lam_min
+
