@@ -18,6 +18,7 @@ from .linalg import (
     SpectrumDomainError,
     Tolerance,
     _freeze,
+    _offdiag_norm,
     _spectral_matrix,
     _unitary_defect,
     eig_hermitian,
@@ -114,7 +115,7 @@ class AbelianTuple:
         if not defect <= _BASIS_DEFECT_FACTOR * self.dim:
             raise JointDiagonalizationError(f"joint basis is not unitary: defect {defect:.3g}")
         conj = [u.conj().T @ x.entries @ u for x in members]
-        residuals = [np.linalg.norm(c - np.diag(np.diag(c))) for c in conj]
+        residuals = [_offdiag_norm(c) for c in conj]
         js = JointSpectrum(u, np.column_stack([np.diag(c).real for c in conj]), residuals)
         if not js.within(members, self.tol):  # a NaN residual proves nothing
             raise ValueError("members do not commute within tolerance")
@@ -162,8 +163,8 @@ def uniform_cube(n: int, lo: float, hi: float) -> Cube:
 class CubeFunction:
     """Real function of n variables on a cube, with declared shape flags.
 
-    Flags are declarations, not inferences; ``opineq.harness.verify_flags``
-    audits them by randomized probing.
+    Flags are declarations, not inferences; the tests audit the function
+    library's by randomized probing (``tests/flag_audit.py``).
     """
 
     name: str

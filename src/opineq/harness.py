@@ -1,4 +1,4 @@
-"""Instance generators, the audited function library, and seeded verification campaigns.
+"""Instance generators, the function library, and seeded verification campaigns.
 
 Every campaign is deterministic given its config: per-instance RNG streams
 are split from the seed by index, so execution order cannot change a report.
@@ -50,6 +50,7 @@ class GenerationError(RuntimeError):
     """An instance generator could not certify its construction.
 
     No built-in generator raises it: each certifies its construction by design.
+    It stays because ``perfbench/worker.py`` counts it as an instance error.
     """
 
 
@@ -107,12 +108,12 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_frame(dim: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Orthonormal m-by-k frame from a Gaussian draw, rejecting near-singular draws."""
-    while True:
-        z = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
-        if np.linalg.cond(z) <= 1e8:
-            q, _ = np.linalg.qr(z)
-            return q[:, :k]
+    """Orthonormal m-by-k frame (``k <= m``): the Q factor of a Gaussian draw.
+
+    Householder QR gives an orthonormal Q for any draw, however ill-conditioned.
+    """
+    z = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+    return np.linalg.qr(z)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +242,7 @@ def gen_compatible_pair(dim: int, cube: Cube, seed) -> tuple[AbelianTuple, Abeli
 
 
 # ---------------------------------------------------------------------------
-# function library and flag audit
+# function library
 # ---------------------------------------------------------------------------
 
 def function_library(cube: Cube) -> list[CubeFunction]:
@@ -291,56 +292,6 @@ def function_library(cube: Cube) -> list[CubeFunction]:
             )
         )
     return out
-
-
-def mislabeled_controls(cube: Cube) -> list[CubeFunction]:
-    """Deliberately wrong flag declarations; the audit must reject every one."""
-    controls = [
-        CubeFunction(
-            "control-sumsq-as-concave", cube,
-            lambda s: sum(v * v for v in s), concave=True,
-        ),
-        CubeFunction(
-            "control-negsum-as-increasing", cube,
-            lambda s: -sum(s), separately_increasing=True,
-        ),
-    ]
-    if cube.arity >= 2:
-        controls.append(
-            CubeFunction("control-max-as-concave", cube, max, concave=True)
-        )
-    return controls
-
-
-def verify_flags(f: CubeFunction, samples: int = 200, seed: int = 0) -> bool:
-    """Randomized audit of declared flags: midpoint probes for convexity and
-    concavity, coordinate probes for separate monotonicity.
-
-    A declared flag failing any probe fails the audit; undeclared flags are
-    not inferred.
-    """
-    if samples < 100:
-        raise ValueError(f"need at least 100 samples, got {samples}")
-    rng = np.random.default_rng(seed)
-    draw = lambda: [rng.uniform(lo, hi) for lo, hi in f.domain.intervals]
-    if f.convex or f.concave:
-        for _ in range(samples):
-            a, b = draw(), draw()
-            m = [(u + v) / 2 for u, v in zip(a, b)]
-            avg = (f(a) + f(b)) / 2
-            if f.convex and f(m) > avg + 1e-9:
-                return False
-            if f.concave and f(m) < avg - 1e-9:
-                return False
-    if f.separately_increasing:
-        for _ in range(samples):
-            a = draw()
-            j = int(rng.integers(f.arity))
-            b = list(a)
-            b[j] = rng.uniform(a[j], f.domain.intervals[j][1])
-            if f(b) < f(a) - 1e-9:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

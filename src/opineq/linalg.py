@@ -94,10 +94,17 @@ class HermitianMatrix:
         return self.entries.diagonal().real.copy()
 
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        return HermitianMatrix(self.entries + other.entries)
+        return HermitianMatrix(self._beside(other) + other.entries)
 
     def __sub__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        return HermitianMatrix(self.entries - other.entries)
+        return HermitianMatrix(self._beside(other) - other.entries)
+
+    def _beside(self, other: "HermitianMatrix") -> np.ndarray:
+        """``entries``; ``ValueError`` unless ``other`` has the same dimension (numpy
+        would broadcast a 1x1 operand over the other)."""
+        if other.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        return self.entries
 
     def __rmul__(self, scalar: float) -> "HermitianMatrix":
         return HermitianMatrix(float(scalar) * self.entries)
@@ -172,6 +179,12 @@ def _cyclic(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(eye == 0), eye
 
 
+def _offdiag_norm(w: np.ndarray) -> float:
+    """Frobenius norm of the off-diagonal part of the square array ``w``."""
+    v = w.take(_cyclic(len(w))[0])
+    return math.sqrt(np.vdot(v, v).real)
+
+
 def _eigensystem(lam: np.ndarray, u: np.ndarray) -> EigenSystem:
     """``lam`` in non-increasing order (stable argsort) with the matching columns of ``u``."""
     order = (-lam).argsort(kind="stable")
@@ -202,11 +215,10 @@ def _sweeps(w: np.ndarray, u: np.ndarray, threshold: float) -> EigenSystem:
     :class:`JacobiConvergenceError`.
     """
     m = len(w)
-    off, eye = _cyclic(m)
+    eye = _cyclic(m)[1]
     skip = threshold / m
     for _ in range(_SWEEP_CAP):
-        v = w.take(off)
-        if math.sqrt(np.vdot(v, v).real) <= threshold:
+        if _offdiag_norm(w) <= threshold:
             return _eigensystem(w.diagonal().real, u)
         for p in range(m - 1):
             for q in range(p + 1, m):
@@ -254,17 +266,14 @@ def _jacobi(a: HermitianMatrix) -> EigenSystem:
     threshold = _OFFDIAG_FACTOR * a.norm()
     if not math.isfinite(threshold):
         raise JacobiConvergenceError(f"norm not finite on a {a.dim}x{a.dim} matrix")
-    off, eye = _cyclic(a.dim)
-    w, u = a.entries, eye
-    if a.dim > 2:  # a 2x2 cold run is one exact rotation
-        v = w.take(off)
-        if not math.sqrt(np.vdot(v, v).real) <= threshold:
-            try:
-                q = _lapack_basis(w)
-            except np.linalg.LinAlgError:
-                q = None
-            if q is not None and _unitary_defect(q) <= _OFFDIAG_FACTOR:  # False on NaN
-                w, u = q.conj().T @ w @ q, q
+    w, u = a.entries, _cyclic(a.dim)[1]
+    if a.dim > 2 and not _offdiag_norm(w) <= threshold:  # a 2x2 cold run is one exact rotation
+        try:
+            q = _lapack_basis(w)
+        except np.linalg.LinAlgError:
+            q = None
+        if q is not None and _unitary_defect(q) <= _OFFDIAG_FACTOR:  # False on NaN
+            w, u = q.conj().T @ w @ q, q
     return _sweeps(w, u, threshold)
 
 
@@ -429,8 +438,6 @@ def is_psd(a: HermitianMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def loewner_leq(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Loewner order ``a <= b``, i.e. ``b - a`` is positive semidefinite at tolerance."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return is_psd(b - a, tol)
 
 

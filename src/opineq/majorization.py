@@ -17,6 +17,7 @@ from .linalg import (
     DEFAULT_TOL,
     HermitianMatrix,
     Tolerance,
+    _unitary_defect,
     eig_hermitian,
     worst_gap,
 )
@@ -59,7 +60,7 @@ def kyfan_check(a: HermitianMatrix, u: np.ndarray, tol: Tolerance = DEFAULT_TOL)
     if u.shape[0] != a.dim or not 1 <= u.shape[1] <= a.dim:
         return verdict.invalid(f"frame shape {u.shape} does not fit dimension {a.dim}")
     k = u.shape[1]
-    defect = float(np.linalg.norm(u.conj().T @ u - np.eye(k)))
+    defect = _unitary_defect(u)
     if not defect <= tol.rtol * k:
         return verdict.invalid(f"frame is not orthonormal: defect {defect}")
     lhs = float(np.real(np.trace(u.conj().T @ a.entries @ u)))

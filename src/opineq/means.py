@@ -169,6 +169,7 @@ def check_lowner_heinz(
 ) -> Verdict:
     """Check ``x^alpha <= y^alpha`` at every alpha in [0, 1], given ``0 <= x <= y``.
 
+    Unequal dimensions give an invalid verdict before anything is computed.
     The hypotheses are tested once for the pair; a violated one is an invalid
     verdict naming its reason, reported distinctly from a false
     comparison (which would indicate an implementation bug, not a
@@ -178,6 +179,8 @@ def check_lowner_heinz(
     """
     if not alphas or not all(0.0 <= alpha <= 1.0 for alpha in alphas):
         raise ValueError(f"alphas must be a non-empty list in [0, 1], got {alphas}")
+    if x.dim != y.dim:
+        return verdict.invalid("shape mismatch")
     d = y - x
     ex, ed, ey = map(eig_hermitian, (x, d, y))
     for reason, es in (("x is not positive semidefinite", ex), ("x <= y fails", ed),

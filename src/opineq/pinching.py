@@ -27,6 +27,7 @@ from .linalg import (
     DEFAULT_TOL,
     HermitianMatrix,
     Tolerance,
+    _offdiag_norm,
     diagonal,
     eig_hermitian,
     psd_margin,
@@ -271,8 +272,7 @@ def check_phi_concave_jensen(
 
 
 def _is_diagonal(x: HermitianMatrix, tol: Tolerance) -> bool:
-    off = x.entries - np.diag(np.diag(x.entries))
-    return float(np.linalg.norm(off)) <= tol.rtol * (1.0 + x.norm())
+    return _offdiag_norm(x.entries) <= tol.rtol * (1.0 + x.norm())
 
 
 def check_phi_monotone_chain(

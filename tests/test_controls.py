@@ -15,7 +15,7 @@ import pytest
 from opineq import harness as hz
 from opineq import verdict
 from opineq.abelian import AbelianTuple, CubeFunction, uniform_cube
-from opineq.harness import CampaignConfig, instance_rng, verify_flags
+from opineq.harness import CampaignConfig, instance_rng
 from opineq.linalg import (
     DEFAULT_TOL,
     HermitianMatrix,
@@ -34,6 +34,8 @@ from opineq.pinching import (
     reproduce_example1,
 )
 from opineq.state import DiagonalState, state_trace
+
+from flag_audit import verify_flags
 
 
 def generated(theorem, count, dims, arity, seed):

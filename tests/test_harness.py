@@ -33,13 +33,13 @@ from opineq.harness import (
     gen_tuple_field,
     gen_unital_field,
     instance_rng,
-    mislabeled_controls,
     replay_instance,
     run_campaign,
-    verify_flags,
 )
 from opineq.linalg import DEFAULT_TOL, JacobiConvergenceError, diagonal, eig_hermitian, matrix_power
 from opineq.means import check_lowner_heinz
+
+from flag_audit import mislabeled_controls, verify_flags
 
 
 class TestFromGap:
@@ -157,6 +157,13 @@ class TestGenerators:
         rng = np.random.default_rng(14)
         x, y = (gen_abelian_tuple(2, uniform_cube(1, 0, 1), rng) for _ in range(2))
         assert check_compatible(x, y)
+
+    @pytest.mark.parametrize("dim, k", [(1, 1), (2, 1), (5, 3), (8, 8), (16, 7)])
+    def test_random_frame_is_orthonormal(self, dim, k):
+        for seed in range(20):
+            u = hz.random_frame(dim, k, np.random.default_rng(seed))
+            assert u.shape == (dim, k)
+            assert np.linalg.norm(u.conj().T @ u - np.eye(k)) <= 1e-14
 
     def test_compatible_rejection_exhausts_budget(self):
         # compatibility is measure-zero for independent bases once n >= 2

@@ -48,6 +48,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             HermitianMatrix(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("small, big", [([[0.5]], np.eye(3)), (np.eye(2), np.eye(3))])
+    def test_sum_and_difference_refuse_a_dimension_mismatch(self, small, big):
+        # numpy would broadcast a 1x1 operand over the other
+        a, b = HermitianMatrix(small), HermitianMatrix(big)
+        for op in (lambda u, v: u + v, lambda u, v: u - v):
+            for left, right in ((a, b), (b, a)):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    op(left, right)
+
     def test_entries_immutable(self):
         h = identity(3)
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Tests for the geometric mean, its quadrature oracle, root chains, and trace checks."""
 
+import json
 import math
 
 import numpy as np
@@ -388,6 +389,17 @@ class TestLownerHeinz:
         x, y = random_psd_ordered_pair(rng, 3)
         v = check_lowner_heinz(x, y, (0.0, 1.0))
         assert v.passed and v.gap == 0.0
+
+    def test_dimension_mismatch_is_invalid(self):
+        # a 1x1 x broadcast over y would read as a fail with gap -1.22
+        v = check_lowner_heinz(HermitianMatrix([[0.5]]), diagonal([2, 3, 4]), hz.LH_ALPHAS)
+        assert v.invalid and v.detail["reason"] == "shape mismatch"
+        assert check_lowner_heinz(diagonal([2, 3, 4]), HermitianMatrix([[5.0]]), (0.5,)).invalid
+
+    def test_crafted_mismatched_record_replays_invalid(self):
+        args = {"x": HermitianMatrix([[0.5]]), "y": diagonal([2, 3, 4])}
+        record = {"theorem": "LH", **hz._THEOREMS["LH"].encode(args)}
+        assert hz.replay_instance(json.loads(json.dumps(record))).invalid
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
