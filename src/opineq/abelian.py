@@ -22,7 +22,7 @@ from .linalg import (
     _spectral_matrix,
     _unitary_defect,
     eig_hermitian,
-    is_psd,
+    loewner_leq,
 )
 
 # Jacobi stops once the off-diagonal mass is below 1e-14 * ||x||_F, whether
@@ -248,9 +248,12 @@ def joint_diagonalize(t: AbelianTuple, tol: Tolerance = DEFAULT_TOL) -> JointSpe
 
 
 def spectrum_in_cube(t: AbelianTuple, cube: Cube, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff every member's joint-spectrum bounds sit in its interval, inflated by the slack."""
+    """True iff every member's joint-spectrum bounds sit in its interval, inflated by the slack.
+
+    A cube of another arity holds no spectrum of the tuple.
+    """
     if cube.arity != t.n:
-        raise ValueError(f"cube arity {cube.arity} does not match tuple arity {t.n}")
+        return False
     js = joint_diagonalize(t, tol)
     for low, high, (lo, hi) in zip(js.lambda_min, js.lambda_max, cube.intervals):
         pad = tol.rtol * (1.0 + abs(lo) + abs(hi))
@@ -262,13 +265,13 @@ def spectrum_in_cube(t: AbelianTuple, cube: Cube, tol: Tolerance = DEFAULT_TOL) 
 def memberwise_leq(x: AbelianTuple, y: AbelianTuple, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``x_i <= y_i`` in the Loewner order for every member index i.
 
-    The differences are read only by :func:`is_psd`, whose Cholesky
-    certificate settles them without the kernel unless it cannot prove the
-    order.  Unequal shapes raise ``ValueError``.
+    Each order is read by :func:`loewner_leq`, whose Cholesky certificate
+    settles it without the kernel unless it cannot prove the order.  Unequal
+    shapes raise ``ValueError``.
     """
     if x.n != y.n or x.dim != y.dim:
         raise ValueError(f"shape mismatch: arity {x.n}, dim {x.dim} vs arity {y.n}, dim {y.dim}")
-    return all(is_psd(b - a, tol) for a, b in zip(x.members, y.members))
+    return all(loewner_leq(a, b, tol) for a, b in zip(x.members, y.members))
 
 
 def apply_cube_function(
@@ -283,6 +286,8 @@ def apply_cube_function(
     ``spectrum_in_cube`` is a precondition.  The result carries its
     decomposition: the values of ``f`` in the joint eigenbasis.
     """
+    if f.arity != t.n:
+        raise ValueError(f"cube arity {f.arity} does not match tuple arity {t.n}")
     if not spectrum_in_cube(t, f.domain, tol):
         raise SpectrumDomainError(f"tuple spectrum escapes the domain of {f.name!r}")
     js = joint_diagonalize(t, tol)

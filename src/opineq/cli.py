@@ -174,10 +174,12 @@ def cmd_campaign(args) -> int:
         tol=_tolerance(args.rtol),
         functions=tuple(args.functions.split(",")) if args.functions else None,
     )
+    if args.sweep and cfg.theorem != "EX1":
+        raise ConfigError(f"--sweep prints the EX1 table; {cfg.theorem} has none")
     report = run_campaign(cfg)
     out = Path(args.out) if args.out else Path(f"report-{cfg.theorem}-seed{cfg.seed}.json")
     out.write_text(report.to_json(indent=2) + "\n")
-    if args.sweep and cfg.theorem == "EX1":
+    if args.sweep:
         _print_ex1_table(report)
     s = report.summary
     print(
@@ -311,7 +313,7 @@ def main(argv=None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
     except OSError as exc:
         print(f"cannot write report: {exc}", file=sys.stderr)
-    except ConfigError as exc:  # the campaign config, --rtol and the --dim/--arity ranges
+    except ConfigError as exc:  # the campaign config, --rtol, --sweep and the --dim/--arity ranges
         print(f"config error: {exc}", file=sys.stderr)
     except Exception:  # a fault in the program: its traceback, and still no verdict
         traceback.print_exc()

@@ -234,13 +234,6 @@ def gen_tuple_field(dim: int, count: int, cube: Cube, seed, kind: str = "generic
     return TupleField(atoms)
 
 
-def gen_compatible_pair(dim: int, cube: Cube, seed) -> tuple[AbelianTuple, AbelianTuple]:
-    """Compatible pair by construction: both tuples diagonal in one common basis."""
-    rng = np.random.default_rng(seed)
-    q = random_unitary(dim, rng)
-    return tuple(AbelianTuple(_spectral_members(rng, q, cube.intervals)) for _ in range(2))
-
-
 # ---------------------------------------------------------------------------
 # function library
 # ---------------------------------------------------------------------------
@@ -460,11 +453,8 @@ def _gen_cor(cfg, rng, index) -> dict:
     general = rng.integers(2) == 0
     n = 1 if general else _draw(rng, cfg.arity_range)
     cube = _function_cube(cfg.theorem, n)
-    if general:
-        x = gen_abelian_tuple(dim, cube, rng)
-        y = gen_abelian_tuple(dim, cube, rng)
-    else:
-        x, y = gen_compatible_pair(dim, cube, rng)
+    # a common basis makes the pair compatible by construction
+    x, y = gen_tuple_field(dim, 2, cube, rng, "generic" if general else "common").atoms
     lam = float(rng.uniform(0.0, 1.0))
     if rng.integers(10) == 0:
         lam = float(rng.integers(0, 2))
@@ -474,10 +464,8 @@ def _gen_cor(cfg, rng, index) -> dict:
 
 def _gen_lh(cfg, rng, index) -> dict:
     dim = _draw(rng, cfg.dim_range)
-    q = random_unitary(dim, rng)
-    x = HermitianMatrix((q * rng.uniform(0.0, 1.2, dim)) @ q.conj().T)
-    u = random_unitary(dim, rng)
-    bump = HermitianMatrix((u * rng.uniform(0.0, 1.5, dim)) @ u.conj().T)
+    (x,) = _spectral_members(rng, random_unitary(dim, rng), [(0.0, 1.2)])
+    (bump,) = _spectral_members(rng, random_unitary(dim, rng), [(0.0, 1.5)])
     return {"x": x, "y": x + bump}
 
 
@@ -647,28 +635,11 @@ class CampaignReport:
     schema_version: int = SCHEMA_VERSION
 
     def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(
-            {
-                "schema_version": self.schema_version,
-                "config": self.config,
-                "verdicts": self.verdicts,
-                "summary": self.summary,
-                "wall_time_s": self.wall_time_s,
-            },
-            sort_keys=True,
-            indent=indent,
-        )
+        return json.dumps(vars(self), sort_keys=True, indent=indent)
 
     @staticmethod
     def from_json(text: str) -> "CampaignReport":
-        d = json.loads(text)
-        return CampaignReport(
-            config=d["config"],
-            verdicts=d["verdicts"],
-            summary=d["summary"],
-            wall_time_s=d["wall_time_s"],
-            schema_version=d["schema_version"],
-        )
+        return CampaignReport(**json.loads(text))
 
     @property
     def failures(self) -> list[dict]:
@@ -684,8 +655,6 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     """
     start = time.perf_counter()
     records = []
-    npass = nfail = ninvalid = nnear = 0
-    min_gap = None
     entry = _THEOREMS[cfg.theorem]
     for i in range(cfg.count):
         args = entry.generate(cfg, instance_rng(cfg.seed, i), i)
@@ -704,24 +673,13 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
             rec["claims"] = dict(v.detail["claims"])
         if v.status == verdict.FAIL:
             rec["instance"] = {"theorem": cfg.theorem, **entry.encode(args)}
-            nfail += 1
         elif v.status == verdict.INVALID:
             rec["reason"] = v.detail.get("reason", "")
-            ninvalid += 1
-        else:
-            npass += 1
-        if near:
-            nnear += 1
-        if v.gap is not None:
-            min_gap = v.gap if min_gap is None else min(min_gap, v.gap)
         records.append(rec)
-    summary = {
-        "pass": npass,
-        "fail": nfail,
-        "invalid": ninvalid,
-        "near_equality": nnear,
-        "min_gap": min_gap,
-    }
+    statuses = [r["status"] for r in records]
+    summary = {s: statuses.count(s) for s in (verdict.PASS, verdict.FAIL, verdict.INVALID)}
+    summary["near_equality"] = sum(r["near_equality"] for r in records)
+    summary["min_gap"] = min((r["gap"] for r in records if r["gap"] is not None), default=None)
     return CampaignReport(
         config=cfg.as_dict(),
         verdicts=records,

@@ -114,6 +114,8 @@ def check_corollary(
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     if not f.convex:
         return verdict.invalid(f"{f.name!r} is not flagged convex")
+    if x.n != y.n or x.dim != y.dim:
+        return verdict.invalid("shape mismatch")
     if not check_compatible(x, y, tol):
         return verdict.invalid("tuples are not compatible")
     if not (spectrum_in_cube(x, f.domain, tol) and spectrum_in_cube(y, f.domain, tol)):

@@ -116,8 +116,6 @@ class TupleField:
 
 def compress(field_: ColumnField, tf: TupleField) -> tuple[HermitianMatrix, ...]:
     """``y_i = sum_t w_t a_t* x_it a_t``; the members are Hermitian but need not commute."""
-    if field_.count != tf.count:
-        raise ValueError(f"field has {field_.count} atoms, tuple field {tf.count}")
     if field_.dim != tf.dim:
         raise ValueError("field and tuple field dimensions differ")
     return tuple(field_.conjugate_sum([t.members[i] for t in tf.atoms]) for i in range(tf.n))

@@ -408,6 +408,12 @@ class TestSpectrumInCube:
         object.__setattr__(cube, "intervals", (interval,))
         assert not spectrum_in_cube(AbelianTuple((diagonal([5.0, -7.0]),)), cube)
 
+    @pytest.mark.parametrize("arity", [1, 3])
+    def test_cube_of_another_arity_holds_no_spectrum(self, arity):
+        # so a check's domain guard gives an invalid verdict instead of raising
+        t = AbelianTuple((diagonal([0.5]), diagonal([0.5])))
+        assert not spectrum_in_cube(t, uniform_cube(arity, 0, 1))
+
 
 class TestCompatibility:
     def test_diagonal_tuples_compatible(self):

@@ -393,13 +393,14 @@ class TestExitCodeTable:
             ["campaign", "--theorem", "KF", "--functions", "nonsense"],
             ["campaign", "--theorem", "KF", "--functions", "max"],
             ["campaign", "--theorem", "T1", "--functions", "affine,max"],
+            ["campaign", "--theorem", "KF", "--count", "2", "--sweep"],
             ["check", "loewner", "x.mat", "y.mat", "--rtol", "0.5"],
         ],
         ids=[
             "campaign-rtol", "campaign-dim", "campaign-arity", "campaign-negative-seed",
             "campaign-misspelt-function", "campaign-unknown-function",
             "campaign-functions-for-an-id-that-picks-none", "campaign-function-never-picked",
-            "check-rtol",
+            "campaign-sweep-for-an-id-other-than-ex1", "check-rtol",
         ],
     )
     def test_bad_argument_value(self, tmp_path, capsys, monkeypatch, argv):

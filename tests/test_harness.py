@@ -28,7 +28,6 @@ from opineq.harness import (
     function_library,
     gen_abelian_tuple,
     gen_centralizer_pair,
-    gen_compatible_pair,
     gen_dominated_pair,
     gen_tuple_field,
     gen_unital_field,
@@ -149,7 +148,7 @@ class TestGenerators:
         assert tf.count == 4 and tf.n == 2 and tf.dim == 3
 
     def test_compatible_pair_construction(self):
-        x, y = gen_compatible_pair(3, uniform_cube(2, 0, 2), seed=13)
+        x, y = gen_tuple_field(3, 2, uniform_cube(2, 0, 2), 13, "common").atoms
         assert check_compatible(x, y)
 
     def test_compatible_rejection_trivial_case(self):
@@ -244,6 +243,29 @@ class TestCampaigns:
         rep = run_campaign(CampaignConfig("T5", 60, dim_range=(2, 4), seed=3))
         s = rep.summary
         assert s["pass"] + s["fail"] + s["invalid"] == 60
+
+    def test_summary_is_counted_from_the_records(self, monkeypatch):
+        # near-equal pass, pass, fail, invalid and gapless pass, twice over
+        slack = np.float64(1e-10)  # a numpy slack makes a numpy comparison
+        outcomes = iter([
+            verdict.Verdict("pass", 1e-12, {"slack": slack}),
+            verdict.Verdict("pass", 0.5, {"slack": slack}),
+            verdict.Verdict("fail", -0.25, {"slack": slack}),
+            verdict.invalid("made up"),
+            verdict.Verdict("pass"),
+        ] * 2)
+        monkeypatch.setattr(hz, "kyfan_check", lambda a, u, tol=DEFAULT_TOL: next(outcomes))
+        rep = run_campaign(CampaignConfig("KF", 10, seed=3))
+        records = rep.verdicts
+        assert [r["status"] for r in records] == ["pass", "pass", "fail", "invalid", "pass"] * 2
+        assert [r["near_equality"] for r in records] == [True, False, False, False, False] * 2
+        assert all(type(r["near_equality"]) is bool for r in records)
+        assert rep.summary == {
+            "pass": 6, "fail": 2, "invalid": 2, "near_equality": 2, "min_gap": -0.25
+        }
+        counts = ("pass", "fail", "invalid", "near_equality")
+        assert all(type(rep.summary[k]) is int for k in counts)
+        assert CampaignReport.from_json(rep.to_json()).summary == rep.summary
 
     def test_all_theorems_clean_at_small_count(self):
         for theorem in ("T1", "T2", "T3", "T4", "T5", "T6", "COR", "LH", "KF", "EX1", "CHAIN"):
@@ -350,6 +372,26 @@ class TestCampaigns:
         instance["function"]["arity"] = 3
         with pytest.raises(ValueError, match="arity"):
             replay_instance(instance)
+
+    def test_cor_pair_of_different_arity_replays_as_invalid(self):
+        cfg = CampaignConfig("COR", 10, arity_range=(2, 2), seed=31)
+        entry = hz._THEOREMS["COR"]
+        args = (entry.generate(cfg, instance_rng(cfg.seed, i), i) for i in range(cfg.count))
+        # one of the compatible pairs: the other kind has one member per tuple
+        instance = {"theorem": "COR", **entry.encode(next(a for a in args if a["x"].n == 2))}
+        instance["y"] = instance["y"][:1]
+        v = replay_instance(instance)
+        assert v.invalid and v.detail["reason"] == "shape mismatch"
+
+    def test_function_of_another_arity_replays_as_invalid(self):
+        # a crafted T6 record: an arity-1 function on tuples of 2 members
+        cfg = CampaignConfig("T6", 1, arity_range=(2, 2), seed=31)
+        entry = hz._THEOREMS["T6"]
+        instance = {"theorem": "T6", **entry.encode(entry.generate(cfg, instance_rng(cfg.seed, 0), 0))}
+        assert len(instance["x"]) == 2
+        instance["function"] = {**instance["function"], "arity": 1, "cube": [[0.0, 2.0]]}
+        v = replay_instance(instance)
+        assert v.invalid and v.detail["reason"] == "a tuple leaves the domain cube"
 
     def test_non_finite_payload_is_a_numerical_dead_end(self):
         # a NaN entry has no spectrum; the kernel says so instead of dividing by zero

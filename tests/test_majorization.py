@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from opineq import abelian
 from opineq.abelian import AbelianTuple, CubeFunction, uniform_cube
-from opineq.harness import gen_compatible_pair
+from opineq.harness import gen_tuple_field
 from opineq.linalg import HermitianMatrix, diagonal, eig_hermitian, identity
 from opineq.majorization import (
     check_corollary,
@@ -231,6 +231,17 @@ class TestThm5:
 
 
 class TestCorollary:
+    @pytest.mark.parametrize(
+        "y",
+        [(diagonal([1.0, 1.5]),), (diagonal([1.0, 1.5, 1.0]), diagonal([1.0, 1.5, 1.0]))],
+        ids=["arity", "dim"],
+    )
+    def test_shape_mismatch_is_invalid(self, y):
+        # the compatibility test would raise on it; the check says invalid first
+        x = AbelianTuple((diagonal([0.5, 1.0]), diagonal([1.0, 0.5])))
+        v = check_corollary(MAX2, x, AbelianTuple(y), 0.5)
+        assert v.invalid and v.detail["reason"] == "shape mismatch"
+
     def test_endpoints_trivial(self):
         rng = np.random.default_rng(11)
         q = random_unitary(rng, 3)
@@ -299,7 +310,7 @@ class TestCorollary:
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     def test_endpoint_decomposes_no_matrix_twice(self, jacobi_runs, lam):
         # at lam = 1 (0) the mix is x (y) itself: no copy of it goes through the kernel
-        x, y = gen_compatible_pair(4, uniform_cube(2, 0.0, 2.0), 21)
+        x, y = gen_tuple_field(4, 2, uniform_cube(2, 0.0, 2.0), 21, "common").atoms
         v = check_corollary(MAX2, x, y, lam)
         assert v.passed and v.gap == 0.0
         keys = [a.entries.tobytes() for a in jacobi_runs]

@@ -171,7 +171,8 @@ class TestCompress:
         rng = np.random.default_rng(4)
         t = random_abelian(rng, 2, 1)
         field = ColumnField((1.0,), (np.eye(2, dtype=complex),))
-        with pytest.raises(ValueError):
+        # compress leaves the atom count to ColumnField.conjugate_sum
+        with pytest.raises(ValueError, match="2 matrices for a field of 1 atoms"):
             compress(field, TupleField((t, t)))
 
 

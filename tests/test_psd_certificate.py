@@ -79,6 +79,21 @@ class TestFallback:
         # then the difference alone, after the certificate declined it
         assert [d.entries.tobytes() for d in jacobi_runs] == [(a - zero(4)).entries.tobytes()]
 
+    def test_memberwise_leq_reads_each_order_through_loewner_leq(self, monkeypatch):
+        from opineq import abelian
+
+        calls = []
+
+        def counted(a, b, tol=DEFAULT_TOL):
+            calls.append((id(a), id(b)))
+            return linalg.loewner_leq(a, b, tol)
+
+        monkeypatch.setattr(abelian, "loewner_leq", counted)
+        x = AbelianTuple((diagonal([0.0, 1.0]), diagonal([1.0, 0.0])))
+        y = AbelianTuple((diagonal([1.0, 1.0]), diagonal([2.0, 1.0])))
+        assert memberwise_leq(x, y)
+        assert calls == [(id(a), id(b)) for a, b in zip(x.members, y.members)]
+
     def test_rtol_zero_never_certifies(self, jacobi_runs):
         rng = np.random.default_rng(4)
         for a in (identity(3), zero(3), with_spectrum(rng, [3.0, 2.0, 1.0])):

@@ -32,8 +32,8 @@ from opineq.harness import (
     CampaignConfig,
     function_library,
     gen_abelian_tuple,
-    gen_compatible_pair,
     gen_dominated_pair,
+    gen_tuple_field,
     instance_rng,
     run_campaign,
 )
@@ -143,7 +143,7 @@ class TestKernelRuns:
         # past the admissions of x, y and the mix, each of its leading member,
         # f(mix) carries its spectrum; the mixed right-hand side
         # lam f(x) + (1 - lam) f(y) is the one new matrix
-        x, y = gen_compatible_pair(4, uniform_cube(2, 0.0, 2.0), 21)
+        x, y = gen_tuple_field(4, 2, uniform_cube(2, 0.0, 2.0), 21, "common").atoms
         assert jacobi_runs == [x.members[0], y.members[0]]
         del jacobi_runs[:]
         assert check_corollary(MAX2, x, y, 0.5).passed
