@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 DEFAULT_RTOL = 1e-9
-DEFAULT_QUADRATURE_NODES = 128
 
 _SWEEP_CAP = 100
 _OFFDIAG_FACTOR = 1e-14

@@ -108,10 +108,11 @@ def check_corollary(
     ``f(lam x + (1-lam) y)`` is weakly majorized by
     ``lam f(x) + (1-lam) f(y)``; compatibility makes every point of the
     segment an abelian tuple.  The one-variable case needs no compatibility
-    beyond each tuple being a single matrix.
+    beyond each tuple being a single matrix.  A ``lam`` outside [0, 1], NaN
+    included, gives an invalid verdict before anything is computed.
     """
     if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+        return verdict.invalid("lambda outside [0, 1]")
     if not f.convex:
         return verdict.invalid(f"{f.name!r} is not flagged convex")
     if x.n != y.n or x.dim != y.dim:

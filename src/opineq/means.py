@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -10,12 +11,12 @@ import numpy as np
 from . import verdict
 from .abelian import AbelianTuple, check_commuting, joint_diagonalize, memberwise_leq
 from .linalg import (
-    DEFAULT_QUADRATURE_NODES,
     DEFAULT_TOL,
     EigenSystem,
     HermitianMatrix,
     SpectrumDomainError,
     Tolerance,
+    _EPS,
     _cholesky_certificate,
     _spectral_matrix,
     eig_hermitian,
@@ -46,6 +47,12 @@ def geometric_mean(
     PSD cone, so this realizes the extension within tolerance while leaving
     well-conditioned inputs untouched; the Frobenius norms bound the
     operator norms, so a certified pair is one that would not be lifted.
+
+    Just above the lift threshold the result is accurate only to about
+    ``1e-7 (1 + ||gm||)`` on either route, not to the ``1e-10`` of
+    well-conditioned pairs: with ``t = lambda_min(x)`` the inner matrix has
+    norm about ``1/t``, and its decomposition's error, small relative to that
+    norm, lands on the mean's order-one directions.
     """
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
@@ -74,21 +81,104 @@ def _congruence_mean(f: np.ndarray, g: np.ndarray, y: np.ndarray) -> HermitianMa
     return HermitianMatrix(h @ h.conj().T)
 
 
-@functools.cache
-def _quadrature_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Per-node ``tan(theta)^2`` and ``w (pi/4) sec(theta)^2`` of the rule on ``[0, pi/2]``.
+# Gauss-Legendre rungs the oracle may use, and the relative truncation error
+# each call must meet; the target sits above the rounding floor of the
+# stacked solves, so a lower one climbs the ladder for no gain in accuracy.
+_QUADRATURE_RUNGS = (32, 64, 128, 256, 512, 1024)
+_QUADRATURE_TARGET = 1e-12
+# the error table's grid: c = 2^(i / _GRID_STEPS) for |i| <= _GRID_STEPS * _GRID_OCTAVES
+_GRID_STEPS = 8
+_GRID_OCTAVES = 32
 
-    Built on first use, not at import: ``leggauss`` solves a
-    ``DEFAULT_QUADRATURE_NODES``-point eigenvalue problem.  The arrays are
-    read-only because every caller shares them.
+
+@functools.cache
+def _quadrature_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``n``-node rule on ``[0, pi/2]``: ``tan(theta)^2``, ``w (pi/4) sec(theta)^2`` and its error table.
+
+    Built on first use of each rung, not at import.  The nodes come from
+    ``leggauss``; the weights ``2 (1 - s^2) / (n (P_(n-1)(s) - s P_n(s)))^2``
+    are evaluated by the three-term recurrence, because ``leggauss``'s are off
+    by about ``1e-11`` (n = 128) to ``1e-10`` (n = 512) relative at the ends,
+    which alone would hold the large-``c`` error near ``1e-12``.
+
+    For a pair whose eigenvalue ratios ``c`` (below) lie in ``[1/kappa,
+    kappa]``, the rule's relative error is at most ``max |e_n(c)|`` over that
+    interval, where ``e_n(c)`` is its relative error on ``int_0^(pi/2) dtheta /
+    (cos^2 + c sin^2) = pi / (2 sqrt(c))``.  ``e_n`` depends on ``c`` alone, so
+    it is tabulated once per rung on a grid of eight points per octave over
+    ``[2^-32, 2^32]``, from these very arrays (the rule the oracle sums).
+    Entry ``i`` of the table bounds ``|e_n|`` over ``|log2 c| <= i / 8``: twice
+    the running maximum of ``|e_n|`` over the grid points there, plus ``(n + 4)
+    eps`` for the rounding of each tabulated value.  A running maximum,
+    because ``e_n`` changes sign as ``c`` moves, so ``|e_n|`` at one end does
+    not bound it inside; the factor 2 covers a peak of ``|e_n|`` between grid
+    points (on a grid 32 times finer none exceeds the running maximum by more
+    than 8%).  By analyticity the error falls geometrically in ``n`` at a rate
+    set by the integrand's poles, which approach the interval as ``c`` leaves 1
+    (Trefethen, *Approximation Theory and Approximation Practice*, 2013,
+    ch. 19), so each rung serves ``kappa`` up to a reach that grows with ``n``.
+    The arrays are read-only because every caller shares them.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(DEFAULT_QUADRATURE_NODES)
-    theta = (np.pi / 4.0) * (nodes + 1.0)
+    s = np.polynomial.legendre.leggauss(n)[0]
+    p_prev, p = np.ones_like(s), s
+    for k in range(2, n + 1):
+        p_prev, p = p, ((2 * k - 1) * s * p - (k - 1) * p_prev) / k
+    weights = 2.0 * (1.0 - s) * (1.0 + s) / (n * (p_prev - s * p)) ** 2
+    theta = (np.pi / 4.0) * (s + 1.0)
     tan2 = np.tan(theta) ** 2
-    coef = (weights * (np.pi / 4.0)) * (1.0 / np.cos(theta) ** 2)
-    tan2.flags.writeable = False
-    coef.flags.writeable = False
-    return tan2, coef
+    coef = (weights * (np.pi / 4.0)) / np.cos(theta) ** 2
+    mid = _GRID_STEPS * _GRID_OCTAVES
+    c = 2.0 ** (np.arange(-mid, mid + 1) / _GRID_STEPS)
+    err = np.abs((2.0 / np.pi) * np.sqrt(c) * ((1.0 / (1.0 + np.multiply.outer(c, tan2))) @ coef) - 1.0)
+    table = 2.0 * np.maximum.accumulate(np.maximum(err[mid:], err[mid::-1])) + (n + 4) * _EPS
+    for a in (tan2, coef, table):
+        a.flags.writeable = False
+    return tan2, coef, table
+
+
+def _rule_error_bound(n: int, kappa: float) -> float:
+    """Bound on the ``n``-node rule's ``|e_n(c)|`` over ``[1/kappa, kappa]``, ``kappa >= 1``; inf past the grid."""
+    if not kappa < 2.0**_GRID_OCTAVES:  # also a NaN
+        return math.inf
+    return float(_quadrature_rule(n)[2][math.ceil(math.log2(kappa) * _GRID_STEPS)])
+
+
+def _quadrature_nodes(x: HermitianMatrix, y: HermitianMatrix, tol: Tolerance) -> int:
+    """The oracle's guard, then the smallest rung whose bound meets the target for this pair.
+
+    Each argument needs a lower bound ``l > 0`` on its smallest eigenvalue:
+    its checked Cholesky floor (shared with :func:`geometric_mean`) when that
+    exceeds ``rtol (1 + ||a||_F)``, else the kernel's ``lambda_min``, which
+    must exceed ``rtol (1 + ||a||_op)``.  Then ``kappa = max(||x||_F / l_y,
+    ||y||_F / l_x) >= 1``.
+
+    Why ``kappa`` sizes the rule: with ``x = L L*`` and ``L* y^-1 L = U diag(c)
+    U*``, each node's ``(x^-1 + t y^-1)^-1`` is ``L U diag(1 / (1 + t c)) U*
+    L*``, so the ``N``-node result is ``H diag(1 + e_N(c_j)) H*`` for the exact
+    mean ``G = H H*``, ``H = L U diag(c^(-1/4))`` (the congruence of Bhatia,
+    *Positive Definite Matrices*, 2007, ch. 4), and ``||G_N - G||_2 <= max_j
+    |e_N(c_j)| ||G||_2``.  The ``c_j`` are the eigenvalues of ``y^-1 x``, so
+    they lie in ``[l_x / ||y||_F, ||x||_F / l_y]``, inside ``[1/kappa,
+    kappa]``.  A pair no rung serves raises ``SpectrumDomainError``.
+    """
+    if x.dim != y.dim:
+        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
+    floors = []
+    for name, a in (("x", x), ("y", y)):
+        floor = _cholesky_certificate(a)[2]
+        if not floor > tol.rtol * (1.0 + a.norm()):  # the floor leaves a unproven
+            floor, slack = psd_margin(eig_hermitian(a), tol)
+            if floor <= slack:
+                raise SpectrumDomainError(f"{name} is singular at tolerance; regularize first")
+        floors.append(floor)
+    kappa = max(x.norm() / floors[1], y.norm() / floors[0])
+    for n in _QUADRATURE_RUNGS:
+        if _rule_error_bound(n, kappa) <= _QUADRATURE_TARGET:
+            return n
+    raise SpectrumDomainError(
+        f"x and y are too far apart for the quadrature (kappa {kappa:.3g} needs more "
+        f"than {_QUADRATURE_RUNGS[-1]} nodes)"
+    )
 
 
 def geometric_mean_quadrature(
@@ -98,30 +188,26 @@ def geometric_mean_quadrature(
 
     The mean equals ``(1/2pi) int_0^inf 2 (x^-1 + t y^-1)^-1 t^(-1/2) dt``;
     substituting ``t = tan(theta)^2`` turns this into a smooth integral over
-    ``[0, pi/2]``, evaluated with ``DEFAULT_QUADRATURE_NODES`` Gauss-Legendre
-    nodes (the rule is built once per process).  Requires strictly positive
-    definite inputs: an argument whose smallest eigenvalue is at most
-    ``rtol (1 + ||a||_op)`` is refused.  Its checked Cholesky floor, shared
-    with :func:`geometric_mean`, admits an argument whose floor exceeds
-    ``rtol (1 + ||a||_F)``; only an argument it leaves unproven is
+    ``[0, pi/2]``, evaluated with an ``N``-node Gauss-Legendre rule.  ``N`` is
+    the smallest of 32, 64, ..., 1024 whose truncation bound, read from the
+    pair's certified conditioning ``kappa``, is at most ``1e-12 ||G||_2``
+    (:func:`_quadrature_nodes`); each rung's rule is built once per process.
+    A pair beyond the top rung's reach (``kappa`` above about ``3.4e7``)
+    raises ``SpectrumDomainError``, as does an argument whose smallest
+    eigenvalue is at most ``rtol (1 + ||a||_op)``.  Its checked Cholesky
+    floor, shared with :func:`geometric_mean`, admits an argument whose floor
+    exceeds ``rtol (1 + ||a||_F)``; only an argument it leaves unproven is
     decomposed.  All nodes go through one stacked inversion of ``x^-1 + t_k
-    y^-1``, one LAPACK solve per node, so the integral stays independent of
-    the closed form and never runs the Jacobi eigensolver on a certified
-    argument.
+    y^-1``, one LAPACK solve per node, summed by one matmul, so the integral
+    stays independent of the closed form and never runs the Jacobi
+    eigensolver on a certified argument.
     """
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    for name, a in (("x", x), ("y", y)):
-        if _cholesky_certificate(a)[2] > tol.rtol * (1.0 + a.norm()):
-            continue  # the floor clears the slack below, since ||a||_F >= ||a||_op
-        lam, slack = psd_margin(eig_hermitian(a), tol)
-        if lam <= slack:
-            raise SpectrumDomainError(f"{name} is singular at tolerance; regularize first")
-    tan2, coef = _quadrature_rule()
+    n = _quadrature_nodes(x, y, tol)
+    tan2, coef, _ = _quadrature_rule(n)
     x_inv = np.linalg.inv(x.entries)
     y_inv = np.linalg.inv(y.entries)
     invs = np.linalg.inv(x_inv + tan2[:, None, None] * y_inv)
-    return HermitianMatrix((2.0 / np.pi) * np.tensordot(coef, invs, 1))
+    return HermitianMatrix((2.0 / np.pi) * (coef @ invs.reshape(n, -1)).reshape(x.dim, x.dim))
 
 
 def _psd_members(t: AbelianTuple, tol: Tolerance) -> bool:

@@ -154,6 +154,18 @@ class TestCheckCommand:
         assert main(["check", "gmean", x, y]) == 0
         assert capsys.readouterr().out.startswith("gmean: pass norm=")
 
+    def test_gmean_oracle_beyond_the_top_rung(self, tmp_path, capsys):
+        # x = I and y = diag(r, 1): kappa about 2r; the top rung reaches 1e7
+        x = write(tmp_path, "x.mat", "dim: 2\n1 0 0 0\n0 0 1 0\n")
+        near = write(tmp_path, "near.mat", "dim: 2\n1e4 0 0 0\n0 0 1 0\n")
+        far = write(tmp_path, "far.mat", "dim: 2\n1e8 0 0 0\n0 0 1 0\n")
+        assert main(["check", "gmean", x, near, "--oracle"]) == 0
+        assert capsys.readouterr().out.startswith("gmean: pass oracle-deviation=")
+        assert main(["check", "gmean", x, far, "--oracle"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("gmean: invalid input (x and y are too far apart")
+        assert "Traceback" not in out
+
     def test_gmean_indefinite_input(self, tmp_path):
         x = write(tmp_path, "x.mat", "dim: 2\n-1 0 0 0\n0 0 1 0\n")
         y = write(tmp_path, "y.mat", "dim: 2\n1 0 0 0\n0 0 1 0\n")

@@ -383,6 +383,15 @@ class TestCampaigns:
         v = replay_instance(instance)
         assert v.invalid and v.detail["reason"] == "shape mismatch"
 
+    @pytest.mark.parametrize("lam", [1.5, math.nan])
+    def test_cor_lambda_outside_the_segment_replays_as_invalid(self, lam):
+        cfg = CampaignConfig("COR", 1, seed=31)
+        entry = hz._THEOREMS["COR"]
+        instance = {"theorem": "COR", **entry.encode(entry.generate(cfg, instance_rng(cfg.seed, 0), 0))}
+        instance["lam"] = lam
+        v = replay_instance(instance)
+        assert v.invalid and v.detail["reason"] == "lambda outside [0, 1]"
+
     def test_function_of_another_arity_replays_as_invalid(self):
         # a crafted T6 record: an arity-1 function on tuples of 2 members
         cfg = CampaignConfig("T6", 1, arity_range=(2, 2), seed=31)

@@ -319,8 +319,9 @@ class TestCorollary:
     def test_lambda_out_of_range(self):
         rng = np.random.default_rng(14)
         x = random_abelian(rng, 2, 1)
-        with pytest.raises(ValueError):
-            check_corollary(SQ1, x, x, 1.5)
+        for lam in (1.5, -0.5, math.nan):
+            v = check_corollary(SQ1, x, x, lam)
+            assert v.invalid and v.detail["reason"] == "lambda outside [0, 1]"
 
 
 class TestThm6:

@@ -11,7 +11,6 @@ from opineq import linalg, means
 from opineq.abelian import AbelianTuple
 from opineq.harness import CampaignConfig, instance_rng, random_unitary
 from opineq.linalg import (
-    DEFAULT_QUADRATURE_NODES,
     DEFAULT_TOL,
     HermitianMatrix,
     SpectrumDomainError,
@@ -48,17 +47,17 @@ def random_pd(rng, dim, lo=0.3, hi=3.5):
 
 
 def quadrature_loop(x, y):
-    """Node-by-node reference for ``geometric_mean_quadrature``: one inversion per node."""
+    """Node-by-node reference for ``geometric_mean_quadrature``: one inversion per node.
+
+    It sizes and reads the oracle's own rule, so it checks the stacked
+    inversion and the one-matmul sum, not the rule itself."""
+    n = means._quadrature_nodes(x, y, DEFAULT_TOL)
+    tan2, coef, _ = means._quadrature_rule(n)
     x_inv = np.linalg.inv(x.entries)
     y_inv = np.linalg.inv(y.entries)
-    nodes, weights = np.polynomial.legendre.leggauss(DEFAULT_QUADRATURE_NODES)
-    theta = (np.pi / 4.0) * (nodes + 1.0)
-    scaled = weights * (np.pi / 4.0)
     acc = np.zeros_like(x.entries)
-    for th, wt in zip(theta, scaled):
-        tan2 = math.tan(th) ** 2
-        sec2 = 1.0 / math.cos(th) ** 2
-        acc += wt * sec2 * np.linalg.inv(x_inv + tan2 * y_inv)
+    for t, wt in zip(tan2, coef):
+        acc += wt * np.linalg.inv(x_inv + t * y_inv)
     return HermitianMatrix((2.0 / np.pi) * acc)
 
 
@@ -258,12 +257,47 @@ class TestQuadratureOracle:
     def test_matches_node_loop(self, dim, complex_entries):
         # the stacked inversion sums the same terms in another order
         rng = np.random.default_rng(100 + dim)
-        for cond in (1.0, 10.0, 1e2, 1e3):
-            x = random_conditioned(rng, dim, cond, complex_entries)
-            y = random_conditioned(rng, dim, cond, complex_entries)
+        pairs = [
+            (random_conditioned(rng, dim, cond, complex_entries),
+             random_conditioned(rng, dim, cond, complex_entries))
+            for cond in (1.0, 10.0, 1e2, 1e3)
+        ]
+        # one pair on the bottom rung, one sized to at least 256 nodes
+        bottom = (random_conditioned(rng, dim, 2.0, complex_entries),
+                  random_conditioned(rng, dim, 2.0, complex_entries))
+        top = (3e4 * random_conditioned(rng, dim, 10.0, complex_entries),
+               random_conditioned(rng, dim, 10.0, complex_entries))
+        assert means._quadrature_nodes(*bottom, DEFAULT_TOL) == 32
+        assert means._quadrature_nodes(*top, DEFAULT_TOL) >= 256
+        for x, y in pairs + [bottom, top]:
             ref = quadrature_loop(x, y)
             gq = geometric_mean_quadrature(x, y)
-            assert (gq - ref).norm() <= 1e-13 * ref.norm(), (dim, cond)
+            assert (gq - ref).norm() <= 1e-13 * ref.norm(), (dim, x.norm(), y.norm())
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_commuting_pairs_across_conditioning(self, k):
+        # the ratios c_j = 10^-k, 10^k and 1 span the whole of [1/kappa, kappa];
+        # the top rung reaches kappa = 1e7, so only 1e8 is refused
+        r = 10.0**k
+        for x, y, g in ((identity(2), diagonal([r, 1.0]), [math.sqrt(r), 1.0]),
+                        (diagonal([1.0, r, math.sqrt(r)]), diagonal([r, 1.0, math.sqrt(r)]),
+                         [math.sqrt(r)] * 3)):
+            if k == 8:
+                with pytest.raises(SpectrumDomainError, match="too far apart"):
+                    geometric_mean_quadrature(x, y)
+                continue
+            exact = diagonal(g)
+            gq = geometric_mean_quadrature(x, y)
+            assert (gq - exact).norm() <= 1e-10 * (1.0 + exact.norm()), k
+
+    @pytest.mark.parametrize("n", means._QUADRATURE_RUNGS)
+    def test_error_bound_covers_the_scalar_error(self, n):
+        # the rule's relative error on int_0^(pi/2) dtheta / (cos^2 + c sin^2),
+        # summed exactly, on a grid four times finer than the table's and past its end
+        tan2, coef, _ = means._quadrature_rule(n)
+        for c in 2.0 ** (np.arange(-33 * 32, 33 * 32 + 1) / 32):
+            err = abs((2.0 / math.pi) * math.sqrt(c) * math.fsum(coef / (1.0 + tan2 * c)) - 1.0)
+            assert means._rule_error_bound(n, max(c, 1.0 / c)) >= err, (n, c)
 
     def test_rule_built_once(self, monkeypatch):
         x, y = identity(2), diagonal([4, 9])
