@@ -37,8 +37,6 @@ STANDARD = [
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="reports", help="directory for JSON reports")
-    parser.add_argument("--seed-shift", type=int, default=0,
-                        help="added to every campaign seed (fresh instance streams)")
     args = parser.parse_args()
 
     outdir = Path(args.outdir)
@@ -46,7 +44,6 @@ def main() -> int:
     start = time.perf_counter()
     worst = 0
     for theorem, count, dims, arities, seed in STANDARD:
-        seed += args.seed_shift
         worst = max(worst, opineq([
             "campaign", "--theorem", theorem, "--count", str(count), "--dim", dims,
             "--arity", arities, "--seed", str(seed),

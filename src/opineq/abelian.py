@@ -299,17 +299,16 @@ def check_compatible(x: AbelianTuple, y: AbelianTuple, tol: Tolerance = DEFAULT_
 
     Compatibility is the pairwise identity ``[x_i, y_j] == [x_j, y_i]``; with
     both tuples abelian it makes every point of the segment between them an
-    abelian tuple.
+    abelian tuple.  For Hermitian members ``[x_i, y_j] - [x_j, y_i] = d - d*``
+    with ``d = x_i y_j - x_j y_i``, the form :func:`commutator_norm` uses.
     """
     xs, ys = x.members, y.members
     if x.n != y.n or x.dim != y.dim:
         raise ValueError(f"shape mismatch: arity {x.n}, dim {x.dim} vs arity {y.n}, dim {y.dim}")
-    # [x_i, y_j] == [x_j, y_i] for all pairs, at the bilinear scale
     for i in range(len(xs)):
         for j in range(i + 1, len(xs)):
-            lhs = xs[i].entries @ ys[j].entries - ys[j].entries @ xs[i].entries
-            rhs = xs[j].entries @ ys[i].entries - ys[i].entries @ xs[j].entries
+            d = xs[i].entries @ ys[j].entries - xs[j].entries @ ys[i].entries
             scale = 1.0 + xs[i].norm() * ys[j].norm() + xs[j].norm() * ys[i].norm()
-            if not np.linalg.norm(lhs - rhs) <= tol.rtol * scale:
+            if not np.linalg.norm(d - d.conj().T) <= tol.rtol * scale:
                 return False
     return True

@@ -318,7 +318,7 @@ def _deser_func(d: dict) -> CubeFunction:
     for f in function_library(cube):
         if f.name == d["name"]:
             return f
-    raise KeyError(f"function {d['name']!r} not in the library for this cube")
+    raise ValueError(f"function {d['name']!r} not in the library for this cube")
 
 
 def _ser_field(field_: ColumnField) -> dict:

@@ -424,12 +424,12 @@ def _cholesky_certificate(a: HermitianMatrix) -> tuple:
 def is_psd(a: HermitianMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the smallest eigenvalue clears ``-rtol * (1 + ||a||_op)``.
 
-    A matrix that holds or carries its eigensystem is read as it is.  Any
-    other is first offered to :func:`_cholesky_certifies`, which accepts
-    only a matrix whose smallest eigenvalue provably clears half that
-    slack; every other outcome runs the kernel.
+    The matrix is first offered to :func:`_cholesky_certifies`, which
+    accepts only a matrix whose smallest eigenvalue provably clears half
+    that slack; every other outcome reads the spectrum from
+    :func:`eig_hermitian`.
     """
-    if not {"_eigensystem", "_carried"} & a.__dict__.keys() and _cholesky_certifies(a, tol.rtol):
+    if _cholesky_certifies(a, tol.rtol):
         return True
     lam, slack = psd_margin(eig_hermitian(a), tol)
     return lam >= -slack

@@ -298,12 +298,12 @@ def check_trace_power_monotone(
     Hypotheses: x and y PSD, memberwise Loewner order, all members in the
     centralizer of the state, nonnegative exponents; both tuples are abelian
     by type.  A violated hypothesis produces an invalid verdict so campaign
-    statistics never count a malformed instance as confirmation, with one
-    exception: a negative exponent raises ``ValueError`` before any check runs.
+    statistics never count a malformed instance as confirmation; an exponent
+    that is negative, infinite or NaN is one.
     """
     p = tuple(float(v) for v in p)
-    if any(v < 0 for v in p):
-        raise ValueError(f"exponents must be nonnegative, got {p}")
+    if not all(0 <= v < math.inf for v in p):
+        return verdict.invalid("exponents must be finite and nonnegative")
     xs, ys = x.members, y.members
     if len(xs) != len(ys) or len(xs) != len(p):
         return verdict.invalid(f"arity mismatch: x {len(xs)}, y {len(ys)}, p {len(p)}")

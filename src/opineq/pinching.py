@@ -335,13 +335,14 @@ def reproduce_example1(c: float, t: float, lam: float, tol: Tolerance = DEFAULT_
 
     It passes iff every asserted claim holds; its gap is the order margin,
     the smallest eigenvalue of y - x, and ``detail`` also records both traces.
-    Parameters must satisfy ``0 < c < t`` and ``lam > c / (t - c)`` (which
-    makes x < y strict).
+    Parameters must satisfy ``0 < c < t < inf`` and ``c / (t - c) < lam <
+    inf`` (which makes x < y strict); others, NaN among them, give an
+    invalid verdict.
     """
-    if not (0 < c < t):
-        raise ValueError(f"need 0 < c < t, got c={c}, t={t}")
-    if lam <= c / (t - c):
-        raise ValueError(f"need lam > c/(t-c) = {c / (t - c)}, got {lam}")
+    if not 0 < c < t < math.inf:
+        return verdict.invalid("need 0 < c < t < inf")
+    if not c / (t - c) < lam < math.inf:
+        return verdict.invalid("need c/(t-c) < lam < inf")
     x = HermitianMatrix(np.full((2, 2), float(c), dtype=complex))
     y = diagonal([t, lam * t])
     x2 = HermitianMatrix(x.entries @ x.entries)

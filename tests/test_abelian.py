@@ -19,7 +19,7 @@ from opineq.abelian import (
     spectrum_in_cube,
     uniform_cube,
 )
-from opineq.harness import CampaignConfig, run_campaign
+from opineq.harness import CampaignConfig, gen_abelian_tuple, random_unitary, run_campaign
 from opineq.linalg import (
     EigenSystem,
     HermitianMatrix,
@@ -37,17 +37,6 @@ def _off_diagonal(dim, eps):
     off = np.zeros((dim, dim), dtype=complex)
     off[0, 1] = off[1, 0] = eps
     return off
-
-
-def random_commuting_tuple(rng, dim, n, lo=0.0, hi=2.0):
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    members = []
-    for _ in range(n):
-        lam = rng.uniform(lo, hi, dim)
-        members.append(HermitianMatrix((q * lam) @ q.conj().T))
-    return AbelianTuple(tuple(members))
 
 
 def tuple_with_spectra(rng, spectra):
@@ -113,18 +102,13 @@ class TestCommuting:
         assert not check_commuting([diagonal([1, 2]), HermitianMatrix([[0, 1], [1, np.nan]])])
 
 
-def random_unitary(rng, dim):
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return np.linalg.qr(z)[0]
-
-
 class TestAdmission:
     """An AbelianTuple is admitted by its joint spectrum, built once in the constructor."""
 
     def test_repeated_leading_eigenvalue_resolved_by_a_later_member(self, jacobi_runs):
         # member 0 repeats its eigenvalue 1; only the block refinement of
         # member 1 inside that cluster pairs 5 and 7 with it
-        q = random_unitary(np.random.default_rng(21), 4)
+        q = random_unitary(4, np.random.default_rng(21))
         spectra = ([1.0, 1.0, 2.0, 3.0], [5.0, 7.0, 6.0, 8.0])
         t = AbelianTuple(tuple(HermitianMatrix((q * np.array(s)) @ q.conj().T) for s in spectra))
         assert [a.dim for a in jacobi_runs] == [4, 2]  # member 0, then the 2x2 cluster block
@@ -136,7 +120,7 @@ class TestAdmission:
         rng = np.random.default_rng(22)
         for dim in range(2, 17):
             for _ in range(4):
-                u = random_commuting_tuple(rng, dim, 3).joint.basis
+                u = gen_abelian_tuple(dim, uniform_cube(3, 0.0, 2.0), rng).joint.basis
                 defect = np.linalg.norm(u.conj().T @ u - np.eye(dim))
                 assert defect <= 1e-14 * dim / 5
 
@@ -184,7 +168,7 @@ class TestAdmission:
         # admitted at rtol and some refused, and an admitted tuple's spectrum
         # is always readable at its own tol
         rng = np.random.default_rng(seed)
-        q = random_unitary(rng, dim)
+        q = random_unitary(dim, rng)
         tol = Tolerance(10.0**log_rtol)
         members = []
         for _ in range(n):
@@ -225,7 +209,8 @@ class TestJointDiagonalize:
     def test_reconstruction_of_members(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
-            t = random_commuting_tuple(rng, int(rng.integers(2, 7)), int(rng.integers(1, 5)))
+            dim, n = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+            t = gen_abelian_tuple(dim, uniform_cube(n, 0.0, 2.0), rng)
             js = joint_diagonalize(t)
             for i, x in enumerate(t.members):
                 rec = HermitianMatrix((js.basis * js.points[:, i]) @ js.basis.conj().T)
@@ -233,7 +218,7 @@ class TestJointDiagonalize:
 
     def test_eigenvalue_multisets_preserved(self):
         rng = np.random.default_rng(8)
-        t = random_commuting_tuple(rng, 5, 3)
+        t = gen_abelian_tuple(5, uniform_cube(3, 0.0, 2.0), rng)
         js = joint_diagonalize(t)
         for i, x in enumerate(t.members):
             mine = np.sort(js.points[:, i])
@@ -299,7 +284,7 @@ class TestJointDiagonalize:
             joint_diagonalize(t)
 
     def test_second_call_returns_the_memo(self, jacobi_runs):
-        t = random_commuting_tuple(np.random.default_rng(9), 4, 3)
+        t = gen_abelian_tuple(4, uniform_cube(3, 0.0, 2.0), np.random.default_rng(9))
         js = joint_diagonalize(t)
         del jacobi_runs[:]
         assert joint_diagonalize(t) is js
@@ -332,7 +317,7 @@ class TestCubeFunction:
 
     def test_coordinate_projection(self):
         rng = np.random.default_rng(9)
-        t = random_commuting_tuple(rng, 4, 3)
+        t = gen_abelian_tuple(4, uniform_cube(3, 0.0, 2.0), rng)
         for i in range(3):
             f = CubeFunction(f"coord{i}", uniform_cube(3, -1, 3), lambda s, i=i: s[i])
             out = apply_cube_function(f, t)
@@ -346,14 +331,14 @@ class TestCubeFunction:
 
     def test_output_commutes_with_members(self):
         rng = np.random.default_rng(10)
-        t = random_commuting_tuple(rng, 5, 2)
+        t = gen_abelian_tuple(5, uniform_cube(2, 0.0, 2.0), rng)
         f = CubeFunction("sum", uniform_cube(2, 0, 2), sum)
         out = apply_cube_function(f, t)
         assert check_commuting(list(t.members) + [out])
 
     def test_basis_covariance(self):
         rng = np.random.default_rng(11)
-        t = random_commuting_tuple(rng, 4, 2)
+        t = gen_abelian_tuple(4, uniform_cube(2, 0.0, 2.0), rng)
         f = CubeFunction("sumsq", uniform_cube(2, 0, 2), lambda s: s[0] ** 2 + s[1] ** 2)
         z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         q, _ = np.linalg.qr(z)

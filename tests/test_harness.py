@@ -143,6 +143,27 @@ class TestGenerators:
             gram = sum(w * a.conj().T @ a for w, a in zip(f.weights, f.matrices))
             assert np.linalg.norm(gram - np.eye(3)) <= 1e-10
 
+    def test_unital_field_redraws_a_near_singular_gram(self, monkeypatch):
+        # no draw at the campaign ranges comes near 1e-8 op_norm, so the first
+        # Gram matrix is swapped for a singular one as it is decomposed
+        real, grams = hz.eig_hermitian, []
+
+        def singular_once(a):
+            grams.append(a)
+            return real(diagonal([1.0] + [0.0] * (a.dim - 1)) if len(grams) == 1 else a)
+
+        monkeypatch.setattr(hz, "eig_hermitian", singular_once)
+        f = gen_unital_field(3, 2, np.random.default_rng(5))
+        monkeypatch.undo()
+        assert len(grams) == 2
+        gram = sum(w * a.conj().T @ a for w, a in zip(f.weights, f.matrices))
+        assert np.linalg.norm(gram - np.eye(3)) <= 1e-10
+        rng = np.random.default_rng(5)
+        gen_unital_field(3, 2, rng)  # the draw the singular Gram matrix refused
+        redraw = gen_unital_field(3, 2, rng)
+        assert f.weights == redraw.weights
+        assert all(np.array_equal(a, b) for a, b in zip(f.matrices, redraw.matrices))
+
     def test_tuple_field_shares_shape(self):
         tf = gen_tuple_field(3, 4, uniform_cube(2, 0, 1), seed=12)
         assert tf.count == 4 and tf.n == 2 and tf.dim == 3
@@ -391,6 +412,31 @@ class TestCampaigns:
         instance["lam"] = lam
         v = replay_instance(instance)
         assert v.invalid and v.detail["reason"] == "lambda outside [0, 1]"
+
+    @pytest.mark.parametrize("theorem, name, value", [
+        ("T2", "p", [-1.0, -1.0]), ("T2", "p", [math.nan, 1.0]),
+        ("EX1", "t", 0.5), ("EX1", "t", math.inf), ("EX1", "lam", 0.1), ("EX1", "lam", math.nan),
+    ])
+    def test_crafted_parameter_replays_as_invalid(self, theorem, name, value):
+        reason = {
+            "p": "exponents must be finite and nonnegative",
+            "t": "need 0 < c < t < inf",
+            "lam": "need c/(t-c) < lam < inf",
+        }[name]
+        cfg = CampaignConfig(theorem, 1, arity_range=(2, 2), seed=7)
+        entry = hz._THEOREMS[theorem]
+        instance = {"theorem": theorem, **entry.encode(entry.generate(cfg, instance_rng(cfg.seed, 0), 0))}
+        instance[name] = value
+        v = replay_instance(json.loads(json.dumps(instance)))
+        assert v.invalid and v.detail["reason"] == reason
+
+    def test_function_the_library_lacks_is_a_value_error(self):
+        cfg = CampaignConfig("T6", 1, seed=31)
+        entry = hz._THEOREMS["T6"]
+        instance = {"theorem": "T6", **entry.encode(entry.generate(cfg, instance_rng(cfg.seed, 0), 0))}
+        instance["function"] = {**instance["function"], "name": "no-such"}
+        with pytest.raises(ValueError, match="'no-such' not in the library"):
+            replay_instance(instance)
 
     def test_function_of_another_arity_replays_as_invalid(self):
         # a crafted T6 record: an arity-1 function on tuples of 2 members

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opineq import linalg
+from opineq.harness import random_unitary
 from opineq.linalg import (
     DEFAULT_TOL,
     HermitianMatrix,
@@ -26,15 +27,7 @@ from opineq.linalg import (
     zero,
 )
 
-
-def random_hermitian(rng, dim, scale=1.0):
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianMatrix(scale * z)
-
-
-def random_psd(rng, dim, scale=1.0):
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianMatrix(scale * z @ z.conj().T)
+from random_matrices import random_hermitian, random_psd, with_spectrum
 
 
 class TestConstruction:
@@ -155,17 +148,6 @@ class TestEig:
             ref = np.linalg.eigvalsh(h.entries)[::-1]
             for es in both_starts(h):
                 assert np.allclose(es.eigenvalues, ref, atol=1e-11 * (1 + np.max(np.abs(ref))))
-
-
-def unitary(rng, dim):
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def with_spectrum(rng, values):
-    q = unitary(rng, len(values))
-    return HermitianMatrix((q * np.asarray(values, dtype=float)) @ q.conj().T)
 
 
 def refuse_proposal(a):
@@ -395,7 +377,7 @@ class TestLapackStart:
     @pytest.mark.parametrize("poor", ["random-unitary", "rotated"])
     def test_poor_basis_costs_sweeps_not_accuracy(self, monkeypatch, poor, m):
         rng = np.random.default_rng(900 + m)
-        fn = (lambda q: unitary(rng, m)) if poor == "random-unitary" else lambda q: rotated(q, 1e-4)
+        fn = (lambda q: random_unitary(m, rng)) if poor == "random-unitary" else lambda q: rotated(q, 1e-4)
         monkeypatch.setattr(linalg, "_lapack_basis", proposing(fn))
         for k in ("rank-one", "clustered", "complex"):
             h = kind_matrix(k, m, 900 + m)

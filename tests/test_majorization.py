@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from opineq import abelian
 from opineq.abelian import AbelianTuple, CubeFunction, uniform_cube
-from opineq.harness import gen_tuple_field
+from opineq.harness import gen_abelian_tuple, gen_tuple_field, random_frame, random_unitary
 from opineq.linalg import HermitianMatrix, diagonal, eig_hermitian, identity
 from opineq.majorization import (
     check_corollary,
@@ -22,36 +22,14 @@ from opineq.majorization import (
 )
 from opineq.pinching import ColumnField, TupleField, compress
 
+from random_matrices import random_hermitian
+
 MAX2 = CubeFunction("max", uniform_cube(2, 0, 2), max, convex=True, separately_increasing=True)
 SQ1 = CubeFunction("sq", uniform_cube(1, -3, 3), lambda s: s[0] ** 2, convex=True)
 SUMEXP2 = CubeFunction(
     "sumexp", uniform_cube(2, 0, 2), lambda s: math.exp(s[0]) + math.exp(s[1]),
     convex=True, separately_increasing=True,
 )
-
-
-def random_hermitian(rng, dim, scale=1.0):
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianMatrix(scale * z)
-
-
-def random_unitary(rng, dim):
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_abelian(rng, dim, n, lo=0.0, hi=2.0):
-    q = random_unitary(rng, dim)
-    return AbelianTuple(
-        tuple(HermitianMatrix((q * rng.uniform(lo, hi, dim)) @ q.conj().T) for _ in range(n))
-    )
-
-
-def random_frame(rng, dim, k):
-    z = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
-    q, _ = np.linalg.qr(z)
-    return q[:, :k]
 
 
 class TestPartialSums:
@@ -124,7 +102,7 @@ class TestKyFan:
             dim = int(rng.integers(1, 9))
             a = random_hermitian(rng, dim, scale=float(rng.uniform(0.2, 4)))
             k = int(rng.integers(1, dim + 1))
-            v = kyfan_check(a, random_frame(rng, dim, k))
+            v = kyfan_check(a, random_frame(dim, k, rng))
             assert v.passed, v
 
     def test_non_orthonormal_invalid(self):
@@ -142,13 +120,13 @@ class TestKyFan:
         k = 2
         best = -np.inf
         for _ in range(200):
-            u = random_frame(rng, 5, k)
+            u = random_frame(5, k, rng)
             v = kyfan_check(a, u)
             assert v.passed
             best = max(best, v.detail["lhs"])
         assert best <= v.detail["rhs"] + 1e-9
         # frames seeded near the top eigenspace approach equality
-        perturbed, _ = np.linalg.qr(es.basis[:, :k] + 1e-4 * random_frame(rng, 5, k))
+        perturbed, _ = np.linalg.qr(es.basis[:, :k] + 1e-4 * random_frame(5, k, rng))
         near = kyfan_check(a, perturbed[:, :k])
         assert near.detail["rhs"] - near.detail["lhs"] <= 1e-5 * (1 + abs(near.detail["rhs"]))
 
@@ -161,22 +139,22 @@ class TestThm5:
         for _ in range(100):
             dim, count = int(rng.integers(2, 5)), int(rng.integers(1, 4))
             field = random_field(rng, dim, count)
-            tf = TupleField(tuple(random_abelian(rng, dim, 1, -2.0, 2.0) for _ in range(count)))
+            tf = gen_tuple_field(dim, count, uniform_cube(1, -2.0, 2.0), rng)
             v = check_thm5(SQ1, field, tf)
             assert v.passed, v
 
     def test_single_unitary_atom_equality(self):
         rng = np.random.default_rng(8)
-        u = random_unitary(rng, 4)
+        u = random_unitary(4, rng)
         field = ColumnField((1.0,), (u,))
-        tf = TupleField((random_abelian(rng, 4, 2),))
+        tf = gen_tuple_field(4, 1, uniform_cube(2, 0.0, 2.0), rng)
         v = check_thm5(MAX2, field, tf)
         assert v.passed and abs(v.gap) <= 1e-8
 
     def test_probability_mixture_of_commuting_atoms(self):
         # all atoms diagonal in one basis: the averaged-tuple inequality
         rng = np.random.default_rng(9)
-        q = random_unitary(rng, 3)
+        q = random_unitary(3, rng)
         atoms = tuple(
             AbelianTuple(
                 tuple(HermitianMatrix((q * rng.uniform(0, 2, 3)) @ q.conj().T) for _ in range(2))
@@ -197,14 +175,14 @@ class TestThm5:
         from tests.test_pinching import random_field
 
         field = random_field(rng, 3, 2)
-        tf = TupleField(tuple(random_abelian(rng, 3, 2) for _ in range(2)))
+        tf = gen_tuple_field(3, 2, uniform_cube(2, 0.0, 2.0), rng)
         v = check_thm5(MAX2, field, tf)
         assert v.invalid
         assert v.detail["reason"] == "compression is not abelian"
 
     def test_commutation_tested_once(self, monkeypatch):
         rng = np.random.default_rng(9)
-        q = random_unitary(rng, 3)
+        q = random_unitary(3, rng)
         atoms = tuple(
             AbelianTuple(
                 tuple(HermitianMatrix((q * rng.uniform(0, 2, 3)) @ q.conj().T) for _ in range(2))
@@ -244,7 +222,7 @@ class TestCorollary:
 
     def test_endpoints_trivial(self):
         rng = np.random.default_rng(11)
-        q = random_unitary(rng, 3)
+        q = random_unitary(3, rng)
         mk = lambda: AbelianTuple(
             tuple(HermitianMatrix((q * rng.uniform(0, 2, 3)) @ q.conj().T) for _ in range(2))
         )
@@ -271,8 +249,8 @@ class TestCorollary:
 
     def test_incompatible_pair_invalid(self):
         rng = np.random.default_rng(13)
-        x = random_abelian(rng, 3, 2)
-        y = random_abelian(rng, 3, 2)
+        x = gen_abelian_tuple(3, uniform_cube(2, 0.0, 2.0), rng)
+        y = gen_abelian_tuple(3, uniform_cube(2, 0.0, 2.0), rng)
         v = check_corollary(MAX2, x, y, 0.5)
         assert v.invalid
 
@@ -318,7 +296,7 @@ class TestCorollary:
 
     def test_lambda_out_of_range(self):
         rng = np.random.default_rng(14)
-        x = random_abelian(rng, 2, 1)
+        x = gen_abelian_tuple(2, uniform_cube(1, 0.0, 2.0), rng)
         for lam in (1.5, -0.5, math.nan):
             v = check_corollary(SQ1, x, x, lam)
             assert v.invalid and v.detail["reason"] == "lambda outside [0, 1]"
@@ -327,13 +305,13 @@ class TestCorollary:
 class TestThm6:
     def test_equal_tuples(self):
         rng = np.random.default_rng(15)
-        x = random_abelian(rng, 4, 2)
+        x = gen_abelian_tuple(4, uniform_cube(2, 0.0, 2.0), rng)
         v = check_thm6(MAX2, x, x)
         assert v.passed and abs(v.gap) <= 1e-10
 
     def test_one_variable_rotated(self):
         rng = np.random.default_rng(16)
-        q = random_unitary(rng, 2)
+        q = random_unitary(2, rng)
         x = AbelianTuple((HermitianMatrix((q * np.array([1.0, 0.0])) @ q.conj().T),))
         y = AbelianTuple((x.members[0] + identity(2),))
         f = CubeFunction("sq+", uniform_cube(1, 0, 3), lambda s: s[0] ** 2,
@@ -344,8 +322,8 @@ class TestThm6:
         rng = np.random.default_rng(17)
         for _ in range(500):
             dim, n = int(rng.integers(2, 7)), int(rng.integers(1, 3))
-            x = random_abelian(rng, dim, n, 0.0, 0.6)
-            y = random_abelian(rng, dim, n, 0.8, 2.0)
+            x = gen_abelian_tuple(dim, uniform_cube(n, 0.0, 0.6), rng)
+            y = gen_abelian_tuple(dim, uniform_cube(n, 0.8, 2.0), rng)
             f = SUMEXP2 if n == 2 else CubeFunction(
                 "exp", uniform_cube(1, 0, 2), lambda s: math.exp(s[0]),
                 convex=True, separately_increasing=True,

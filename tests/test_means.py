@@ -505,8 +505,9 @@ class TestTracePowerMonotone:
 
     def test_exponent_vector_validation(self):
         x = AbelianTuple((diagonal([1, 2]), diagonal([1, 1])))
-        with pytest.raises(ValueError, match="exponents must be nonnegative"):
-            check_trace_power_monotone(x, x, (1.0, -0.5), DiagonalState.uniform(2))
+        for p in ((1.0, -0.5), (math.nan, 1.0), (1.0, math.inf)):
+            v = check_trace_power_monotone(x, x, p, DiagonalState.uniform(2))
+            assert v.invalid and v.detail["reason"] == "exponents must be finite and nonnegative"
 
     # n = 1: the one-variable lemma phi(x^p) <= phi(y^p) in the centralizer
 

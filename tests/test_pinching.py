@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from opineq.abelian import AbelianTuple, CubeFunction, check_commuting, uniform_cube
+from opineq.harness import gen_abelian_tuple, gen_tuple_field, random_unitary
 from opineq.linalg import HermitianMatrix, diagonal, eig_hermitian, identity
 from opineq.pinching import (
     ColumnField,
@@ -37,19 +38,6 @@ GEO2 = CubeFunction(
     "geomean", uniform_cube(2, 0, 2), lambda s: math.sqrt(s[0] * s[1]),
     concave=True, separately_increasing=True,
 )
-
-
-def random_unitary(rng, dim):
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_abelian(rng, dim, n, lo=0.0, hi=2.0):
-    q = random_unitary(rng, dim)
-    return AbelianTuple(
-        tuple(HermitianMatrix((q * rng.uniform(lo, hi, dim)) @ q.conj().T) for _ in range(n))
-    )
 
 
 def random_field(rng, dim, count):
@@ -125,7 +113,7 @@ class TestDiagonalState:
 class TestCompress:
     def test_identity_atom(self):
         rng = np.random.default_rng(2)
-        t = random_abelian(rng, 3, 2)
+        t = gen_abelian_tuple(3, uniform_cube(2, 0.0, 2.0), rng)
         field = ColumnField((1.0,), (np.eye(3, dtype=complex),))
         members = compress(field, TupleField((t,)))
         for got, want in zip(members, t.members):
@@ -142,8 +130,8 @@ class TestCompress:
 
     def test_unitary_atom_preserves_commutation(self):
         rng = np.random.default_rng(3)
-        t = random_abelian(rng, 4, 3)
-        u = random_unitary(rng, 4)
+        t = gen_abelian_tuple(4, uniform_cube(3, 0.0, 2.0), rng)
+        u = random_unitary(4, rng)
         field = ColumnField((1.0,), (u,))
         members = compress(field, TupleField((t,)))
         assert check_commuting(members)
@@ -151,8 +139,8 @@ class TestCompress:
 
     def test_conjugate_sum_is_the_unital_map(self):
         rng = np.random.default_rng(7)
-        u = random_unitary(rng, 3)
-        m = random_abelian(rng, 3, 1).members[0]
+        u = random_unitary(3, rng)
+        m = gen_abelian_tuple(3, uniform_cube(1, 0.0, 2.0), rng).members[0]
         got = ColumnField((1.0,), (u,)).conjugate_sum([m])
         assert np.allclose(got.entries, u.conj().T @ m.entries @ u)
 
@@ -169,7 +157,7 @@ class TestCompress:
 
     def test_misaligned_rejected(self):
         rng = np.random.default_rng(4)
-        t = random_abelian(rng, 2, 1)
+        t = gen_abelian_tuple(2, uniform_cube(1, 0.0, 2.0), rng)
         field = ColumnField((1.0,), (np.eye(2, dtype=complex),))
         # compress leaves the atom count to ColumnField.conjugate_sum
         with pytest.raises(ValueError, match="2 matrices for a field of 1 atoms"):
@@ -188,7 +176,7 @@ class TestSpectralMeasure:
 
     def test_joint_eigenvector_gives_dirac(self):
         rng = np.random.default_rng(5)
-        t = random_abelian(rng, 3, 2)
+        t = gen_abelian_tuple(3, uniform_cube(2, 0.0, 2.0), rng)
         from opineq.abelian import joint_diagonalize
 
         js = joint_diagonalize(t)
@@ -204,7 +192,7 @@ class TestSpectralMeasure:
         for _ in range(30):
             dim, n, count = int(rng.integers(2, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
             field = random_field(rng, dim, count)
-            tf = TupleField(tuple(random_abelian(rng, dim, n) for _ in range(count)))
+            tf = gen_tuple_field(dim, count, uniform_cube(n, 0.0, 2.0), rng)
             xi = random_unit(rng, dim)
             support, masses = build_mu_xi(field, tf, xi)
             assert abs(masses.sum() - 1.0) <= 1e-10
@@ -239,7 +227,7 @@ class TestJensenExpectation:
     def test_affine_equality(self):
         rng = np.random.default_rng(7)
         field = random_field(rng, 4, 3)
-        tf = TupleField(tuple(random_abelian(rng, 4, 2) for _ in range(3)))
+        tf = gen_tuple_field(4, 3, uniform_cube(2, 0.0, 2.0), rng)
         v = check_jensen_expectation(AFFINE2, field, tf, random_unit(rng, 4))
         assert v.passed and abs(v.gap) <= 1e-9
 
@@ -259,7 +247,7 @@ class TestJensenExpectation:
         for _ in range(200):
             dim, count = int(rng.integers(2, 5)), int(rng.integers(1, 4))
             field = random_field(rng, dim, count)
-            tf = TupleField(tuple(random_abelian(rng, dim, 2) for _ in range(count)))
+            tf = gen_tuple_field(dim, count, uniform_cube(2, 0.0, 2.0), rng)
             v = check_jensen_expectation(f, field, tf, random_unit(rng, dim))
             assert v.passed, v
             assert abs(v.detail["mu_mass"] - 1.0) <= 1e-10
@@ -269,7 +257,7 @@ class TestJensenExpectation:
     def test_nonconvex_flag_invalid(self):
         rng = np.random.default_rng(9)
         field = random_field(rng, 3, 2)
-        tf = TupleField(tuple(random_abelian(rng, 3, 2) for _ in range(2)))
+        tf = gen_tuple_field(3, 2, uniform_cube(2, 0.0, 2.0), rng)
         v = check_jensen_expectation(GEO2, field, tf, random_unit(rng, 3))
         assert v.invalid
 
@@ -310,7 +298,7 @@ class TestMondPecaric:
         rng = np.random.default_rng(11)
         for _ in range(25):
             dim = int(rng.integers(2, 5))
-            t = random_abelian(rng, dim, 2)
+            t = gen_abelian_tuple(dim, uniform_cube(2, 0.0, 2.0), rng)
             xi = random_unit(rng, dim)
             direct = check_mond_pecaric(SUMSQ2, t, xi)
             field = ColumnField((1.0,), (np.eye(dim, dtype=complex),))
@@ -336,7 +324,7 @@ class TestPhiJensenField:
         for _ in range(200):
             dim, count = int(rng.integers(2, 6)), int(rng.integers(1, 4))
             field = random_field(rng, dim, count)
-            tf = TupleField(tuple(random_abelian(rng, dim, 2) for _ in range(count)))
+            tf = gen_tuple_field(dim, count, uniform_cube(2, 0.0, 2.0), rng)
             rho = DiagonalState(rng.uniform(0.1, 2.0, dim))
             v = check_phi_jensen_field(f, field, tf, rho)
             assert v.passed, v
@@ -347,7 +335,7 @@ class TestPhiJensenField:
         rng = np.random.default_rng(14)
         dim = 3
         field = random_field(rng, dim, 2)
-        tf = TupleField(tuple(random_abelian(rng, dim, 2) for _ in range(2)))
+        tf = gen_tuple_field(dim, 2, uniform_cube(2, 0.0, 2.0), rng)
         xi = np.zeros(dim, dtype=complex)
         xi[0] = 1.0
         vector = check_jensen_expectation(SUMSQ2, field, tf, xi)
@@ -375,7 +363,7 @@ class TestPhiConcaveJensen:
         rng = np.random.default_rng(15)
         for _ in range(300):
             dim = int(rng.integers(2, 6))
-            t = random_abelian(rng, dim, 2)
+            t = gen_abelian_tuple(dim, uniform_cube(2, 0.0, 2.0), rng)
             rho = DiagonalState(rng.uniform(0.1, 2.0, dim))
             v = check_phi_concave_jensen(GEO2, t, rho)
             assert v.passed, v
@@ -402,7 +390,7 @@ class TestPhiMonotoneChain:
         rng = np.random.default_rng(16)
         for _ in range(300):
             dim, n = int(rng.integers(2, 6)), int(rng.integers(1, 3))
-            x = random_abelian(rng, dim, n, 0.0, 0.6)
+            x = gen_abelian_tuple(dim, uniform_cube(n, 0.0, 0.6), rng)
             y = AbelianTuple(tuple(diagonal(rng.uniform(0.8, 2.0, dim)) for _ in range(n)))
             rho = DiagonalState(rng.uniform(0.1, 2.0, dim))
             f = GEO2 if n == 2 else SQRT1
@@ -449,10 +437,15 @@ class TestExample1:
             assert v.detail["claims"]["trace_square_identity"]
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            reproduce_example1(1.0, 0.9, 10.0)
-        with pytest.raises(ValueError):
-            reproduce_example1(1.0, 1.3, 3.0)
+        # t <= c, lam <= c/(t-c), and NaN or infinite parameters
+        for c, t, lam in (
+            (1.0, 0.9, 10.0), (1.0, 0.5, 3.0), (1.0, math.inf, 3.0), (math.nan, 1.3, 3.4)
+        ):
+            v = reproduce_example1(c, t, lam)
+            assert v.invalid and v.detail["reason"] == "need 0 < c < t < inf"
+        for lam in (3.0, 0.1, math.nan, math.inf):
+            v = reproduce_example1(1.0, 1.3, lam)
+            assert v.invalid and v.detail["reason"] == "need c/(t-c) < lam < inf"
 
     def test_trace_values_match_closed_forms(self):
         c, t, lam = 1.0, 1.3, 3.4

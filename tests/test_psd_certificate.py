@@ -29,12 +29,9 @@ from opineq.linalg import (
     zero,
 )
 
+from random_matrices import with_spectrum
+
 RTOL = DEFAULT_TOL.rtol
-
-
-def with_spectrum(rng, values):
-    q = random_unitary(len(values), rng)
-    return HermitianMatrix((q * np.asarray(values, dtype=float)) @ q.conj().T)
 
 
 def certified(a, rtol=RTOL):
@@ -102,16 +99,21 @@ class TestFallback:
         assert len(jacobi_runs) == 3
 
     def test_held_or_carried_spectrum_is_read(self, monkeypatch, jacobi_runs):
-        def refuse(c):
-            raise AssertionError("no factor for a matrix with a known spectrum")
+        # the certificate is asked first; once it declines, the spectrum the
+        # matrix holds or carries is read, with no kernel run
+        asked = []
+
+        def decline(c):
+            asked.append(c)
+            raise np.linalg.LinAlgError("declined")
 
         a = with_spectrum(np.random.default_rng(5), [3.0, 2.0, 1.0])
         eig_hermitian(a)
         root = matrix_power(a, 0.5)
         del jacobi_runs[:]
-        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        monkeypatch.setattr(np.linalg, "cholesky", decline)
         assert is_psd(a) and is_psd(root)
-        assert jacobi_runs == []
+        assert len(asked) == 2 and jacobi_runs == []
 
 
 class TestCertified:

@@ -48,22 +48,14 @@ from opineq.majorization import check_corollary, check_thm6
 from opineq.means import check_lowner_heinz, geometric_mean
 from opineq.pinching import TupleField
 
+from random_matrices import random_hermitian, random_psd
+
 MAX2 = CubeFunction("max", uniform_cube(2, 0, 2), max, convex=True, separately_increasing=True)
 SUMEXP2 = CubeFunction(
     "sumexp", uniform_cube(2, 0, 2), lambda s: math.exp(s[0]) + math.exp(s[1]),
     convex=True, separately_increasing=True,
 )
 SCALAR_FUNCTIONS = (math.exp, math.sin, abs, lambda t: t**3, lambda t: -t)
-
-
-def random_hermitian(rng, dim):
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianMatrix(z)
-
-
-def random_psd(rng, dim, rank=None):
-    z = rng.standard_normal((dim, rank or dim)) + 1j * rng.standard_normal((dim, rank or dim))
-    return HermitianMatrix(z @ z.conj().T)
 
 
 def assert_accurate(out: HermitianMatrix) -> None:
