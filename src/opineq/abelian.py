@@ -7,6 +7,7 @@ that basis.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -52,12 +53,8 @@ def check_commuting(members: Sequence[HermitianMatrix], tol: Tolerance = DEFAULT
     dims = {m.dim for m in members}
     if len(dims) > 1:
         raise ValueError(f"members have mixed dimensions: {sorted(dims)}")
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            bound = tol.rtol * (1.0 + members[i].norm() * members[j].norm())
-            if not commutator_norm(members[i], members[j]) <= bound:
-                return False
-    return True
+    pairs = itertools.combinations(members, 2)
+    return all(commutator_norm(a, b) <= tol.rtol * (1.0 + a.norm() * b.norm()) for a, b in pairs)
 
 
 @dataclass(frozen=True)
@@ -150,9 +147,7 @@ class Cube:
     def clip(self, point: Sequence[float]) -> tuple[float, ...]:
         if len(point) != self.arity:
             raise ValueError(f"a point of {len(point)} coordinates on a cube of arity {self.arity}")
-        return tuple(
-            min(max(float(s), lo), hi) for s, (lo, hi) in zip(point, self.intervals)
-        )
+        return tuple(min(max(float(s), lo), hi) for s, (lo, hi) in zip(point, self.intervals))
 
 
 def uniform_cube(n: int, lo: float, hi: float) -> Cube:
@@ -305,10 +300,9 @@ def check_compatible(x: AbelianTuple, y: AbelianTuple, tol: Tolerance = DEFAULT_
     xs, ys = x.members, y.members
     if x.n != y.n or x.dim != y.dim:
         raise ValueError(f"shape mismatch: arity {x.n}, dim {x.dim} vs arity {y.n}, dim {y.dim}")
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            d = xs[i].entries @ ys[j].entries - xs[j].entries @ ys[i].entries
-            scale = 1.0 + xs[i].norm() * ys[j].norm() + xs[j].norm() * ys[i].norm()
-            if not np.linalg.norm(d - d.conj().T) <= tol.rtol * scale:
-                return False
+    for i, j in itertools.combinations(range(len(xs)), 2):
+        d = xs[i].entries @ ys[j].entries - xs[j].entries @ ys[i].entries
+        scale = 1.0 + xs[i].norm() * ys[j].norm() + xs[j].norm() * ys[i].norm()
+        if not np.linalg.norm(d - d.conj().T) <= tol.rtol * scale:
+            return False
     return True

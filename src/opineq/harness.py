@@ -299,18 +299,6 @@ def _deser_c(d: dict) -> np.ndarray:
     return np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
 
 
-def _ser_tuple(t: AbelianTuple) -> list:
-    return [_ser_c(m.entries) for m in t.members]
-
-
-def _deser_tuple(data: list, tol: Tolerance) -> AbelianTuple:
-    return AbelianTuple(tuple(HermitianMatrix(_deser_c(d)) for d in data), tol)
-
-
-def _ser_func(f: CubeFunction) -> dict:
-    return {"name": f.name, "arity": f.arity, "cube": [list(iv) for iv in f.domain.intervals]}
-
-
 def _deser_func(d: dict) -> CubeFunction:
     cube = Cube(tuple(tuple(iv) for iv in d["cube"]))
     if cube.arity != d["arity"]:
@@ -319,27 +307,6 @@ def _deser_func(d: dict) -> CubeFunction:
         if f.name == d["name"]:
             return f
     raise ValueError(f"function {d['name']!r} not in the library for this cube")
-
-
-def _ser_field(field_: ColumnField) -> dict:
-    return {
-        "weights": list(field_.weights),
-        "matrices": [_ser_c(a) for a in field_.matrices],
-    }
-
-
-def _deser_field(d: dict, tol: Tolerance) -> ColumnField:
-    return ColumnField(
-        tuple(d["weights"]), tuple(_deser_c(m) for m in d["matrices"]), tol
-    )
-
-
-def _ser_tf(tf: TupleField) -> list:
-    return [_ser_tuple(t) for t in tf.atoms]
-
-
-def _deser_tf(data: list, tol: Tolerance) -> TupleField:
-    return TupleField(tuple(_deser_tuple(t, tol) for t in data))
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +335,8 @@ def _pick_function(cfg, rng, cube) -> CubeFunction:
 
 def _random_partition(rng, dim) -> tuple[int, ...]:
     blocks = []
-    remaining = dim
-    while remaining > 0:
-        b = int(rng.integers(1, remaining + 1))
-        blocks.append(b)
-        remaining -= b
+    while sum(blocks) < dim:
+        blocks.append(int(rng.integers(1, dim - sum(blocks) + 1)))
     return tuple(blocks)
 
 
@@ -510,13 +474,25 @@ def _check_t3(a, tol) -> Verdict:
 # ---------------------------------------------------------------------------
 
 # (encode, decode) pairs; every decoder takes the replay tolerance
-_FUNCTION = (_ser_func, lambda d, tol: _deser_func(d))
-_TUPLE = (_ser_tuple, _deser_tuple)
+_FUNCTION = (
+    lambda f: {"name": f.name, "arity": f.arity, "cube": [list(iv) for iv in f.domain.intervals]},
+    lambda d, tol: _deser_func(d),
+)
 _STATE = (lambda rho: rho.weights.tolist(), lambda d, tol: DiagonalState(np.asarray(d)))
 _MATRIX = (lambda m: _ser_c(m.entries), lambda d, tol: HermitianMatrix(_deser_c(d)))
 _ARRAY = (_ser_c, lambda d, tol: _deser_c(d))
-_FIELD = (_ser_field, _deser_field)
-_ATOMS = (_ser_tf, _deser_tf)
+_TUPLE = (
+    lambda t: [_MATRIX[0](m) for m in t.members],
+    lambda d, tol: AbelianTuple(tuple(_MATRIX[1](m, tol) for m in d), tol),
+)
+_ATOMS = (
+    lambda tf: [_TUPLE[0](t) for t in tf.atoms],
+    lambda d, tol: TupleField(tuple(_TUPLE[1](t, tol) for t in d)),
+)
+_FIELD = (
+    lambda f: {"weights": list(f.weights), "matrices": [_ser_c(a) for a in f.matrices]},
+    lambda d, tol: ColumnField(tuple(d["weights"]), tuple(_deser_c(m) for m in d["matrices"]), tol),
+)
 _SCALAR = (lambda v: v, lambda d, tol: d)
 
 

@@ -25,7 +25,8 @@ _EPS = float(np.finfo(float).eps)
 
 class JacobiConvergenceError(RuntimeError):
     """No spectrum: the input's Frobenius norm is not finite (a NaN or infinite entry, or
-    an overflow), or the off-diagonal threshold was not reached within the sweep cap."""
+    an overflow), or the off-diagonal threshold was not reached within the sweep cap; or
+    no geometric mean: the polar factor failed its checks (:func:`_polar_mean`)."""
 
 
 class SpectrumDomainError(ValueError):
@@ -359,27 +360,35 @@ def _cholesky_certifies(a: HermitianMatrix, rtol: float) -> bool:
     """True only if a checked Cholesky factor proves ``lambda_min(a) >= -s/2``.
 
     Here ``s = rtol * (1 + ||a||_F / sqrt(m))``, at most :func:`is_psd`'s
-    slack since ``||a||_op >= ||a||_F / sqrt(m)``.  LAPACK factors
-    ``c = a + sigma I`` with ``sigma = s/4`` and stays untrusted: ``L L*`` is
-    PSD for any ``L`` it returns, so by Weyl ``lambda_min(a) >= -sigma -
-    ||L L* - c||_F``, and the claim holds once that exact residual, bounded
-    from computed values by :func:`_residual_bound` (Rump, BIT 46, 2006),
-    is at most ``sigma``; ``||c||_F <= ||a||_F + sigma sqrt(m)``.  ``False``
-    means unknown: ``rtol = 0``, a norm that is not finite, a
+    slack since ``||a||_op >= ||a||_F / sqrt(m)``.  With ``sigma = s/4``,
+    LAPACK's untrusted factor of ``a + sigma I`` gives ``lambda_min(a) >=
+    -sigma - bound`` (:func:`_shifted_cholesky_residual`; Rump, BIT 46,
+    2006), so the claim holds once that bound is at most ``sigma``.
+    ``False`` means unknown: ``rtol = 0``, a norm that is not finite, a
     ``LinAlgError``, a non-finite value or too large a residual.
     """
-    m = a.dim
-    sigma = rtol * (1.0 + a.norm() / math.sqrt(m)) / 4.0
-    if not 0.0 < sigma < math.inf:
-        return False
-    c = np.array(a.entries)
-    c.flat[:: m + 1] += sigma
+    sigma = rtol * (1.0 + a.norm() / math.sqrt(a.dim)) / 4.0
+    # False on NaN
+    return 0.0 < sigma < math.inf and _shifted_cholesky_residual(a.entries, a.norm(), sigma) <= sigma
+
+
+def _shifted_cholesky_residual(a: np.ndarray, norm: float, shift: float) -> float:
+    """Bound on the exact ``||L L* - c||_F`` for LAPACK's Cholesky factor ``L`` of ``c = a + shift I``.
+
+    ``a`` is Hermitian with Frobenius norm ``norm``.  ``L L*`` is PSD for
+    any ``L``, so ``lambda_min(a) >= -shift - bound`` by Weyl, whatever
+    LAPACK returns.  The bound is :func:`_residual_bound`'s, with ``||c||_F
+    <= norm + |shift| sqrt(m)``.  A ``LinAlgError`` gives inf, a non-finite
+    value NaN or inf.
+    """
+    c = np.array(a)
+    c.flat[:: len(a) + 1] += shift
     try:
         low = np.linalg.cholesky(c)
     except np.linalg.LinAlgError:
-        return False
-    scale = float(np.vdot(low, low).real) + a.norm() + sigma * math.sqrt(m)
-    return _residual_bound(low @ low.conj().T - c, scale) <= sigma  # False on NaN
+        return math.inf
+    scale = float(np.vdot(low, low).real) + norm + abs(shift) * math.sqrt(len(a))
+    return _residual_bound(low @ low.conj().T - c, scale)
 
 
 def _cholesky_certificate(a: HermitianMatrix) -> tuple:
@@ -419,6 +428,72 @@ def _cholesky_certificate(a: HermitianMatrix) -> tuple:
                     cert = _freeze(low), _freeze(inv), floor
         object.__setattr__(a, "_cholesky", cert)
     return cert
+
+
+def _polar_mean(f_x: np.ndarray, g_x: np.ndarray, f_y: np.ndarray) -> HermitianMatrix:
+    """``G = F_x U* F_y*``, the mean of ``x = F_x F_x*`` and ``y = F_y F_y*`` for ``g_x ~ F_x^-1``; checked.
+
+    ``U`` is the unitary polar factor of ``N = F_y* g_x*`` (Higham,
+    *Functions of Matrices*, 2008, ch. 8); LAPACK's SVD ``W S V*`` of ``N``
+    only proposes it, as ``W V*``.  With ``e = (m^2 + 2m + 8) eps``, the
+    coefficient of :func:`_residual_bound`, and ``s = ||F_x||_F ||g_x||_F``,
+    the Hermitian ``G`` is kept only if
+
+    * the computed ``||U* U - I||_F`` is at most ``2 m e``, so by the
+      argument of :func:`_residual_bound` the exact one is below ``4 m e``
+      (``||U||_F^2 <= m + sqrt(m) ||U* U - I||_F``);
+    * the bound on the Riccati residual ``||(g_x G)* (g_x G) - F_y F_y*||_F``
+      is at most ``8 e s ||F_y||_F^2``, a finite number; and
+    * the :func:`_shifted_cholesky_residual` of ``G - tau I``, for ``tau = 2
+      e (1 + sqrt(m)) ||G||_F``, is below ``tau``, which proves
+      ``lambda_min(G) > 0``.
+
+    Sound whatever LAPACK returns: with ``x' = (g_x* g_x)^-1`` and ``y' =
+    (g_x G)* (g_x G)``, ``G`` solves the Riccati equation ``G x'^-1 G = y'``,
+    whose one positive definite solution is the mean of ``x'`` and ``y'``;
+    ``x'`` is ``x`` up to the defect of ``g_x F_x``, and ``y'`` lies within
+    the second bound of ``y``.  A ``U`` that is not unitary fails the first
+    check; one that leaves ``U* N`` off Hermitian leaves ``G`` off the
+    equation; one that makes ``U* N`` Hermitian but indefinite (a singular
+    vector's sign flipped) leaves ``G`` indefinite.
+
+    Why a right ``U`` passes: rounded, it makes ``U* N`` Hermitian to about
+    the rounding of ``N``, ``e ||g_x||_F ||F_y||_F / 2``.  As ``g_x F_x = I``
+    to rounding, ``g_x G`` is ``U* F_y*`` plus at most about ``1.5 e s
+    ||F_y||_F`` from that and from forming and halving ``G``, so the exact
+    residual is at most about ``3.5 e s ||F_y||_F^2``.  The test adds ``e``
+    times its scale ``||p||_F^2 + 2 ||p||_F ||g_x||_F ||G||_F + ||F_y||_F^2
+    <= 4 s ||F_y||_F^2`` for ``p = fl(g_x G)`` (the middle term covers the
+    rounding of ``p``; ``s >= ||g_x F_x||_F ~ sqrt(m)``), so a right proposal
+    uses about half of that budget at most; a rounded unitary's computed
+    defect is about ``m eps``, far below ``2 m e``.  The factor of a right
+    ``G`` leaves about ``e (||L||_F^2 + ||G||_F) <= e (1 + sqrt(m)) ||G||_F =
+    tau / 2``, and LAPACK factors ``G - tau I`` once ``lambda_min(G) >
+    tau``: both routes of :func:`opineq.means.geometric_mean` give
+    ``lambda_min(G) > 1e-10 (1 + ||x|| + ||y||) >= 2e-10 ||G||_F / sqrt(m)``,
+    above ``tau`` up to ``m = 64``.  No SVD, or a failed check, raises
+    :class:`JacobiConvergenceError`.
+    """
+    m = len(f_x)
+    e = (m * m + 2 * m + 8) * _EPS
+    try:
+        w, _, vh = np.linalg.svd(f_y.conj().T @ g_x.conj().T)
+    except np.linalg.LinAlgError as exc:
+        raise JacobiConvergenceError(f"no polar factor on a {m}x{m} pair: {exc}") from exc
+    u = w @ vh
+    gm = HermitianMatrix(f_x @ u.conj().T @ f_y.conj().T)
+    p = g_x @ gm.entries
+    p2, fx2, gx2, fy2, g2 = (float(np.vdot(a, a).real) for a in (p, f_x, g_x, f_y, gm.entries))
+    unitary = _unitary_defect(u)
+    scale = p2 + 2.0 * math.sqrt(p2 * gx2 * g2) + fy2
+    riccati = _residual_bound(p.conj().T @ p - f_y @ f_y.conj().T, scale)
+    budget = 8.0 * e * math.sqrt(fx2 * gx2) * fy2
+    tau = 2.0 * e * (1.0 + math.sqrt(m)) * math.sqrt(g2)
+    definite = _shifted_cholesky_residual(gm.entries, math.sqrt(g2), -tau)
+    if not (unitary <= 2 * m * e and riccati <= budget < math.inf and definite < tau):
+        raise JacobiConvergenceError(f"polar factor failed its checks on a {m}x{m} pair: unitarity {unitary:.3g}, "
+                                     f"Riccati {riccati:.3g}/{budget:.3g}, definiteness {definite:.3g}/{tau:.3g}")
+    return gm
 
 
 def is_psd(a: HermitianMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:

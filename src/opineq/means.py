@@ -12,12 +12,12 @@ from . import verdict
 from .abelian import AbelianTuple, check_commuting, joint_diagonalize, memberwise_leq
 from .linalg import (
     DEFAULT_TOL,
-    EigenSystem,
     HermitianMatrix,
     SpectrumDomainError,
     Tolerance,
     _EPS,
     _cholesky_certificate,
+    _polar_mean,
     _spectral_matrix,
     eig_hermitian,
     matrix_power,
@@ -36,49 +36,32 @@ def geometric_mean(
 ) -> HermitianMatrix:
     """Operator geometric mean ``x^(1/2) (x^(-1/2) y x^(-1/2))^(1/2) x^(1/2)``.
 
-    By congruence invariance it equals ``L (L^-1 y L^-*)^(1/2) L*`` for any
-    factor ``x = L L*`` (Bhatia, *Positive Definite Matrices*, 2007, ch. 4).
-    When the checked Cholesky floors of both arguments exceed ``1e-10 (1 +
-    ||x||_F + ||y||_F)``, the mean takes that form, and the kernel runs on
-    the inner matrix alone.  Every other pair is decomposed: each argument
-    must be PSD at tolerance, and one whose smallest eigenvalue is at most
-    ``eps = 1e-10 (1 + ||x||_op + ||y||_op)`` has both arguments lifted by
-    ``eps`` before the closed form.  The mean extends continuously to the
-    PSD cone, so this realizes the extension within tolerance while leaving
-    well-conditioned inputs untouched; the Frobenius norms bound the
-    operator norms, so a certified pair is one that would not be lifted.
-
-    Just above the lift threshold the result is accurate only to about
-    ``1e-7 (1 + ||gm||)`` on either route, not to the ``1e-10`` of
-    well-conditioned pairs: with ``t = lambda_min(x)`` the inner matrix has
-    norm about ``1/t``, and its decomposition's error, small relative to that
-    norm, lands on the mean's order-one directions.
+    For any factors ``x = F_x F_x*`` and ``y = F_y F_y*`` it equals ``F_x U*
+    F_y*``, with ``U`` the unitary polar factor of ``F_y* F_x^-*`` (Iannazzo,
+    Numer. Linear Algebra Appl. 23(2), 2016), which :func:`_polar_mean`
+    forms and checks with no eigensolver run.  When the checked Cholesky
+    floors of both arguments exceed ``1e-10 (1 + ||x||_F + ||y||_F)``, the
+    factors are the certificates' ``L_x``, ``L_x^-1`` and ``L_y``, and no
+    kernel runs.  Every other pair is decomposed: each argument must be PSD
+    at tolerance, and one whose smallest eigenvalue is at most ``eps = 1e-10
+    (1 + ||x||_op + ||y||_op)`` has both arguments lifted by ``eps``; the
+    factors are then ``basis * sqrt(values)`` and its inverse.  The mean
+    extends continuously to the PSD cone, so this realizes the extension
+    within tolerance while leaving well-conditioned inputs untouched; the
+    Frobenius norms bound the operator norms, so a certified pair is one
+    that would not be lifted.
     """
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     low, low_inv, floor = _cholesky_certificate(x)
     bound = _REGULARIZATION_FACTOR * (1.0 + x.norm() + y.norm())
     if floor > bound and _cholesky_certificate(y)[2] > bound:
-        return _congruence_mean(low, low_inv, y.entries)
-    ex = psd_eigensystem(x, tol, "first argument")
-    ey = psd_eigensystem(y, tol, "second argument")
+        return _polar_mean(low, low_inv, _cholesky_certificate(y)[0])
+    ex, ey = psd_eigensystem(x, tol, "first argument"), psd_eigensystem(y, tol, "second argument")
     eps = _REGULARIZATION_FACTOR * (1.0 + ex.op_norm + ey.op_norm)
-    if ex.lambda_min <= eps or ey.lambda_min <= eps:
-        # lifting keeps each basis and the order of the values
-        ex, ey = (EigenSystem(np.maximum(es.eigenvalues, 0.0) + eps, es.basis) for es in (ex, ey))
-    rx = ex.reconstruct(np.sqrt(ex.eigenvalues)).entries
-    rx_inv = ex.reconstruct(1.0 / np.sqrt(ex.eigenvalues)).entries
-    return _congruence_mean(rx, rx_inv, ey.reconstruct().entries)
-
-
-def _congruence_mean(f: np.ndarray, g: np.ndarray, y: np.ndarray) -> HermitianMatrix:
-    """``f (g y g*)^(1/2) f*`` for ``g = f^-1``: the mean of ``f f*`` and ``y``; one kernel run.
-
-    With ``g y g* = U diag(mu) U*`` it is ``h h*`` for ``h = f U diag(mu^(1/4))``.
-    """
-    ei = eig_hermitian(HermitianMatrix(g @ y @ g.conj().T))
-    h = (f @ ei.basis) * np.maximum(ei.eigenvalues, 0.0) ** 0.25
-    return HermitianMatrix(h @ h.conj().T)
+    lift = eps if ex.lambda_min <= eps or ey.lambda_min <= eps else 0.0
+    rx, ry = (np.sqrt(np.maximum(es.eigenvalues, 0.0) + lift) for es in (ex, ey))
+    return _polar_mean(ex.basis * rx, (ex.basis / rx).conj().T, ey.basis * ry)
 
 
 # Gauss-Legendre rungs the oracle may use, and the relative truncation error

@@ -27,6 +27,7 @@ from .linalg import (
     DEFAULT_TOL,
     HermitianMatrix,
     Tolerance,
+    _freeze,
     _offdiag_norm,
     diagonal,
     eig_hermitian,
@@ -51,15 +52,12 @@ class ColumnField:
             raise ValueError("weights and matrices must be aligned and non-empty")
         if any(w <= 0 for w in ws):
             raise ValueError("weights must be strictly positive")
-        mats = []
-        for a in self.matrices:
-            arr = np.array(a, dtype=complex)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or (mats and arr.shape != mats[0].shape):
-                raise ValueError("field matrices must share one square shape")
-            arr.setflags(write=False)
-            mats.append(arr)
+        mats = tuple(_freeze(np.array(a, dtype=complex)) for a in self.matrices)
+        shape = mats[0].shape
+        if len(shape) != 2 or shape[0] != shape[1] or any(a.shape != shape for a in mats):
+            raise ValueError("field matrices must share one square shape")
         object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "matrices", tuple(mats))
+        object.__setattr__(self, "matrices", mats)
         gram = sum(w * a.conj().T @ a for w, a in zip(ws, mats))
         defect = np.linalg.norm(gram - np.eye(self.dim))
         if not defect <= self.tol.rtol * len(ws):
@@ -337,12 +335,18 @@ def reproduce_example1(c: float, t: float, lam: float, tol: Tolerance = DEFAULT_
     the smallest eigenvalue of y - x, and ``detail`` also records both traces.
     Parameters must satisfy ``0 < c < t < inf`` and ``c / (t - c) < lam <
     inf`` (which makes x < y strict); others, NaN among them, give an
-    invalid verdict.
+    invalid verdict.  So do parameters that leave the check undecided: a
+    matrix it forms would overflow, or an eigenvalue claim's margin lies
+    within its slack ``rtol (1 + ||a||_op)``, which grows as ``lam t`` for
+    ``order_strict`` and as ``(lam t)^2`` for ``pinch_square_not_dominated``.
     """
     if not 0 < c < t < math.inf:
         return verdict.invalid("need 0 < c < t < inf")
     if not c / (t - c) < lam < math.inf:
         return verdict.invalid("need c/(t-c) < lam < inf")
+    # with s = max(lam, 1) t, no entry formed below exceeds 3 s^2, nor a norm's sum 36 s^4
+    if not max(lam, 1.0) * t < 1e76:
+        return verdict.invalid("a matrix the check forms would overflow")
     x = HermitianMatrix(np.full((2, 2), float(c), dtype=complex))
     y = diagonal([t, lam * t])
     x2 = HermitianMatrix(x.entries @ x.entries)
@@ -350,17 +354,20 @@ def reproduce_example1(c: float, t: float, lam: float, tol: Tolerance = DEFAULT_
     rho = DiagonalState.uniform(2)
 
     order_margin, slack = psd_margin(eig_hermitian(y - x), tol)
-    order_strict = order_margin > slack
+    if not abs(order_margin) > slack:
+        return verdict.invalid("order_strict: margin within its slack")
 
     not_dominated: bool | None = None
     if t < c * math.sqrt(2.0):
-        lam_min, slack = psd_margin(eig_hermitian(y2 - diagonal(pinch(rho, x2))), tol)
-        not_dominated = lam_min < -slack
+        lam_min, pinch_slack = psd_margin(eig_hermitian(y2 - diagonal(pinch(rho, x2))), tol)
+        if not abs(lam_min) > pinch_slack:
+            return verdict.invalid("pinch_square_not_dominated: margin within its slack")
+        not_dominated = lam_min < -pinch_slack
 
     tr_x2 = state_trace(rho, x2)
     tr_y2 = state_trace(rho, y2)
     claims = {
-        "order_strict": order_strict,
+        "order_strict": order_margin > slack,
         "pinch_square_not_dominated": not_dominated,
         "trace_square_identity": abs(tr_x2 - 4.0 * c * c) <= 1e-12 * (1.0 + 4.0 * c * c),
         "trace_monotone": tr_x2 < tr_y2,

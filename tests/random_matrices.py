@@ -27,3 +27,10 @@ def with_spectrum(rng, values):
     """The given eigenvalues in a random unitary basis."""
     q = random_unitary(len(values), rng)
     return HermitianMatrix((q * np.asarray(values, dtype=float)) @ q.conj().T)
+
+
+def spread_pairs(k, count=200, seed=5, dim=5):
+    """Pairs ``x, y`` with spectra ``logspace(0, k)`` and its reverse in two random bases."""
+    rng = np.random.default_rng(seed)
+    spectrum = np.logspace(0, k, dim)
+    return [(with_spectrum(rng, spectrum), with_spectrum(rng, spectrum[::-1])) for _ in range(count)]

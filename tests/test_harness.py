@@ -430,6 +430,24 @@ class TestCampaigns:
         v = replay_instance(json.loads(json.dumps(instance)))
         assert v.invalid and v.detail["reason"] == reason
 
+    @pytest.mark.parametrize("t", [1.3, 1.5])
+    @pytest.mark.parametrize("lam", [1.4e4, 1e9, 1e77, 1e300])
+    def test_ex1_large_lambda_replays_to_a_verdict(self, t, lam):
+        # slack grows as lam t (order) and (lam t)^2 (pinch), the margins
+        # t - c and 2 c^2 - t^2 do not; y^2's norm overflows from about 1e77
+        reason = {
+            1.4e4: "pinch_square_not_dominated: margin within its slack" if t < math.sqrt(2.0) else None,
+            1e9: "order_strict: margin within its slack",
+            1e77: "a matrix the check forms would overflow",
+            1e300: "a matrix the check forms would overflow",
+        }[lam]
+        instance = {"theorem": "EX1", "c": 1.0, "t": t, "lam": lam}
+        v = replay_instance(json.loads(json.dumps(instance)))
+        if reason is None:
+            assert v.passed
+        else:
+            assert v.invalid and v.detail["reason"] == reason
+
     def test_function_the_library_lacks_is_a_value_error(self):
         cfg = CampaignConfig("T6", 1, seed=31)
         entry = hz._THEOREMS["T6"]

@@ -9,10 +9,12 @@ import pytest
 from opineq import harness as hz
 from opineq import linalg, means
 from opineq.abelian import AbelianTuple
+from opineq.cli import main
 from opineq.harness import CampaignConfig, instance_rng, random_unitary
 from opineq.linalg import (
     DEFAULT_TOL,
     HermitianMatrix,
+    JacobiConvergenceError,
     SpectrumDomainError,
     diagonal,
     eig_hermitian,
@@ -148,17 +150,17 @@ def spectral_route(monkeypatch, x, y):
 
 
 class TestGeometricMeanRoutes:
-    """A pair whose checked Cholesky floors clear ``1e-10 (1 + ||x||_F + ||y||_F)`` takes the
-    congruence route, one kernel run; every other pair is decomposed and lifted as before."""
+    """A pair whose checked Cholesky floors clear ``1e-10 (1 + ||x||_F + ||y||_F)`` reaches the
+    polar step through its Cholesky factors and runs no kernel; every other pair is decomposed
+    and lifted as before, and reaches it through its spectral factors."""
 
     def test_positive_definite_pair_runs_the_kernel_once(self, jacobi_runs):
         rng = np.random.default_rng(60)
         for dim in range(1, 7):
             x, y = random_pd(rng, dim), random_pd(rng, dim)
-            del jacobi_runs[:]
             geometric_mean(x, y)
-            # the inner matrix L^-1 y L^-* alone; x and y are never decomposed
-            assert len(jacobi_runs) == 1 and jacobi_runs[0] is not x and jacobi_runs[0] is not y
+            # the polar step reads the certificates' factors; nothing is decomposed
+            assert jacobi_runs == []
             assert "_eigensystem" not in x.__dict__ and "_eigensystem" not in y.__dict__
 
     # commuting pairs in a random basis, with the limit the lift realizes
@@ -176,19 +178,19 @@ class TestGeometricMeanRoutes:
         q = random_unitary(3, np.random.default_rng(61))
         x, y = commuting(q, lx), commuting(q, ly)
         gm = geometric_mean(x, y)
-        # x and y, then the inner matrix of the lifted pair
-        assert jacobi_runs[:2] == [x, y] and len(jacobi_runs) == 3
+        # x and y alone: the lifted pair's factors come from their bases
+        assert jacobi_runs == [x, y]
         limit = commuting(q, np.sqrt(np.maximum(lx, 0.0) * np.maximum(ly, 0.0)))
         assert np.allclose(gm.entries, limit.entries, atol=1e-4)
 
     def test_routes_agree_across_the_threshold(self, monkeypatch):
         # x + t I for a rank-3 x, t swept from above the spectral route's lift
         # threshold 1e-10 (1 + ||x||_op + ||y||_op) = 4e-10 across the
-        # certificate's 1e-10 (1 + ||x||_F + ||y||_F) = 5.5e-10.  There both
-        # routes form an inner matrix of norm ~4e9 and each deviates from a
-        # 40-digit reference by up to 1e-7 (1 + ||gm||), so they are compared
-        # at 5e-7; the lift both must skip moves the mean by more than five
-        # times that
+        # certificate's 1e-10 (1 + ||x||_F + ||y||_F) = 5.5e-10.  Both routes
+        # reach the polar step, which forms no inner matrix of norm ~1/t, so
+        # they agree to 1e-10 (1 + ||gm||) (8.7e-13 seen; an inner matrix puts
+        # them 9.4e-8 apart); the lift both must skip moves the mean by more
+        # than 2.5e-6 (1 + ||gm||)
         rng = np.random.default_rng(62)
         q, u = random_unitary(4, rng), random_unitary(4, rng)
         x0 = commuting(q, [1.0, 1.0, 1.0, 0.0])
@@ -199,7 +201,7 @@ class TestGeometricMeanRoutes:
             bound = 1e-10 * (1.0 + x.norm() + y.norm())
             routes.add(linalg._cholesky_certificate(x)[2] > bound)
             gm = geometric_mean(x, y)
-            tol = 5e-7 * (1.0 + gm.norm())
+            tol = 1e-10 * (1.0 + gm.norm())
             assert (gm - spectral_route(monkeypatch, x, y)).norm() <= tol, t
         assert routes == {False, True}
         x = HermitianMatrix(x0.entries + 4.5e-10 * np.eye(4))
@@ -207,6 +209,74 @@ class TestGeometricMeanRoutes:
         gm = geometric_mean(x, y)
         lifted = geometric_mean(x + eps * identity(4), y + eps * identity(4))
         assert (gm - lifted).norm() > 5 * 5e-7 * (1.0 + gm.norm())
+
+
+def rotate_first_two(w, angle=1e-6):
+    """``w`` with columns 0 and 1 rotated by ``angle`` radians: still unitary, no longer the SVD's."""
+    w = np.array(w)
+    c, s = math.cos(angle), math.sin(angle)
+    w[:, 0], w[:, 1] = c * w[:, 0] - s * w[:, 1], s * w[:, 0] + c * w[:, 1]
+    return w
+
+
+def no_svd(w):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+LAPACK_SVD = np.linalg.svd
+GARBAGE_SVD = {
+    "not-unitary": lambda w: w * (1.0 + 1e-6),
+    "rotated": rotate_first_two,
+    # unitary, and U* N Hermitian, but indefinite: G solves the Riccati equation and is not the mean
+    "sign-flipped": lambda w: w * np.r_[np.ones(len(w) - 1), -1.0],
+    "no-svd": no_svd,
+}
+
+
+@pytest.mark.parametrize("garbage", sorted(GARBAGE_SVD))
+def test_garbage_polar_factor_cannot_pass(garbage, monkeypatch, tmp_path, capsys):
+    # LAPACK's SVD only proposes U; a wrong proposal is a numerical error on
+    # either route, never a mean
+    def proposal(a, *args, **kwargs):
+        w, s, vh = LAPACK_SVD(a, *args, **kwargs)
+        return GARBAGE_SVD[garbage](w), s, vh
+
+    rng = np.random.default_rng(66)
+    pairs = [(random_pd(rng, dim), random_pd(rng, dim)) for dim in range(2, 7)]
+    pairs.append((diagonal([2.0, 1.0, 0.0]), random_pd(rng, 3)))  # decomposed and lifted
+    for x, y in pairs:
+        geometric_mean(x, y)  # LAPACK's own proposal passes
+    monkeypatch.setattr(np.linalg, "svd", proposal)
+    for x, y in pairs:
+        with pytest.raises(JacobiConvergenceError, match="polar factor"):
+            geometric_mean(HermitianMatrix(x.entries), HermitianMatrix(y.entries))
+    x = tmp_path / "x.mat"
+    y = tmp_path / "y.mat"
+    x.write_text("dim: 2\n2.0 0.0  0.4 0.0\n0.4 0.0  1.5 0.0\n")
+    y.write_text("dim: 2\n1.0 0.0  0.0 -0.3\n0.0 0.3  2.0 0.0\n")
+    assert main(["check", "gmean", str(x), str(y)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("numerical error: ")
+    assert "polar factor" in captured.err and "Traceback" not in captured.err
+
+
+class TestPolarStepAccuracy:
+    """The polar step forms no inner matrix ``L^-1 y L^-*``, whose condition is up to
+    kappa(x) kappa(y) and whose decomposition's fourth roots carried that into the mean;
+    ``test_cli.py`` pins the spread pairs against the oracle."""
+
+    def test_near_singular_commuting_pairs_match_the_exact_mean(self):
+        # spectrum (2, 1, 0.5, t) above the lift threshold, where an inner
+        # matrix of norm ~1/t would put the mean 1.4e-10 (t = 1e-6) to 3.6e-8
+        # (t = 3e-9) from the exact one
+        rng = np.random.default_rng(9)
+        for t in np.geomspace(1e-6, 3e-9, 6):
+            for _ in range(50):
+                q = random_unitary(4, rng)
+                lx, ly = np.array([2.0, 1.0, 0.5, t]), rng.uniform(0.5, 2.0, 4)
+                gm = geometric_mean(commuting(q, lx), commuting(q, ly))
+                exact = commuting(q, np.sqrt(lx * ly))
+                assert (gm - exact).norm() <= 1e-10 * (1.0 + gm.norm()), t
 
 
 class TestQuadratureOracle:
