@@ -493,7 +493,7 @@ _FIELD = (
     lambda f: {"weights": list(f.weights), "matrices": [_ser_c(a) for a in f.matrices]},
     lambda d, tol: ColumnField(tuple(d["weights"]), tuple(_deser_c(m) for m in d["matrices"]), tol),
 )
-_SCALAR = (lambda v: v, lambda d, tol: d)
+_SCALAR = (lambda v: v, lambda d, tol: float(d))
 
 
 @dataclass(frozen=True)
@@ -517,7 +517,15 @@ class _Theorem:
         return {name: enc(args[name]) for name, (enc, _) in self.codecs.items()}
 
     def decode(self, payload: dict, tol: Tolerance) -> dict:
-        return {name: dec(payload[name], tol) for name, (_, dec) in self.codecs.items()}
+        return {name: _decode_field(payload, name, dec, tol) for name, (_, dec) in self.codecs.items()}
+
+
+def _decode_field(payload: dict, name: str, dec: Callable, tol: Tolerance):
+    """``payload[name]`` decoded; a field missing or malformed raises ``ValueError`` starting with its name."""
+    try:
+        return dec(payload[name], tol)
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        raise ValueError(f"{name}: {'missing' if name not in payload else repr(exc)}") from exc
 
 
 _THEOREMS: dict[str, _Theorem] = {
@@ -530,7 +538,7 @@ _THEOREMS: dict[str, _Theorem] = {
     "T2": _Theorem(
         _gen_t2,
         lambda a, tol: check_trace_power_monotone(a["x"], a["y"], a["p"], a["rho"], tol),
-        {"x": _TUPLE, "y": _TUPLE, "p": (list, lambda d, tol: tuple(d)), "rho": _STATE},
+        {"x": _TUPLE, "y": _TUPLE, "p": (list, lambda d, tol: tuple(map(float, d))), "rho": _STATE},
     ),
     "T3": _Theorem(
         _gen_t3, _check_t3,
@@ -590,9 +598,9 @@ THEOREM_IDS = tuple(_THEOREMS)
 
 def replay_instance(instance: dict, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Re-run the check for a serialized instance; deterministic, so the verdict must match."""
-    entry = _THEOREMS.get(instance["theorem"])
-    if entry is None:
-        raise ConfigError(f"unknown theorem {instance['theorem']!r}")
+    if (theorem := instance.get("theorem")) not in THEOREM_IDS:
+        raise ConfigError(f"theorem: unknown theorem {theorem!r}")
+    entry = _THEOREMS[theorem]
     return entry.check(entry.decode(instance, tol), tol)
 
 

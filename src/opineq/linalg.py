@@ -362,44 +362,45 @@ def _cholesky_certifies(a: HermitianMatrix, rtol: float) -> bool:
     Here ``s = rtol * (1 + ||a||_F / sqrt(m))``, at most :func:`is_psd`'s
     slack since ``||a||_op >= ||a||_F / sqrt(m)``.  With ``sigma = s/4``,
     LAPACK's untrusted factor of ``a + sigma I`` gives ``lambda_min(a) >=
-    -sigma - bound`` (:func:`_shifted_cholesky_residual`; Rump, BIT 46,
-    2006), so the claim holds once that bound is at most ``sigma``.
-    ``False`` means unknown: ``rtol = 0``, a norm that is not finite, a
-    ``LinAlgError``, a non-finite value or too large a residual.
+    -sigma - bound`` (:func:`_checked_cholesky`; Rump, BIT 46, 2006), so the
+    claim holds once that bound is at most ``sigma``.  ``False`` means
+    unknown: ``rtol = 0``, a norm that is not finite, a ``LinAlgError``, a
+    non-finite value or too large a residual.
     """
     sigma = rtol * (1.0 + a.norm() / math.sqrt(a.dim)) / 4.0
     # False on NaN
-    return 0.0 < sigma < math.inf and _shifted_cholesky_residual(a.entries, a.norm(), sigma) <= sigma
+    return 0.0 < sigma < math.inf and _checked_cholesky(a.entries, a.norm(), sigma)[1] <= sigma
 
 
-def _shifted_cholesky_residual(a: np.ndarray, norm: float, shift: float) -> float:
-    """Bound on the exact ``||L L* - c||_F`` for LAPACK's Cholesky factor ``L`` of ``c = a + shift I``.
+def _checked_cholesky(a: np.ndarray, norm: float, shift: float) -> tuple[np.ndarray | None, float]:
+    """LAPACK's Cholesky factor ``L`` of ``c = a + shift I``, and a bound on the exact ``||L L* - c||_F``.
 
     ``a`` is Hermitian with Frobenius norm ``norm``.  ``L L*`` is PSD for
     any ``L``, so ``lambda_min(a) >= -shift - bound`` by Weyl, whatever
     LAPACK returns.  The bound is :func:`_residual_bound`'s, with ``||c||_F
-    <= norm + |shift| sqrt(m)``.  A ``LinAlgError`` gives inf, a non-finite
-    value NaN or inf.
+    <= norm + |shift| sqrt(m)``.  A ``LinAlgError`` gives ``(None, inf)``, a
+    non-finite value a bound of NaN or inf.
     """
     c = np.array(a)
     c.flat[:: len(a) + 1] += shift
     try:
         low = np.linalg.cholesky(c)
     except np.linalg.LinAlgError:
-        return math.inf
+        return None, math.inf
     scale = float(np.vdot(low, low).real) + norm + abs(shift) * math.sqrt(len(a))
-    return _residual_bound(low @ low.conj().T - c, scale)
+    return low, _residual_bound(low @ low.conj().T - c, scale)
 
 
 def _cholesky_certificate(a: HermitianMatrix) -> tuple:
     """``(L, X, floor)``: factor ``a ~ L L*``, ``X ~ L^-1``, proven ``floor <= lambda_min(a)``.
 
-    LAPACK's factor and inverse stay untrusted.  With ``rho`` the
-    :func:`_residual_bound` of ``L X - I``, ``rho < 1`` proves ``L``
-    invertible with ``||L^-1||_2 <= ||X||_F / (1 - rho)``, so ``sigma_min(L)
-    >= (1 - rho) / ||X||_F``; ``L L*`` has ``sigma_min(L)^2`` as its
-    smallest eigenvalue, and by Weyl ``lambda_min(a) >= sigma_min(L)^2 -
-    delta`` with ``delta`` the bound on ``||L L* - a||_F``.  The factor
+    LAPACK's factor and inverse stay untrusted; ``L`` and ``delta``, the
+    bound on ``||L L* - a||_F``, come from :func:`_checked_cholesky` at shift
+    0.  With ``rho`` the :func:`_residual_bound` of ``L X - I``, ``rho < 1``
+    proves ``L`` invertible with ``||L^-1||_2 <= ||X||_F / (1 - rho)``, so
+    ``sigma_min(L) >= (1 - rho) / ||X||_F``; ``L L*`` has ``sigma_min(L)^2``
+    as its smallest eigenvalue, and by Weyl ``lambda_min(a) >=
+    sigma_min(L)^2 - delta``.  The factor
     ``1 - (m^2 + 2m + 8) eps`` on the square covers the rounding of
     ``||X||_F`` (a sum of ``2 m^2`` squares) and of the scalar steps.  Kept
     on ``a``, so each matrix is factored once.  A norm that is not finite, a
@@ -409,23 +410,21 @@ def _cholesky_certificate(a: HermitianMatrix) -> tuple:
     cert = a.__dict__.get("_cholesky")
     if cert is None:
         cert = None, None, -math.inf
-        try:
-            low = np.linalg.cholesky(a.entries)
-            inv = np.linalg.inv(low)
-        except np.linalg.LinAlgError:
-            low = None
-        if low is not None:
-            m = a.dim
-            with np.errstate(all="ignore"):  # a non-finite value fails a test below
-                lf2 = float(np.vdot(low, low).real)
-                xf = math.sqrt(np.vdot(inv, inv).real)
-                rho = _residual_bound(low @ inv - _cyclic(m)[1], math.sqrt(lf2) * xf + math.sqrt(m))
-                delta = _residual_bound(low @ low.conj().T - a.entries, lf2 + a.norm())
-            if rho < 1.0:  # False on NaN
-                t = (1.0 - rho) / xf
-                floor = t * t * (1.0 - (m * m + 2 * m + 8) * _EPS) - delta
-                if math.isfinite(floor):
-                    cert = _freeze(low), _freeze(inv), floor
+        with np.errstate(all="ignore"):  # a non-finite value fails a test below
+            low, delta = _checked_cholesky(a.entries, a.norm(), 0.0)
+            try:
+                inv = None if low is None else np.linalg.inv(low)
+            except np.linalg.LinAlgError:
+                inv = None
+            if inv is not None:
+                m = a.dim
+                lf, xf = (math.sqrt(np.vdot(b, b).real) for b in (low, inv))
+                rho = _residual_bound(low @ inv - _cyclic(m)[1], lf * xf + math.sqrt(m))
+                if rho < 1.0:  # False on NaN
+                    t = (1.0 - rho) / xf
+                    floor = t * t * (1.0 - (m * m + 2 * m + 8) * _EPS) - delta
+                    if math.isfinite(floor):
+                        cert = _freeze(low), _freeze(inv), floor
         object.__setattr__(a, "_cholesky", cert)
     return cert
 
@@ -439,23 +438,24 @@ def _polar_mean(f_x: np.ndarray, g_x: np.ndarray, f_y: np.ndarray) -> HermitianM
     coefficient of :func:`_residual_bound`, and ``s = ||F_x||_F ||g_x||_F``,
     the Hermitian ``G`` is kept only if
 
-    * the computed ``||U* U - I||_F`` is at most ``2 m e``, so by the
-      argument of :func:`_residual_bound` the exact one is below ``4 m e``
-      (``||U||_F^2 <= m + sqrt(m) ||U* U - I||_F``);
     * the bound on the Riccati residual ``||(g_x G)* (g_x G) - F_y F_y*||_F``
       is at most ``8 e s ||F_y||_F^2``, a finite number; and
-    * the :func:`_shifted_cholesky_residual` of ``G - tau I``, for ``tau = 2
-      e (1 + sqrt(m)) ||G||_F``, is below ``tau``, which proves
-      ``lambda_min(G) > 0``.
+    * the :func:`_checked_cholesky` bound for ``G - tau I``, with ``tau = 2 e
+      (1 + sqrt(m)) ||G||_F``, is below ``tau``, which proves ``lambda_min(G)
+      > 0``.
 
-    Sound whatever LAPACK returns: with ``x' = (g_x* g_x)^-1`` and ``y' =
-    (g_x G)* (g_x G)``, ``G`` solves the Riccati equation ``G x'^-1 G = y'``,
-    whose one positive definite solution is the mean of ``x'`` and ``y'``;
-    ``x'`` is ``x`` up to the defect of ``g_x F_x``, and ``y'`` lies within
-    the second bound of ``y``.  A ``U`` that is not unitary fails the first
-    check; one that leaves ``U* N`` off Hermitian leaves ``G`` off the
-    equation; one that makes ``U* N`` Hermitian but indefinite (a singular
-    vector's sign flipped) leaves ``G`` indefinite.
+    Sound whatever LAPACK returns, with no test that ``U`` is unitary: let
+    ``x' = (g_x* g_x)^-1`` (``g_x`` is invertible, as ``g_x F_x`` is ``I`` to
+    rounding) and ``y' = (g_x G)* (g_x G)``.  A ``G`` that passes the second
+    check is positive definite, so ``y'`` is too, and ``G x'^-1 G = y'``:
+    ``G`` is the one positive definite solution of that Riccati equation,
+    the exact mean of ``x'`` and ``y'``.  ``x'`` is ``x`` up to the defect of
+    ``g_x F_x``, and the first check puts ``y'`` within its budget of ``y``.
+    ``U`` enters only through ``G``, so one that is not unitary, or leaves
+    ``U* N`` off Hermitian, moves ``y'`` and fails the first check once it
+    moves it past the budget; one that makes ``U* N`` Hermitian but
+    indefinite (a singular vector's sign flipped) leaves ``G`` indefinite and
+    fails the second.
 
     Why a right ``U`` passes: rounded, it makes ``U* N`` Hermitian to about
     the rounding of ``N``, ``e ||g_x||_F ||F_y||_F / 2``.  As ``g_x F_x = I``
@@ -465,13 +465,12 @@ def _polar_mean(f_x: np.ndarray, g_x: np.ndarray, f_y: np.ndarray) -> HermitianM
     times its scale ``||p||_F^2 + 2 ||p||_F ||g_x||_F ||G||_F + ||F_y||_F^2
     <= 4 s ||F_y||_F^2`` for ``p = fl(g_x G)`` (the middle term covers the
     rounding of ``p``; ``s >= ||g_x F_x||_F ~ sqrt(m)``), so a right proposal
-    uses about half of that budget at most; a rounded unitary's computed
-    defect is about ``m eps``, far below ``2 m e``.  The factor of a right
-    ``G`` leaves about ``e (||L||_F^2 + ||G||_F) <= e (1 + sqrt(m)) ||G||_F =
-    tau / 2``, and LAPACK factors ``G - tau I`` once ``lambda_min(G) >
-    tau``: both routes of :func:`opineq.means.geometric_mean` give
-    ``lambda_min(G) > 1e-10 (1 + ||x|| + ||y||) >= 2e-10 ||G||_F / sqrt(m)``,
-    above ``tau`` up to ``m = 64``.  No SVD, or a failed check, raises
+    uses about half of that budget at most.  The factor of a right ``G``
+    leaves about ``e (||L||_F^2 + ||G||_F) <= e (1 + sqrt(m)) ||G||_F = tau /
+    2``, and LAPACK factors ``G - tau I`` once ``lambda_min(G) > tau``: both
+    routes of :func:`opineq.means.geometric_mean` give ``lambda_min(G) >
+    1e-10 (1 + ||x|| + ||y||) >= 2e-10 ||G||_F / sqrt(m)``, above ``tau`` up
+    to ``m = 64``.  No SVD, or a failed check, raises
     :class:`JacobiConvergenceError`.
     """
     m = len(f_x)
@@ -480,18 +479,15 @@ def _polar_mean(f_x: np.ndarray, g_x: np.ndarray, f_y: np.ndarray) -> HermitianM
         w, _, vh = np.linalg.svd(f_y.conj().T @ g_x.conj().T)
     except np.linalg.LinAlgError as exc:
         raise JacobiConvergenceError(f"no polar factor on a {m}x{m} pair: {exc}") from exc
-    u = w @ vh
-    gm = HermitianMatrix(f_x @ u.conj().T @ f_y.conj().T)
+    gm = HermitianMatrix(f_x @ (w @ vh).conj().T @ f_y.conj().T)
     p = g_x @ gm.entries
     p2, fx2, gx2, fy2, g2 = (float(np.vdot(a, a).real) for a in (p, f_x, g_x, f_y, gm.entries))
-    unitary = _unitary_defect(u)
-    scale = p2 + 2.0 * math.sqrt(p2 * gx2 * g2) + fy2
-    riccati = _residual_bound(p.conj().T @ p - f_y @ f_y.conj().T, scale)
+    riccati = _residual_bound(p.conj().T @ p - f_y @ f_y.conj().T, p2 + 2.0 * math.sqrt(p2 * gx2 * g2) + fy2)
     budget = 8.0 * e * math.sqrt(fx2 * gx2) * fy2
     tau = 2.0 * e * (1.0 + math.sqrt(m)) * math.sqrt(g2)
-    definite = _shifted_cholesky_residual(gm.entries, math.sqrt(g2), -tau)
-    if not (unitary <= 2 * m * e and riccati <= budget < math.inf and definite < tau):
-        raise JacobiConvergenceError(f"polar factor failed its checks on a {m}x{m} pair: unitarity {unitary:.3g}, "
+    definite = _checked_cholesky(gm.entries, math.sqrt(g2), -tau)[1]
+    if not (riccati <= budget < math.inf and definite < tau):
+        raise JacobiConvergenceError(f"polar factor failed its checks on a {m}x{m} pair: "
                                      f"Riccati {riccati:.3g}/{budget:.3g}, definiteness {definite:.3g}/{tau:.3g}")
     return gm
 

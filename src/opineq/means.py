@@ -55,8 +55,8 @@ def geometric_mean(
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     low, low_inv, floor = _cholesky_certificate(x)
     bound = _REGULARIZATION_FACTOR * (1.0 + x.norm() + y.norm())
-    if floor > bound and _cholesky_certificate(y)[2] > bound:
-        return _polar_mean(low, low_inv, _cholesky_certificate(y)[0])
+    if floor > bound and (cert_y := _cholesky_certificate(y))[2] > bound:
+        return _polar_mean(low, low_inv, cert_y[0])
     ex, ey = psd_eigensystem(x, tol, "first argument"), psd_eigensystem(y, tol, "second argument")
     eps = _REGULARIZATION_FACTOR * (1.0 + ex.op_norm + ey.op_norm)
     lift = eps if ex.lambda_min <= eps or ey.lambda_min <= eps else 0.0

@@ -448,6 +448,21 @@ class TestCampaigns:
         else:
             assert v.invalid and v.detail["reason"] == reason
 
+    @pytest.mark.parametrize("theorem", THEOREM_IDS)
+    def test_malformed_record_raises_a_value_error_naming_the_field(self, theorem):
+        # each field removed or set to 5, "x", [] or {}: a verdict, or a
+        # ValueError whose message starts with the field's name
+        cfg = CampaignConfig(theorem, 1, arity_range=(2, 2), seed=7)
+        entry = hz._THEOREMS[theorem]
+        record = {"theorem": theorem, **entry.encode(entry.generate(cfg, instance_rng(cfg.seed, 0), 0))}
+        for field in record:
+            removed = {k: v for k, v in record.items() if k != field}
+            for instance in [removed] + [{**record, field: value} for value in (5, "x", [], {})]:
+                try:
+                    replay_instance(instance)
+                except ValueError as exc:
+                    assert str(exc).startswith(f"{field}: "), (field, instance.get(field), exc)
+
     def test_function_the_library_lacks_is_a_value_error(self):
         cfg = CampaignConfig("T6", 1, seed=31)
         entry = hz._THEOREMS["T6"]

@@ -230,6 +230,8 @@ GARBAGE_SVD = {
     # unitary, and U* N Hermitian, but indefinite: G solves the Riccati equation and is not the mean
     "sign-flipped": lambda w: w * np.r_[np.ones(len(w) - 1), -1.0],
     "no-svd": no_svd,
+    # unitary to 1e-11 only: the Riccati check, not a unitarity test, refuses it
+    "scaled-1e-11": lambda w: w * (1.0 + 1e-11),
 }
 
 
@@ -244,9 +246,14 @@ def test_garbage_polar_factor_cannot_pass(garbage, monkeypatch, tmp_path, capsys
     rng = np.random.default_rng(66)
     pairs = [(random_pd(rng, dim), random_pd(rng, dim)) for dim in range(2, 7)]
     pairs.append((diagonal([2.0, 1.0, 0.0]), random_pd(rng, 3)))  # decomposed and lifted
-    for x, y in pairs:
-        geometric_mean(x, y)  # LAPACK's own proposal passes
+    gms = [geometric_mean(x, y) for x, y in pairs]  # LAPACK's own proposal passes
     monkeypatch.setattr(np.linalg, "svd", proposal)
+    if garbage == "scaled-1e-11":
+        # the lift puts ||g_x||_F near 4e4, which widens the Riccati budget past
+        # this scaling: G is the mean of a pair that close to (x, y), so it is kept
+        x, y = pairs.pop()
+        gm = geometric_mean(HermitianMatrix(x.entries), HermitianMatrix(y.entries))
+        assert 0.0 < (gm - gms[-1]).norm() <= 1e-10 * (1.0 + gms[-1].norm())
     for x, y in pairs:
         with pytest.raises(JacobiConvergenceError, match="polar factor"):
             geometric_mean(HermitianMatrix(x.entries), HermitianMatrix(y.entries))
@@ -258,6 +265,50 @@ def test_garbage_polar_factor_cannot_pass(garbage, monkeypatch, tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("numerical error: ")
     assert "polar factor" in captured.err and "Traceback" not in captured.err
+
+
+def test_perturbed_polar_factor_raises_or_keeps_the_mean(monkeypatch):
+    # two checks keep LAPACK untrusted: a perturbed SVD proposal raises or
+    # gives a mean within 1e-10 (1 + ||G||) of LAPACK's own, and another valid
+    # SVD (matching columns of W and V permuted or sign-flipped) is kept
+    perturb = None
+
+    def proposal(a, *args, **kwargs):
+        w, s, vh = LAPACK_SVD(a, *args, **kwargs)
+        w, vh = perturb(w, vh)
+        return w, s, vh
+
+    monkeypatch.setattr(np.linalg, "svd", proposal)
+    rng = np.random.default_rng(67)
+    outcomes = {}
+    for dim in range(1, 9):
+        for _ in range(60):
+            x, y = random_pd(rng, dim), random_pd(rng, dim)
+            perturb = lambda w, vh: (w, vh)
+            gm = geometric_mean(x, y)
+            delta, theta = 10.0 ** rng.uniform(-13, -3), 10.0 ** rng.uniform(-12, -2)
+            flip, perm = np.where(np.arange(dim) == rng.integers(dim), -1.0, 1.0), rng.permutation(dim)
+            cases = {
+                "scaled": (lambda w, vh: (w * (1.0 + delta), vh), False),
+                "sign-flipped": (lambda w, vh: (w * flip, vh), False),
+                "permuted": (lambda w, vh: (w[:, perm], vh[perm]), True),
+                "pair-sign-flipped": (lambda w, vh: (w * flip, vh * flip[:, None]), True),
+            }
+            if dim > 1:
+                cases["rotated"] = (lambda w, vh: (rotate_first_two(w, theta), vh), False)
+            for name, (perturb, valid) in cases.items():
+                try:
+                    g = geometric_mean(x, y)
+                except JacobiConvergenceError:
+                    assert not valid, (name, dim)
+                    outcomes.setdefault(name, set()).add("raised")
+                else:
+                    assert (g - gm).norm() <= 1e-10 * (1.0 + gm.norm()), (name, dim)
+                    outcomes.setdefault(name, set()).add("kept")
+    assert outcomes == {
+        "scaled": {"raised", "kept"}, "rotated": {"raised", "kept"}, "sign-flipped": {"raised"},
+        "permuted": {"kept"}, "pair-sign-flipped": {"kept"},
+    }
 
 
 class TestPolarStepAccuracy:
